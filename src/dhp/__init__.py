@@ -7,182 +7,25 @@ relatives, constructive cycle solvers, generators for the extremal graph
 families, and a seeded random-graph laboratory, all behind one CLI.
 """
 
-from .budget import NODE_BUDGET_DEFAULT, SUBSET_BUDGET_DEFAULT, WorkBudget
-from .checkers import (
-    DegreeBoundReport,
-    Obstacle,
-    Verdict,
-    check_degree_bound,
-    check_dhp,
-    check_critical,
-    check_saturated_critical,
-    check_snp,
-    check_snp_minimal,
-    check_supercyclic,
-    find_minimal_obstacle,
-    is_obstacle,
-    obstacle_is_minimal,
-)
-from .constructions import (
-    DesignSpec,
-    bipartite_product,
-    biplane_from_difference_set,
-    builtin_biplane,
-    design_to_bigraph,
-    design_violation,
-    growth_report,
-    import_design,
-    iterated_product,
-    pad_with_universal,
-    pair_gadget,
-    serialize_design,
-    verify_design,
-)
-from .core import (
-    X_SIDE,
-    Y_SIDE,
-    Bigraph,
-    CycleWitness,
-    PathSystem,
-    PathWitness,
-    Side,
-    VertexSet,
-    bipartite_complement,
-    induced_subgraph,
-    is_two_connected,
-    neighborhood_at_least,
-)
-from .cycles import (
-    MatchingInstance,
-    absorb_virtual_edge,
-    find_cycle_covering,
-    find_disjoint_cycle_cover,
-    hall_violator,
-    max_matching,
-    rotate_path_to_cycle,
-    solve_degree_split,
-    solve_high_degree,
-)
-from .errors import (
-    BudgetExceededError,
-    ConfigError,
-    ConstructionError,
-    ContractViolationError,
-    DesignImportError,
-    DhpError,
-    DomainError,
-    GraphInputError,
-    ParseError,
-    ResourceLimitError,
-    WitnessError,
-)
-from .formats import (
-    load_bigraph,
-    parse_bigraph,
-    parse_bigraph_json,
-    serialize_bigraph,
-    serialize_bigraph_json,
-)
-from .randlab import (
-    PoissonReport,
-    SweepConfig,
-    SweepReport,
-    ThresholdParams,
-    TrialRecord,
-    check_hamiltonian,
-    chernoff_degree_check,
-    count_bad_pairs,
-    poisson_gof,
-    run_sweep,
-    sample_bipartite,
-    sample_gnnp,
-    scan_obstacles_size3,
-    surrogate_dhp,
-    threshold_p,
-)
+from . import budget, checkers, constructions, core, cycles, errors, formats, randlab
+from .budget import *
+from .checkers import *
+from .constructions import *
+from .core import *
+from .cycles import *
+from .errors import *
+from .formats import *
+from .randlab import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Side",
-    "X_SIDE",
-    "Y_SIDE",
-    "Bigraph",
-    "VertexSet",
-    "CycleWitness",
-    "PathWitness",
-    "PathSystem",
-    "neighborhood_at_least",
-    "induced_subgraph",
-    "bipartite_complement",
-    "is_two_connected",
-    "parse_bigraph",
-    "serialize_bigraph",
-    "parse_bigraph_json",
-    "serialize_bigraph_json",
-    "load_bigraph",
-    "WorkBudget",
-    "SUBSET_BUDGET_DEFAULT",
-    "NODE_BUDGET_DEFAULT",
-    "Verdict",
-    "Obstacle",
-    "DegreeBoundReport",
-    "check_dhp",
-    "check_snp",
-    "check_supercyclic",
-    "check_critical",
-    "check_saturated_critical",
-    "check_snp_minimal",
-    "is_obstacle",
-    "obstacle_is_minimal",
-    "find_minimal_obstacle",
-    "check_degree_bound",
-    "MatchingInstance",
-    "max_matching",
-    "hall_violator",
-    "find_cycle_covering",
-    "find_disjoint_cycle_cover",
-    "rotate_path_to_cycle",
-    "absorb_virtual_edge",
-    "solve_high_degree",
-    "solve_degree_split",
-    "DesignSpec",
-    "pair_gadget",
-    "biplane_from_difference_set",
-    "builtin_biplane",
-    "verify_design",
-    "design_violation",
-    "import_design",
-    "serialize_design",
-    "design_to_bigraph",
-    "bipartite_product",
-    "iterated_product",
-    "growth_report",
-    "pad_with_universal",
-    "sample_gnnp",
-    "sample_bipartite",
-    "ThresholdParams",
-    "threshold_p",
-    "count_bad_pairs",
-    "scan_obstacles_size3",
-    "surrogate_dhp",
-    "check_hamiltonian",
-    "PoissonReport",
-    "poisson_gof",
-    "chernoff_degree_check",
-    "SweepConfig",
-    "TrialRecord",
-    "SweepReport",
-    "run_sweep",
-    "DhpError",
-    "GraphInputError",
-    "ParseError",
-    "DomainError",
-    "BudgetExceededError",
-    "ContractViolationError",
-    "ConstructionError",
-    "DesignImportError",
-    "ResourceLimitError",
-    "ConfigError",
-    "WitnessError",
-]
+__all__ = (
+    core.__all__
+    + formats.__all__
+    + budget.__all__
+    + checkers.__all__
+    + cycles.__all__
+    + constructions.__all__
+    + randlab.__all__
+    + errors.__all__
+)

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from .errors import BudgetExceededError
 
+__all__ = ["WorkBudget", "SUBSET_BUDGET_DEFAULT", "NODE_BUDGET_DEFAULT"]
+
 SUBSET_BUDGET_DEFAULT = 1 << 24
 NODE_BUDGET_DEFAULT = 10**8
 

@@ -13,8 +13,8 @@ counters, and skipping subtrees that can no longer produce a violation).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Any, Iterator, Mapping
+from dataclasses import asdict, dataclass
+from typing import Any, Callable, Mapping
 
 from .budget import NODE_BUDGET_DEFAULT, SUBSET_BUDGET_DEFAULT, WorkBudget, as_budget
 from .core import (
@@ -112,56 +112,58 @@ class DegreeBoundReport:
     dhp_verified: bool
 
     def to_json_obj(self) -> dict[str, Any]:
-        return {
-            "n": self.n,
-            "max_degree": self.max_degree,
-            "bound": self.bound,
-            "within_bound": self.within_bound,
-            "tight": self.tight,
-            "dhp_verified": self.dhp_verified,
-        }
+        return asdict(self)
 
 
 # -- subset scans ------------------------------------------------------------
 
 
-def _first_deficient_subset(
-    adj: tuple[int, ...], n: int, k: int, budget: WorkBudget
-) -> tuple[tuple[int, ...], int] | None:
-    """Lexicographically first size-k X-subset S with |twice-seen(S)| < k.
+def _first_violation(
+    g: Bigraph,
+    k: int,
+    budget: WorkBudget,
+    leaf_test: Callable[[tuple[int, ...], int], bool] | None = None,
+) -> tuple[tuple[int, ...], int, str] | None:
+    """Lexicographically first size-k X-subset S that violates, as
+    (S, twice-seen(S) mask, reason).
 
-    Carries saturating one-seen/twice-seen accumulators down a prefix tree.
-    A prefix whose twice-seen count already reaches k is skipped: adding
-    vertices can only grow the accumulator, so no completion can violate.
-    Budget is charged per prefix visited.
+    S violates with reason "cardinality" when |twice-seen(S)| < k, and with
+    reason "connectivity" when ``leaf_test(S, twice-seen mask)`` is false.
+    Saturating one-seen/twice-seen accumulators are carried down a prefix
+    tree.  Without a leaf test, a prefix whose twice-seen count already
+    reaches k is skipped: adding vertices can only grow the accumulator, so
+    no completion can violate.  With one, every leaf must be tested, so
+    nothing is skipped.  Budget is charged per prefix visited.
     """
-    found: list[tuple[tuple[int, ...], int]] = []
+    adj = g.adj_x
+    n = g.nx
+    prune = leaf_test is None
+    chosen: list[int] = []
 
-    def descend(start: int, depth: int, chosen: list[int], u1: int, u2: int) -> bool:
-        if depth == k:
-            found.append((tuple(chosen), u2))
-            return True
+    def descend(start: int, u1: int, u2: int) -> tuple[tuple[int, ...], int, str] | None:
+        depth = len(chosen)
+        leaf = depth + 1 == k
         # leave room for the remaining k - depth picks
         for i in range(start, n - (k - depth) + 1):
             budget.spend()
             row = adj[i]
             nu2 = u2 | (u1 & row)
-            if depth + 1 == k:
+            if leaf:
                 if nu2.bit_count() < k:
-                    found.append((tuple(chosen) + (i,), nu2))
-                    return True
+                    return (*chosen, i), nu2, "cardinality"
+                if not prune and not leaf_test((*chosen, i), nu2):
+                    return (*chosen, i), nu2, "connectivity"
                 continue
-            if nu2.bit_count() >= k:
+            if prune and nu2.bit_count() >= k:
                 continue  # no superset of this prefix can violate
             chosen.append(i)
-            if descend(i + 1, depth + 1, chosen, u1 | row, nu2):
-                return True
+            hit = descend(i + 1, u1 | row, nu2)
+            if hit is not None:
+                return hit
             chosen.pop()
-        return False
+        return None
 
-    if descend(0, 0, [], 0, 0):
-        return found[0]
-    return None
+    return descend(0, 0, 0)
 
 
 def check_dhp(g: Bigraph, *, budget: int | WorkBudget | None = None) -> Verdict:
@@ -175,22 +177,10 @@ def check_dhp(g: Bigraph, *, budget: int | WorkBudget | None = None) -> Verdict:
         raise DomainError(f"double Hall property needs |X| >= 2, got {g.nx}")
     b = as_budget(budget, SUBSET_BUDGET_DEFAULT, "subset")
     for k in range(2, g.nx + 1):
-        hit = _first_deficient_subset(g.adj_x, g.nx, k, b)
+        hit = _first_violation(g, k, b)
         if hit is not None:
             return Verdict("dhp", False, {"S": list(hit[0])})
     return Verdict("dhp", True)
-
-
-def _snp_leaf_violation(g: Bigraph, chosen: tuple[int, ...], u2: int) -> str | None:
-    k = len(chosen)
-    if u2.bit_count() < k:
-        return "cardinality"
-    sub, _, _ = induced_subgraph(
-        g, VertexSet.xs(chosen), VertexSet(Y_SIDE, u2)
-    )
-    if not is_two_connected(sub):
-        return "connectivity"
-    return None
 
 
 def check_snp(g: Bigraph, *, budget: int | WorkBudget | None = None) -> Verdict:
@@ -203,30 +193,15 @@ def check_snp(g: Bigraph, *, budget: int | WorkBudget | None = None) -> Verdict:
     if g.nx < 3:
         raise DomainError(f"super neighbourhood property needs |X| >= 3, got {g.nx}")
     b = as_budget(budget, SUBSET_BUDGET_DEFAULT, "subset")
-    adj = g.adj_x
-    n = g.nx
 
-    for k in range(3, n + 1):
-        result: list[tuple[tuple[int, ...], str]] = []
+    def two_connected(chosen: tuple[int, ...], u2: int) -> bool:
+        sub, _, _ = induced_subgraph(g, VertexSet.xs(chosen), VertexSet(Y_SIDE, u2))
+        return is_two_connected(sub)
 
-        def descend(start: int, depth: int, chosen: list[int], u1: int, u2: int) -> bool:
-            if depth == k:
-                reason = _snp_leaf_violation(g, tuple(chosen), u2)
-                if reason is not None:
-                    result.append((tuple(chosen), reason))
-                    return True
-                return False
-            for i in range(start, n - (k - depth) + 1):
-                b.spend()
-                row = adj[i]
-                chosen.append(i)
-                if descend(i + 1, depth + 1, chosen, u1 | row, u2 | (u1 & row)):
-                    return True
-                chosen.pop()
-            return False
-
-        if descend(0, 0, [], 0, 0):
-            s, reason = result[0]
+    for k in range(3, g.nx + 1):
+        hit = _first_violation(g, k, b, two_connected)
+        if hit is not None:
+            s, _, reason = hit
             return Verdict("snp", False, {"S": list(s), "reason": reason})
     return Verdict("snp", True)
 
@@ -354,23 +329,12 @@ def check_snp_minimal(
 # -- obstacles ---------------------------------------------------------------
 
 
-def _lambda2_mask(adj: tuple[int, ...], members: Iterator[int] | tuple[int, ...]) -> int:
-    u1 = 0
-    u2 = 0
-    for i in members:
-        row = adj[i]
-        u2 |= u1 & row
-        u1 |= row
-    return u2
-
-
 def is_obstacle(g: Bigraph, s: VertexSet, t: VertexSet) -> bool:
     if s.side != X_SIDE or t.side != Y_SIDE:
         raise DomainError("an obstacle pairs an X-set with a Y-set")
     if len(s) < 2 or len(s) <= len(t):
         return False
-    lam2 = _lambda2_mask(g.adj_x, bits(s.mask))
-    return lam2 & ~t.mask == 0
+    return neighborhood_at_least(g, s, 2).issubset(t)
 
 
 def obstacle_is_minimal(g: Bigraph, s: VertexSet, t: VertexSet) -> bool:
@@ -386,14 +350,14 @@ def obstacle_is_minimal(g: Bigraph, s: VertexSet, t: VertexSet) -> bool:
     sub = s_mask
     while sub:
         if sub != s_mask and sub.bit_count() >= 2:
-            lam2 = _lambda2_mask(g.adj_x, bits(sub))
-            if lam2.bit_count() < sub.bit_count():
-                if sub.bit_count() + lam2.bit_count() < total:
+            lam2 = len(neighborhood_at_least(g, VertexSet(X_SIDE, sub), 2))
+            if lam2 < sub.bit_count():
+                if sub.bit_count() + lam2 < total:
                     return False
         sub = (sub - 1) & s_mask
     # Keeping S' = S, the only smaller companion would be T' = twice-seen(S)
     # itself, so T larger than that neighbourhood is non-minimal.
-    return len(t) == _lambda2_mask(g.adj_x, bits(s_mask)).bit_count()
+    return len(t) == len(neighborhood_at_least(g, s, 2))
 
 
 def find_minimal_obstacle(
@@ -413,9 +377,9 @@ def find_minimal_obstacle(
         raise DomainError(f"s_max must be in 2..{g.nx}, got {s_max}")
     b = as_budget(budget, SUBSET_BUDGET_DEFAULT, "subset")
     for k in range(2, s_max + 1):
-        hit = _first_deficient_subset(g.adj_x, g.nx, k, b)
+        hit = _first_violation(g, k, b)
         if hit is not None:
-            chosen, lam2 = hit
+            chosen, lam2, _ = hit
             return Obstacle(
                 s=VertexSet.xs(chosen), t=VertexSet(Y_SIDE, lam2), minimal=True
             )

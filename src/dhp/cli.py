@@ -6,17 +6,18 @@ One executable, five subcommands: ``check`` (property verdicts), ``solve``
 
 Conventions shared by every subcommand:
 
-* graphs are read from --input (default stdin) in edge-list or JSON format,
-  always auto-detected; --format chooses the encoding wherever a graph is
-  written back out, so ``fmt`` and ``construct`` can convert between the
-  two;
+* each subcommand takes only the flags its handler reads; graphs are read
+  from --input (default stdin) in edge-list or JSON format, always
+  auto-detected; --format chooses the encoding wherever a graph is written
+  back out, so ``fmt`` and ``construct`` can convert between the two;
 
 * every run echoes its fully resolved configuration: JSON reports carry a
   "config" key, graph and CSV outputs start with a ``# config: ...``
   comment line that downstream parsers ignore, so pipelines compose;
 
 * exit codes: 0 = holds or witness found, 1 = fails or no witness,
-  2 = bad input, bad flags, or violated precondition, 3 = budget exceeded;
+  2 = bad input, bad flags, or violated precondition, 3 = budget exceeded,
+  4 = internal contract violated (a bug, never bad input);
 
 * outputs are deterministic: identical invocations produce identical bytes.
 """
@@ -29,6 +30,7 @@ import sys
 
 from .budget import NODE_BUDGET_DEFAULT, SUBSET_BUDGET_DEFAULT
 from .checkers import (
+    Verdict,
     check_degree_bound,
     check_dhp,
     check_critical,
@@ -55,51 +57,9 @@ from .cycles import (
     solve_degree_split,
     solve_high_degree,
 )
-from .errors import (
-    BudgetExceededError,
-    ConfigError,
-    ConstructionError,
-    ContractViolationError,
-    DesignImportError,
-    DhpError,
-    DomainError,
-    GraphInputError,
-    ParseError,
-    ResourceLimitError,
-    WitnessError,
-)
+from .errors import BudgetExceededError, ConfigError, ContractViolationError, DhpError, DomainError
 from .formats import load_bigraph, serialize_bigraph, bigraph_to_json_obj
 from .randlab import SweepConfig, check_hamiltonian, run_sweep
-
-INPUT_ERRORS = (
-    ParseError,
-    GraphInputError,
-    DomainError,
-    ConfigError,
-    ConstructionError,
-    DesignImportError,
-    WitnessError,
-    ResourceLimitError,
-)
-
-CHECKABLE = (
-    "dhp",
-    "snp",
-    "supercyclic",
-    "critical",
-    "saturated-critical",
-    "snp-minimal",
-    "design",
-    "degree-bound",
-)
-
-SOLVE_MODES = (
-    "cover-cycle",
-    "cycle-cover",
-    "degree-split",
-    "high-degree",
-    "hamiltonian",
-)
 
 
 def _read_text(path: str) -> str:
@@ -166,124 +126,119 @@ def _parse_xs(spec: str, g: Bigraph) -> VertexSet:
 # -- subcommands ---------------------------------------------------------------
 
 
+def _check_design(g: Bigraph, args: argparse.Namespace) -> Verdict:
+    spec = verify_design(g)
+    if spec is None:
+        return Verdict("design", False, {"violation": design_violation(g)})
+    return Verdict("design", True, {"v": spec.v, "k": spec.k, "lambda": spec.lam})
+
+
+def _check_degree_bound(g: Bigraph, args: argparse.Namespace) -> Verdict:
+    report = check_degree_bound(g)
+    return Verdict("degree-bound", report.within_bound, report.to_json_obj())
+
+
+def _budgets(args: argparse.Namespace) -> dict:
+    return {"budget_subsets": args.budget_subsets, "budget_nodes": args.budget_nodes}
+
+
+_CHECKS = {
+    "dhp": lambda g, args: check_dhp(g, budget=args.budget_subsets),
+    "snp": lambda g, args: check_snp(g, budget=args.budget_subsets),
+    "supercyclic": lambda g, args: check_supercyclic(g, **_budgets(args)),
+    "critical": lambda g, args: check_critical(g, **_budgets(args)),
+    "saturated-critical": lambda g, args: check_saturated_critical(g, **_budgets(args)),
+    "snp-minimal": lambda g, args: check_snp_minimal(g, budget=args.budget_subsets),
+    "design": _check_design,
+    "degree-bound": _check_degree_bound,
+}
+
+CHECKABLE = tuple(_CHECKS)
+
+
+def _json_or_none(cyc) -> dict | None:
+    return None if cyc is None else cyc.to_json_obj()
+
+
+def _solve_cover_cycle(g: Bigraph, args: argparse.Namespace, diagnostics: dict) -> dict | None:
+    xs = _parse_xs(args.xs, g)
+    return _json_or_none(
+        find_cycle_covering(g, xs, exact_x=not args.superset, budget=args.budget_nodes)
+    )
+
+
+def _solve_cycle_cover(g: Bigraph, args: argparse.Namespace, diagnostics: dict) -> dict | None:
+    cycles = find_disjoint_cycle_cover(g, budget=args.budget_nodes)
+    return None if cycles is None else {"cycles": [c.to_json_obj()["cycle"] for c in cycles]}
+
+
+def _solve_degree_split(g: Bigraph, args: argparse.Namespace, diagnostics: dict) -> dict | None:
+    return _json_or_none(
+        solve_degree_split(
+            g,
+            exact_paths=False if args.greedy_paths else None,
+            budget=args.budget_nodes,
+            diagnostics=diagnostics,
+        )
+    )
+
+
+def _solve_high_degree(g: Bigraph, args: argparse.Namespace, diagnostics: dict) -> dict | None:
+    if args.k is None:
+        raise DomainError("solve high-degree requires --k")
+    return _json_or_none(
+        solve_high_degree(g, args.k, budget=args.budget_nodes, diagnostics=diagnostics)
+    )
+
+
+def _solve_hamiltonian(g: Bigraph, args: argparse.Namespace, diagnostics: dict) -> dict | None:
+    return _json_or_none(check_hamiltonian(g, limit=args.limit, budget=args.budget_nodes))
+
+
+_SOLVERS = {
+    "cover-cycle": _solve_cover_cycle,
+    "cycle-cover": _solve_cycle_cover,
+    "degree-split": _solve_degree_split,
+    "high-degree": _solve_high_degree,
+    "hamiltonian": _solve_hamiltonian,
+}
+
+SOLVE_MODES = tuple(_SOLVERS)
+
+
+def _write_exhausted(args: argparse.Namespace, head: dict, exc: BudgetExceededError) -> int:
+    """Report an undecided run: the result keys in ``head`` are null."""
+    out = {
+        "config": _config_of(args),
+        **head,
+        "witness": None,
+        "budget_exhausted": True,
+        "message": str(exc),
+    }
+    _write_text(args.output, _dump_json(out))
+    return 3
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    cfg = _config_of(args)
-    prop = args.property
     try:
-        if prop == "design":
-            spec = verify_design(g)
-            if spec is None:
-                verdict_obj = {
-                    "property": "design",
-                    "holds": False,
-                    "witness": {"violation": design_violation(g)},
-                    "budget_exhausted": False,
-                }
-            else:
-                verdict_obj = {
-                    "property": "design",
-                    "holds": True,
-                    "witness": {"v": spec.v, "k": spec.k, "lambda": spec.lam},
-                    "budget_exhausted": False,
-                }
-        elif prop == "degree-bound":
-            report = check_degree_bound(g)
-            verdict_obj = {
-                "property": "degree-bound",
-                "holds": report.within_bound,
-                "witness": report.to_json_obj(),
-                "budget_exhausted": False,
-            }
-        else:
-            subsets = args.budget_subsets
-            nodes = args.budget_nodes
-            if prop == "dhp":
-                v = check_dhp(g, budget=subsets)
-            elif prop == "snp":
-                v = check_snp(g, budget=subsets)
-            elif prop == "supercyclic":
-                v = check_supercyclic(
-                    g, budget_subsets=subsets, budget_nodes=nodes
-                )
-            elif prop == "critical":
-                v = check_critical(
-                    g, budget_subsets=subsets, budget_nodes=nodes
-                )
-            elif prop == "saturated-critical":
-                v = check_saturated_critical(
-                    g, budget_subsets=subsets, budget_nodes=nodes
-                )
-            else:
-                v = check_snp_minimal(g, budget=subsets)
-            verdict_obj = v.to_json_obj()
+        verdict = _CHECKS[args.property](g, args)
     except BudgetExceededError as exc:
-        out = {
-            "config": cfg,
-            "property": prop,
-            "holds": None,
-            "witness": None,
-            "budget_exhausted": True,
-            "message": str(exc),
-        }
-        _write_text(args.output, _dump_json(out))
-        return 3
-    out = {"config": cfg}
-    out.update(verdict_obj)
+        return _write_exhausted(args, {"property": args.property, "holds": None}, exc)
+    out = {"config": _config_of(args), **verdict.to_json_obj()}
     _write_text(args.output, _dump_json(out))
-    return 0 if out["holds"] else 1
+    return 0 if verdict.holds else 1
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    cfg = _config_of(args)
     diagnostics: dict = {}
     try:
-        if args.mode == "cover-cycle":
-            xs = _parse_xs(args.xs, g)
-            cyc = find_cycle_covering(
-                g, xs, exact_x=not args.superset, budget=args.budget_nodes
-            )
-            witness = None if cyc is None else cyc.to_json_obj()
-        elif args.mode == "cycle-cover":
-            cycles = find_disjoint_cycle_cover(g, budget=args.budget_nodes)
-            witness = (
-                None
-                if cycles is None
-                else {"cycles": [c.to_json_obj()["cycle"] for c in cycles]}
-            )
-        elif args.mode == "degree-split":
-            cyc = solve_degree_split(
-                g,
-                exact_paths=False if args.greedy_paths else None,
-                budget=args.budget_nodes,
-                diagnostics=diagnostics,
-            )
-            witness = None if cyc is None else cyc.to_json_obj()
-        elif args.mode == "high-degree":
-            if args.k is None:
-                raise DomainError("solve high-degree requires --k")
-            cyc = solve_high_degree(
-                g, args.k, budget=args.budget_nodes, diagnostics=diagnostics
-            )
-            witness = None if cyc is None else cyc.to_json_obj()
-        else:
-            cyc = check_hamiltonian(
-                g, limit=args.limit, budget=args.budget_nodes
-            )
-            witness = None if cyc is None else cyc.to_json_obj()
+        witness = _SOLVERS[args.mode](g, args, diagnostics)
     except BudgetExceededError as exc:
-        out = {
-            "config": cfg,
-            "result": None,
-            "witness": None,
-            "budget_exhausted": True,
-            "message": str(exc),
-        }
-        _write_text(args.output, _dump_json(out))
-        return 3
+        return _write_exhausted(args, {"result": None}, exc)
     out = {
-        "config": cfg,
+        "config": _config_of(args),
         "result": "found" if witness is not None else "none",
         "witness": witness,
         "budget_exhausted": False,
@@ -354,46 +309,57 @@ def cmd_fmt(args: argparse.Namespace) -> int:
     return _emit_graph(args, g)
 
 
+
+
 # -- parser --------------------------------------------------------------------
+
+_SHARED_FLAGS = {
+    "input": (("-i", "--input"), dict(default="-", help="input file (default stdin)")),
+    "output": (("-o", "--output"), dict(default="-", help="output file (default stdout)")),
+    "format": (
+        ("--format",),
+        dict(
+            choices=("auto", "edge-list", "json"),
+            default="auto",
+            help="encoding for graph output (default edge-list); "
+            "input format is always auto-detected",
+        ),
+    ),
+    "seed": (("--seed",), dict(type=int, default=0, help="master seed")),
+    "budget-subsets": (
+        ("--budget-subsets",),
+        dict(
+            type=int,
+            default=SUBSET_BUDGET_DEFAULT,
+            help="cap on subsets visited by property checkers",
+        ),
+    ),
+    "budget-nodes": (
+        ("--budget-nodes",),
+        dict(
+            type=int,
+            default=NODE_BUDGET_DEFAULT,
+            help="cap on search nodes visited by solvers",
+        ),
+    ),
+    "jobs": (("--jobs",), dict(type=int, default=1, help="worker processes for sweeps")),
+    "strict": (
+        ("--strict",),
+        dict(action="store_true", help="reject duplicate edges when parsing edge lists"),
+    ),
+}
+
+
+def _leaf_parser(sub, name: str, flags: tuple[str, ...], **kwargs) -> argparse.ArgumentParser:
+    """A subcommand parser carrying only the shared flags its handler reads."""
+    p = sub.add_parser(name, **kwargs)
+    for flag in flags:
+        names, options = _SHARED_FLAGS[flag]
+        p.add_argument(*names, **options)
+    return p
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "-i", "--input", default="-", help="input file (default stdin)"
-    )
-    common.add_argument(
-        "-o", "--output", default="-", help="output file (default stdout)"
-    )
-    common.add_argument(
-        "--format",
-        choices=("auto", "edge-list", "json"),
-        default="auto",
-        help="encoding for graph output (default edge-list); "
-        "input format is always auto-detected",
-    )
-    common.add_argument("--seed", type=int, default=0, help="master seed")
-    common.add_argument(
-        "--budget-subsets",
-        type=int,
-        default=SUBSET_BUDGET_DEFAULT,
-        help="cap on subsets visited by property checkers",
-    )
-    common.add_argument(
-        "--budget-nodes",
-        type=int,
-        default=NODE_BUDGET_DEFAULT,
-        help="cap on search nodes visited by solvers",
-    )
-    common.add_argument(
-        "--jobs", type=int, default=1, help="worker processes for sweeps"
-    )
-    common.add_argument(
-        "--strict",
-        action="store_true",
-        help="reject duplicate edges when parsing edge lists",
-    )
-
     parser = argparse.ArgumentParser(
         prog="dhp",
         description="Bipartite double-Hall toolkit: checkers, cycle solvers, "
@@ -401,14 +367,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p_check = sub.add_parser(
-        "check", parents=[common], help="decide a property and print a verdict"
+    p_check = _leaf_parser(
+        sub,
+        "check",
+        ("input", "output", "strict", "budget-subsets", "budget-nodes"),
+        help="decide a property and print a verdict",
     )
     p_check.add_argument("property", choices=CHECKABLE)
     p_check.set_defaults(func=cmd_check)
 
-    p_solve = sub.add_parser(
-        "solve", parents=[common], help="search for a covering cycle witness"
+    p_solve = _leaf_parser(
+        sub,
+        "solve",
+        ("input", "output", "strict", "budget-nodes"),
+        help="search for a covering cycle witness",
     )
     p_solve.add_argument("mode", choices=SOLVE_MODES)
     p_solve.add_argument(
@@ -432,31 +404,27 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_solve.set_defaults(func=cmd_solve)
 
-    p_con = sub.add_parser(
-        "construct", parents=[common], help="generate a structured graph"
-    )
+    p_con = sub.add_parser("construct", help="generate a structured graph")
     con_sub = p_con.add_subparsers(dest="generator", required=True)
-    pg = con_sub.add_parser("pair-gadget", parents=[common])
+    pg = _leaf_parser(con_sub, "pair-gadget", ("output", "format"))
     pg.add_argument("--n", type=int, required=True)
     pg.set_defaults(func=cmd_construct)
-    bp = con_sub.add_parser("biplane", parents=[common])
+    bp = _leaf_parser(con_sub, "biplane", ("output", "format"))
     bp.add_argument("--order", type=int, default=None)
     bp.add_argument("--import", dest="import_file", default=None, metavar="FILE")
     bp.set_defaults(func=cmd_construct)
-    pr = con_sub.add_parser("product", parents=[common])
+    pr = _leaf_parser(con_sub, "product", ("output", "format", "strict"))
     pr.add_argument("left")
     pr.add_argument("right")
     pr.set_defaults(func=cmd_construct)
-    pw = con_sub.add_parser("power", parents=[common])
+    pw = _leaf_parser(con_sub, "power", ("output", "format", "strict"))
     pw.add_argument("graph")
     pw.add_argument("--k", type=int, required=True)
     pw.set_defaults(func=cmd_construct)
 
-    p_rand = sub.add_parser(
-        "random", parents=[common], help="seeded random-graph experiments"
-    )
+    p_rand = sub.add_parser("random", help="seeded random-graph experiments")
     rand_sub = p_rand.add_subparsers(dest="experiment", required=True)
-    sw = rand_sub.add_parser("sweep", parents=[common])
+    sw = _leaf_parser(rand_sub, "sweep", ("output", "seed", "jobs"))
     sw.add_argument(
         "--n-list", type=int, nargs="+", required=True, metavar="N"
     )
@@ -492,8 +460,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sw.set_defaults(func=cmd_random)
 
-    p_fmt = sub.add_parser(
-        "fmt", parents=[common], help="parse and canonically reserialize a graph"
+    p_fmt = _leaf_parser(
+        sub,
+        "fmt",
+        ("input", "output", "format", "strict"),
+        help="parse and canonically reserialize a graph",
     )
     p_fmt.set_defaults(func=cmd_fmt)
 
@@ -505,16 +476,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except ContractViolationError as exc:
+        print(f"internal contract violated: {exc}", file=sys.stderr)
+        return 4
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ContractViolationError as exc:
-        print(f"internal contract violated: {exc}", file=sys.stderr)
-        return 2
-    except DhpError as exc:  # catch-all for library errors
+    except DhpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,6 +18,21 @@ from typing import Iterable, Iterator, Literal
 
 from .errors import DomainError, GraphInputError, WitnessError
 
+__all__ = [
+    "Side",
+    "X_SIDE",
+    "Y_SIDE",
+    "Bigraph",
+    "VertexSet",
+    "CycleWitness",
+    "PathWitness",
+    "PathSystem",
+    "neighborhood_at_least",
+    "induced_subgraph",
+    "bipartite_complement",
+    "is_two_connected",
+]
+
 Side = Literal["X", "Y"]
 
 X_SIDE: Side = "X"

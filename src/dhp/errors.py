@@ -5,6 +5,20 @@ callers (and the CLI) can distinguish "the input or request was bad" from
 "a bug or broken internal guarantee".
 """
 
+__all__ = [
+    "DhpError",
+    "GraphInputError",
+    "ParseError",
+    "DomainError",
+    "BudgetExceededError",
+    "ContractViolationError",
+    "ConstructionError",
+    "DesignImportError",
+    "ResourceLimitError",
+    "ConfigError",
+    "WitnessError",
+]
+
 
 class DhpError(Exception):
     """Base class for all toolkit-specific errors."""

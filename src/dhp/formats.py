@@ -22,6 +22,14 @@ from typing import Any
 from .core import Bigraph
 from .errors import ParseError
 
+__all__ = [
+    "parse_bigraph",
+    "serialize_bigraph",
+    "parse_bigraph_json",
+    "serialize_bigraph_json",
+    "load_bigraph",
+]
+
 
 def parse_bigraph(text: str, strict: bool = False) -> Bigraph:
     """Parse the edge-list format. Errors carry 1-based line numbers."""

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -419,14 +419,8 @@ class SweepConfig:
 
     def to_json_obj(self) -> dict:
         return {
-            "n_list": list(self.n_list),
-            "c_list": list(self.c_list),
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "measures": list(self.measures),
-            "jobs": self.jobs,
-            "crn": self.crn,
-            "exact_limit": self.exact_limit,
+            key: list(value) if isinstance(value, tuple) else value
+            for key, value in asdict(self).items()
         }
 
 
@@ -537,23 +531,8 @@ class CellStats:
     records: tuple[TrialRecord, ...] = field(repr=False)
 
     def to_json_obj(self, include_records: bool = False) -> dict:
-        out = {
-            "n": self.n,
-            "c": self.c,
-            "p": self.p,
-            "p_clamped": self.p_clamped,
-            "trials": self.trials,
-            "pr_pair_ok": self.pr_pair_ok,
-            "ci_halfwidth": self.ci_halfwidth,
-            "mean_nbad": self.mean_nbad,
-            "var_nbad": self.var_nbad,
-            "tv_poisson": self.tv_poisson,
-            "pr_obstacle3": self.pr_obstacle3,
-            "pr_surrogate_dhp": self.pr_surrogate_dhp,
-            "pr_exact_dhp": self.pr_exact_dhp,
-            "pr_hamiltonian": self.pr_hamiltonian,
-            "maxdeg_ratio_mean": self.maxdeg_ratio_mean,
-        }
+        # not asdict: it would recurse into the records' Obstacle vertex sets
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "records"}
         if include_records:
             out["records"] = [r.to_json_obj() for r in self.records]
         return out
@@ -600,22 +579,7 @@ class SweepReport:
     def to_csv(self) -> str:
         lines = [",".join(CSV_COLUMNS)]
         for cell in self.cells:
-            row = {
-                "n": cell.n,
-                "c": cell.c,
-                "p": cell.p,
-                "trials": cell.trials,
-                "pr_pair_ok": cell.pr_pair_ok,
-                "ci_halfwidth": cell.ci_halfwidth,
-                "mean_nbad": cell.mean_nbad,
-                "tv_poisson": cell.tv_poisson,
-                "pr_obstacle3": cell.pr_obstacle3,
-                "pr_exact_dhp": cell.pr_exact_dhp,
-                "pr_hamiltonian": cell.pr_hamiltonian,
-                "maxdeg_ratio_mean": cell.maxdeg_ratio_mean,
-                "pr_surrogate_dhp": cell.pr_surrogate_dhp,
-            }
-            lines.append(",".join(_csv_num(row[col]) for col in CSV_COLUMNS))
+            lines.append(",".join(_csv_num(getattr(cell, col)) for col in CSV_COLUMNS))
         return "\n".join(lines) + "\n"
 
 

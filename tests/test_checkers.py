@@ -16,6 +16,7 @@ from dhp import (
     Bigraph,
     BudgetExceededError,
     DomainError,
+    GraphInputError,
     Obstacle,
     VertexSet,
     WorkBudget,
@@ -31,6 +32,8 @@ from dhp import (
     is_obstacle,
     obstacle_is_minimal,
     pair_gadget,
+    sample_bipartite,
+    sample_gnnp,
 )
 
 
@@ -72,6 +75,67 @@ class TestDhp:
         assert spent_once > 0
         check_dhp(Bigraph.complete(5, 5), budget=b)
         assert 10_000 - b.remaining == 2 * spent_once
+
+
+# Units spent (one per prefix visited) and witnesses of the three prefix
+# scans, recorded from the separate per-checker scans the shared engine
+# replaced: holding graphs, pair and larger cardinality failures, and an
+# snp connectivity failure.
+PINNED_SCANS = [
+    (
+        "biplane(2)",
+        lambda: builtin_biplane(2),
+        (165, None),
+        (213, None),
+        (165, None),
+    ),
+    ("pair_gadget(6)", lambda: pair_gadget(6), (85, None), (94, None), (85, None)),
+    ("K(6,6)", lambda: Bigraph.complete(6, 6), (50, None), (94, None), (50, None)),
+    (
+        "sample(12x8, p=0.6, seed 34)",
+        lambda: sample_bipartite(12, 8, 0.6, 34),
+        (143, {"S": [5, 6, 8]}),
+        (234, {"S": [5, 6, 8], "reason": "cardinality"}),
+        (143, ([5, 6, 8], [3, 7])),
+    ),
+    (
+        "sample(12x8, p=0.7, seed 1)",
+        lambda: sample_bipartite(12, 8, 0.7, 1),
+        (613, {"S": list(range(9))}),
+        (7010, {"S": list(range(9)), "reason": "cardinality"}),
+        (613, (list(range(9)), list(range(8)))),
+    ),
+    (
+        "G(12,12,0.6) seed 0",
+        lambda: sample_gnnp(12, 0.6, 0),
+        (8, {"S": [0, 7]}),
+        (42, {"S": [0, 5, 7], "reason": "connectivity"}),
+        (8, ([0, 7], [9])),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "make, dhp_scan, snp_scan, obstacle_scan",
+    [case[1:] for case in PINNED_SCANS],
+    ids=[case[0] for case in PINNED_SCANS],
+)
+def test_scan_units_and_witnesses_are_pinned(make, dhp_scan, snp_scan, obstacle_scan) -> None:
+    g = make()
+    limit = 10**6
+
+    def spent(run):
+        b = WorkBudget(limit, "subset")
+        result = run(b)
+        return limit - b.remaining, result
+
+    units, v = spent(lambda b: check_dhp(g, budget=b))
+    assert (units, v.witness) == dhp_scan
+    units, v = spent(lambda b: check_snp(g, budget=b))
+    assert (units, v.witness) == snp_scan
+    units, obst = spent(lambda b: find_minimal_obstacle(g, g.nx, budget=b))
+    found = None if obst is None else (list(obst.s.indices), list(obst.t.indices))
+    assert (units, found) == obstacle_scan
 
 
 class TestSnp:
@@ -231,6 +295,14 @@ class TestObstacles:
         g = Bigraph.complete(2, 2)
         with pytest.raises(DomainError):
             is_obstacle(g, g.full_y(), g.full_y())
+
+    def test_out_of_range_s_rejected(self) -> None:
+        g = builtin_biplane(1)
+        s = VertexSet.xs([0, 99])
+        with pytest.raises(GraphInputError):
+            is_obstacle(g, s, VertexSet.ys([]))
+        with pytest.raises(GraphInputError):
+            obstacle_is_minimal(g, s, VertexSet.ys([]))
 
     @given(bigraphs(min_nx=2, max_nx=5, max_ny=5))
     def test_find_minimal_obstacle_agrees_with_dhp(self, g: Bigraph) -> None:

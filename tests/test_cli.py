@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from dhp import Bigraph, load_bigraph, serialize_bigraph, check_dhp
+from dhp import Bigraph, ContractViolationError, load_bigraph, serialize_bigraph, check_dhp
 from dhp.cli import main
 
 
@@ -442,3 +442,64 @@ class TestRandom:
         )
         assert code == 2
         assert "exact" in err
+
+
+class TestFlags:
+    def test_flag_before_generator_is_rejected(self, tmp_path, capsys) -> None:
+        out_path = tmp_path / "b2.txt"
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", "-o", str(out_path), "biplane", "--order", "2"])
+        assert exc.value.code == 2
+        assert not out_path.exists()
+
+    def test_flag_before_experiment_is_rejected(self, capsys) -> None:
+        with pytest.raises(SystemExit) as exc:
+            main(
+                ["random", "--seed", "7", "sweep", "--n-list", "10", "--c-list", "0", "--trials", "2"]
+            )
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, keys",
+        [
+            (
+                ["check", "dhp"],
+                {"input", "output", "strict", "budget_subsets", "budget_nodes", "property"},
+            ),
+            (
+                ["solve", "cycle-cover"],
+                {"input", "output", "strict", "budget_nodes", "mode", "xs", "superset", "k",
+                 "greedy_paths", "limit"},
+            ),
+            (["fmt", "--format", "json"], {"input", "output", "format", "strict"}),
+            (
+                ["construct", "pair-gadget", "--n", "2", "--format", "json"],
+                {"output", "format", "generator", "n"},
+            ),
+            (
+                ["random", "sweep", "--n-list", "10", "--c-list", "0", "--trials", "2",
+                 "--report-format", "json"],
+                {"output", "seed", "jobs", "experiment", "n_list", "c_list", "trials", "measure",
+                 "out", "report_format", "records", "no_crn"},
+            ),
+        ],
+    )
+    def test_config_echoes_only_the_flags_a_subcommand_takes(
+        self, argv, keys, capsys, monkeypatch
+    ) -> None:
+        monkeypatch.setattr(
+            "sys.stdin", io.StringIO(serialize_bigraph(Bigraph.complete(2, 2)))
+        )
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert set(json.loads(out)["config"]) == keys | {"command", "subcommand"}
+
+    def test_internal_bug_exits_four(self, tmp_path, capsys, monkeypatch) -> None:
+        def broken(g, budget=None):
+            raise ContractViolationError("invariant broken")
+
+        monkeypatch.setattr("dhp.cli.check_dhp", broken)
+        path = write_graph(tmp_path, "k22.txt", Bigraph.complete(2, 2))
+        code, _, err = run_cli(["check", "dhp", "-i", path], capsys)
+        assert code == 4
+        assert "internal contract violated" in err
