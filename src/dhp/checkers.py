@@ -28,7 +28,7 @@ from .core import (
     is_two_connected,
     neighborhood_at_least,
 )
-from .errors import ContractViolationError, DomainError
+from .errors import ContractViolationError, DomainError, GraphInputError
 
 __all__ = [
     "Verdict",
@@ -79,8 +79,7 @@ class Obstacle:
     minimal: bool
 
     def validate(self, g: Bigraph) -> None:
-        if self.s.side != X_SIDE or self.t.side != Y_SIDE:
-            raise DomainError("obstacle sides are (X-set, Y-set)")
+        _check_obstacle_sets(g, self.s, self.t)
         if len(self.s) < 2:
             raise DomainError("obstacle needs |S| >= 2")
         if len(self.s) <= len(self.t):
@@ -329,9 +328,18 @@ def check_snp_minimal(
 # -- obstacles ---------------------------------------------------------------
 
 
-def is_obstacle(g: Bigraph, s: VertexSet, t: VertexSet) -> bool:
+def _check_obstacle_sets(g: Bigraph, s: VertexSet, t: VertexSet) -> None:
+    """An obstacle pairs an X-set of ``g`` with a Y-set of ``g``."""
     if s.side != X_SIDE or t.side != Y_SIDE:
         raise DomainError("an obstacle pairs an X-set with a Y-set")
+    if s.mask >> g.nx or t.mask >> g.ny:
+        raise GraphInputError(
+            f"obstacle mentions vertices outside the {g.nx} x {g.ny} graph"
+        )
+
+
+def is_obstacle(g: Bigraph, s: VertexSet, t: VertexSet) -> bool:
+    _check_obstacle_sets(g, s, t)
     if len(s) < 2 or len(s) <= len(t):
         return False
     return neighborhood_at_least(g, s, 2).issubset(t)

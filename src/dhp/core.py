@@ -59,6 +59,14 @@ def bit_list(mask: int) -> list[int]:
     return list(bits(mask))
 
 
+def _packed_rows(mat) -> tuple[int, ...]:
+    """Rows of a 2-D bool numpy array as bitmasks (column j is bit j)."""
+    import numpy as np
+
+    packed = np.packbits(mat, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+
+
 def _opposite(side: Side) -> Side:
     return Y_SIDE if side == X_SIDE else X_SIDE
 
@@ -182,6 +190,25 @@ class Bigraph:
                 raise GraphInputError(f"edge ({i}, {j}) out of range for {nx}x{ny}")
             rows[i] |= 1 << j
         return cls(nx, ny, tuple(rows))
+
+    @classmethod
+    def from_dense(cls, mat) -> "Bigraph":
+        """Build from an (nx, ny) bool numpy adjacency matrix.
+
+        Both orientations are packed with ``np.packbits``, so the mirror
+        costs one transposed pack instead of the per-edge loop of
+        ``__post_init__``; a bool matrix cannot name a vertex out of range.
+        """
+        import numpy as np
+
+        if not isinstance(mat, np.ndarray) or mat.dtype != np.bool_ or mat.ndim != 2:
+            raise GraphInputError("from_dense needs a 2-D bool numpy array")
+        g = object.__new__(cls)
+        object.__setattr__(g, "nx", mat.shape[0])
+        object.__setattr__(g, "ny", mat.shape[1])
+        object.__setattr__(g, "adj_x", _packed_rows(mat))
+        object.__setattr__(g, "adj_y", _packed_rows(mat.T))
+        return g
 
     @classmethod
     def complete(cls, nx: int, ny: int) -> "Bigraph":

@@ -16,11 +16,18 @@ The heavy per-sample statistic is combinatorial: counts of X-pairs by how
 many common neighbours they have, from which the pair conditions and the
 size-3 obstacle scan both follow.  A matrix product does the counting; the
 scan then touches only the rare pairs with exactly two common neighbours.
+
+A sweep trial keeps its sample as the bool matrix it is drawn as: the
+``Bigraph`` is packed from it and the pair profile multiplies it directly.
+Under common random numbers one task per seed draws the uniform grid once
+and thresholds it for every offset c.  Sweep worker processes run their
+BLAS single-threaded, so parallel workers do not oversubscribe the cores.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import Iterable, Sequence
@@ -53,11 +60,18 @@ __all__ = [
     "SweepReport",
     "run_sweep",
     "EXACT_MEASURE_LIMIT",
+    "MAX_SAMPLE_CELLS",
 ]
 
 MASK64 = (1 << 64) - 1
 
 EXACT_MEASURE_LIMIT = 16
+
+# Cap on nx * ny for one sample (n = 4096 square).  A trial holds its uniform
+# grid (8 bytes per cell) while it thresholds it for every c, and the pair
+# profile adds about 20 bytes per X-pair, so a trial at the cap stays near
+# half a GiB; larger requests raise ResourceLimitError instead of an OOM.
+MAX_SAMPLE_CELLS = 1 << 24
 
 MEASURES = ("pair", "obstacle3", "exact", "hamiltonian", "maxdeg")
 
@@ -104,23 +118,26 @@ def _threshold_u64(p: float) -> int:
     return int(p * (1 << 64))
 
 
-def _bool_matrix(nx: int, ny: int, p: float, seed: int) -> "np.ndarray":
+def _bool_matrix(
+    nx: int, ny: int, p: float, seed: int, grid: "np.ndarray | None" = None
+) -> "np.ndarray":
+    """Adjacency matrix of the sample; ``grid``, when given, is the
+    already drawn ``_uniform_grid(seed, nx, ny)``."""
     thr = _threshold_u64(p)
     if thr <= 0:
         return np.zeros((nx, ny), dtype=bool)
     if thr >= 1 << 64:
         return np.ones((nx, ny), dtype=bool)
-    return _uniform_grid(seed, nx, ny) < np.uint64(thr)
+    if grid is None:
+        grid = _uniform_grid(seed, nx, ny)
+    return grid < np.uint64(thr)
 
 
-def _pack_rows(mat: "np.ndarray") -> tuple[int, ...]:
-    nx, ny = mat.shape
-    if ny == 0:
-        return tuple(0 for _ in range(nx))
-    packed = np.packbits(mat, axis=1, bitorder="little")
-    return tuple(
-        int.from_bytes(packed[i].tobytes(), "little") for i in range(nx)
-    )
+def _check_sample_size(nx: int, ny: int) -> None:
+    if nx * ny > MAX_SAMPLE_CELLS:
+        raise ResourceLimitError(
+            f"a {nx} x {ny} sample exceeds the cap of {MAX_SAMPLE_CELLS} cells"
+        )
 
 
 def _unpack_graph(g: Bigraph) -> "np.ndarray":
@@ -137,7 +154,8 @@ def sample_bipartite(nx: int, ny: int, p: float, seed: int) -> Bigraph:
         raise DomainError("side sizes must be non-negative")
     if not (0.0 <= p <= 1.0):
         raise DomainError(f"edge probability must be in [0, 1], got {p}")
-    return Bigraph(nx, ny, _pack_rows(_bool_matrix(nx, ny, p, seed)))
+    _check_sample_size(nx, ny)
+    return Bigraph.from_dense(_bool_matrix(nx, ny, p, seed))
 
 
 def sample_gnnp(n: int, p: float, seed: int) -> Bigraph:
@@ -184,24 +202,37 @@ def threshold_p(n: int, c: float, kind: str = "dhp") -> ThresholdParams:
 # -- per-sample statistics -----------------------------------------------------
 
 
-def _pair_profile(g: Bigraph) -> tuple[int, int, list[tuple[int, int, int]]]:
+@functools.lru_cache(maxsize=4)
+def _not_above_diagonal(n: int) -> "np.ndarray":
+    """Read-only n x n mask of the entries (a, b) with a >= b."""
+    mask = np.tri(n, dtype=bool)
+    mask.setflags(write=False)
+    return mask
+
+
+def _pair_profile(
+    g: Bigraph, dense: "np.ndarray | None" = None
+) -> tuple[int, int, list[tuple[int, int, int]]]:
     """Counts of X-pairs with zero and with one common neighbour, plus the
     list of pairs with exactly two (as (a, b, common-mask) with a < b, in
-    lexicographic order).  Uses one matrix product; counts up to a few
-    hundred stay exact in float32."""
+    lexicographic order).  ``dense`` is the adjacency matrix of ``g`` when
+    the caller has it.  Uses one matrix product; counts up to 2**24 stay
+    exact in float32, so the result does not depend on the BLAS."""
     n = g.nx
     if n < 2:
         return 0, 0, []
-    a_mat = _unpack_graph(g).astype(np.float32)
+    if dense is None:
+        dense = _unpack_graph(g)
+    a_mat = dense.astype(np.float32)
     common = a_mat @ a_mat.T
-    iu = np.triu_indices(n, 1)
-    vals = common[iu].astype(np.int64)
-    n0 = int((vals == 0).sum())
-    n1 = int((vals == 1).sum())
-    thin = []
-    for idx in np.nonzero(vals == 2)[0]:
-        a, b = int(iu[0][idx]), int(iu[1][idx])
-        thin.append((a, b, g.adj_x[a] & g.adj_x[b]))
+    common[_not_above_diagonal(n)] = -1  # count each pair a < b once
+    n0 = int(np.count_nonzero(common == 0))
+    n1 = int(np.count_nonzero(common == 1))
+    rows, cols = np.nonzero(common == 2)  # row-major, so lexicographic
+    thin = [
+        (a, b, g.adj_x[a] & g.adj_x[b])
+        for a, b in zip(rows.tolist(), cols.tolist())
+    ]
     return n0, n1, thin
 
 
@@ -399,6 +430,8 @@ class SweepConfig:
             raise ConfigError("c_list is empty")
         if any(n < 3 for n in self.n_list):
             raise ConfigError("all n values must be >= 3 (threshold formula)")
+        for n in self.n_list:
+            _check_sample_size(n, n)
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.jobs < 1:
@@ -424,9 +457,10 @@ class SweepConfig:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialRecord:
-    """Everything measured on one sample; recomputable from (n, p, seed)."""
+    """Everything measured on one sample; recomputable from (n, p, seed).
+    Slotted, because a report holds one per trial."""
 
     seed: int
     n: int
@@ -467,10 +501,13 @@ class TrialRecord:
         }
 
 
-def _run_trial(task: tuple) -> TrialRecord:
+def _run_trial(task: tuple, grid: "np.ndarray | None" = None) -> TrialRecord:
+    """One record from (seed, n, c, p, measures, exact_limit); ``grid`` is
+    the seed's uniform grid when the caller has drawn it already."""
     seed, n, c, p, measures, exact_limit = task
-    g = sample_gnnp(n, p, seed)
-    n0, n1, thin = _pair_profile(g)
+    mat = _bool_matrix(n, n, p, seed, grid)
+    g = Bigraph.from_dense(mat)
+    n0, n1, thin = _pair_profile(g, mat)
     pair_ok = n0 == 0 and n1 == 0
     maxdeg = g.max_degree()
     obstacle = surtag = None
@@ -501,6 +538,57 @@ def _run_trial(task: tuple) -> TrialRecord:
         hamiltonian=ham,
         maxdeg_ratio=ratio,
     )
+
+
+def _run_seed(task: tuple) -> list[TrialRecord]:
+    """The records of one seed at every (c, p) in the task, in that order,
+    thresholding one uniform grid: (seed, n, ((c, p), ...), measures,
+    exact_limit)."""
+    seed, n, cps, measures, exact_limit = task
+    grid = _uniform_grid(seed, n, n)
+    return [
+        _run_trial((seed, n, c, p, measures, exact_limit), grid) for c, p in cps
+    ]
+
+
+def _openblas_paths() -> list[str]:
+    """Files of the OpenBLAS libraries mapped into this process; empty
+    where the process has no readable memory map (non-Linux)."""
+    try:
+        with open("/proc/self/maps") as maps:
+            return sorted(
+                {
+                    line.split()[-1]
+                    for line in maps
+                    if "openblas" in line.rsplit("/", 1)[-1]
+                }
+            )
+    except OSError:
+        return []
+
+
+def _single_thread_blas() -> None:
+    """Pool-worker initializer: pin this process's OpenBLAS to one thread.
+
+    Forked workers inherit the parent's BLAS thread pool, so every worker
+    would otherwise spin that many threads on the same cores.  Where no
+    loaded library has a thread setter nothing changes; the results are the
+    same at any thread count (see ``_pair_profile``).
+    """
+    import ctypes
+
+    for path in _openblas_paths():
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(1)
+                break
 
 
 def _mean(xs: Iterable[float]) -> float:
@@ -635,34 +723,47 @@ def run_sweep(config: SweepConfig) -> SweepReport:
 
     Per-trial seeds are derived, never sequential, so trials are
     independent tasks; with jobs > 1 they are distributed over processes
-    and reassembled in task order, making the report identical for any
-    worker count.  With crn enabled the seed derivation ignores the
-    position of c in the grid, so each trial index sees the same uniforms
-    at every offset.
+    whose BLAS runs single-threaded, and reassembled in task order, making
+    the report identical for any worker count.  With crn enabled the seed
+    derivation ignores the position of c in the grid, so each trial index
+    sees the same uniforms at every offset: one task per (n, seed) draws
+    its uniform grid once and thresholds it for every c.
     """
     config.validate()
-    cells_meta = []
-    tasks = []
-    for n in config.n_list:
-        for c_ix, c in enumerate(config.c_list):
-            tp = threshold_p(n, c, "dhp")
-            cells_meta.append((n, c, tp))
-            seed_cix = 0 if config.crn else c_ix
-            for t in range(config.trials):
-                seed = trial_seed(config.master_seed, n, seed_cix, t)
-                tasks.append(
-                    (seed, n, c, tp.p, config.measures, config.exact_limit)
-                )
+    params = {
+        (n, c): threshold_p(n, c, "dhp") for n in config.n_list for c in config.c_list
+    }
+    if config.crn:
+        groups = [(n, 0, config.c_list) for n in config.n_list]
+    else:
+        groups = [
+            (n, c_ix, (c,))
+            for n in config.n_list
+            for c_ix, c in enumerate(config.c_list)
+        ]
+    tasks = [
+        (
+            trial_seed(config.master_seed, n, seed_cix, t),
+            n,
+            tuple((c, params[n, c].p) for c in cs),
+            config.measures,
+            config.exact_limit,
+        )
+        for n, seed_cix, cs in groups
+        for t in range(config.trials)
+    ]
     if config.jobs > 1:
         chunk = max(1, len(tasks) // (config.jobs * 8))
         with concurrent.futures.ProcessPoolExecutor(
-            max_workers=config.jobs
+            max_workers=config.jobs, initializer=_single_thread_blas
         ) as pool:
-            records = list(pool.map(_run_trial, tasks, chunksize=chunk))
+            results = list(pool.map(_run_seed, tasks, chunksize=chunk))
     else:
-        records = [_run_trial(t) for t in tasks]
+        results = [_run_seed(t) for t in tasks]
     cells = []
-    for idx, (n, c, tp) in enumerate(cells_meta):
-        chunk_records = records[idx * config.trials : (idx + 1) * config.trials]
-        cells.append(_aggregate_cell(n, c, tp, chunk_records, config.measures))
+    for g_ix, (n, _, cs) in enumerate(groups):
+        rows = results[g_ix * config.trials : (g_ix + 1) * config.trials]
+        for j, c in enumerate(cs):
+            records = [row[j] for row in rows]
+            cells.append(_aggregate_cell(n, c, params[n, c], records, config.measures))
     return SweepReport(config, tuple(cells))

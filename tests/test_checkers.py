@@ -304,6 +304,21 @@ class TestObstacles:
         with pytest.raises(GraphInputError):
             obstacle_is_minimal(g, s, VertexSet.ys([]))
 
+    def test_out_of_range_t_rejected(self) -> None:
+        g = Bigraph.empty(3, 3)
+        s, t = VertexSet.xs([0, 1]), VertexSet.ys([99])
+        with pytest.raises(GraphInputError):
+            is_obstacle(g, s, t)
+        with pytest.raises(GraphInputError):
+            Obstacle(s, t, False).validate(g)
+
+    def test_range_checked_before_size(self) -> None:
+        g = Bigraph.empty(3, 3)
+        with pytest.raises(GraphInputError):
+            is_obstacle(g, VertexSet.xs([99]), VertexSet.ys([]))
+        with pytest.raises(GraphInputError):
+            Obstacle(VertexSet.xs([99]), VertexSet.ys([]), False).validate(g)
+
     @given(bigraphs(min_nx=2, max_nx=5, max_ny=5))
     def test_find_minimal_obstacle_agrees_with_dhp(self, g: Bigraph) -> None:
         obst = find_minimal_obstacle(g, g.nx)

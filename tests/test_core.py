@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 try:
@@ -91,6 +92,21 @@ class TestBigraph:
         assert not g.has_edge(1, 0)
         assert h.has_edge(1, 0)
         assert h.without_edge(1, 0).num_edges == 0
+
+    @pytest.mark.parametrize("nx, ny", [(0, 5), (5, 0), (1, 1), (7, 8), (8, 65), (65, 7), (300, 300)])
+    def test_from_dense_matches_rows(self, nx: int, ny: int) -> None:
+        mat = np.random.default_rng(nx * 1000 + ny).random((nx, ny)) < 0.3
+        rows = tuple(sum(1 << j for j in range(ny) if mat[i, j]) for i in range(nx))
+        want = Bigraph(nx, ny, rows)
+        got = Bigraph.from_dense(mat)
+        assert got == want
+        assert got.adj_y == want.adj_y
+        assert Bigraph.from_dense(np.ones((nx, ny), dtype=bool)) == Bigraph.complete(nx, ny)
+
+    def test_from_dense_rejects_non_bool_or_non_matrix(self) -> None:
+        for bad in (np.ones((3, 3), dtype=np.uint8), np.ones(3, dtype=bool), np.ones((2, 2, 2), dtype=bool), [[True]]):
+            with pytest.raises(GraphInputError):
+                Bigraph.from_dense(bad)
 
     @given(bigraphs())
     def test_adjacency_mirror_consistent(self, g: Bigraph) -> None:

@@ -34,6 +34,7 @@ from dhp import (
     surrogate_dhp,
     threshold_p,
 )
+from dhp import randlab
 from dhp.randlab import CSV_COLUMNS, _run_trial, trial_seed
 
 
@@ -347,3 +348,135 @@ class TestSweeps:
         for rec in cell.records:
             g = sample_gnnp(rec.n, rec.p, rec.seed)
             assert rec.exact_dhp == check_dhp(g).holds
+
+
+class TestSampleSizeCap:
+    def test_over_cap_raises_before_allocating(self) -> None:
+        import tracemalloc
+
+        side = 4097  # 4097**2 > MAX_SAMPLE_CELLS = 4096**2
+        assert side * side > randlab.MAX_SAMPLE_CELLS >= 4096 * 4096
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                sample_bipartite(side, side, 0.5, 0)
+            with pytest.raises(ResourceLimitError):
+                sample_gnnp(side, 0.0, 0)
+            with pytest.raises(ResourceLimitError):
+                run_sweep(SweepConfig((10, side), (0.0,), 1, 0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_cap_admits_its_own_size(self) -> None:
+        SweepConfig((4096,), (0.0,), 1, 0).validate()
+        assert sample_bipartite(1 << 12, 0, 0.5, 0).nx == 1 << 12
+
+
+class TestSweepOutputPinned:
+    """sha256 of the CSV plus the sorted records JSON, recorded before the
+    sweep kernel worked from the dense sample."""
+
+    CASES = {
+        "crn_jobs1_n12_n40": (
+            SweepConfig((12, 40), (-1.0, 0.0, 1.0), 30, master_seed=7, jobs=1, crn=True),
+            "f1f71b57488a7514f2e919ad3e9d5020c25bfca14ad470b5391db2fbcec18973",
+        ),
+        "nocrn_jobs2_n13": (
+            SweepConfig((13,), (-2.0, 2.0), 25, master_seed=11, jobs=2, crn=False),
+            "10d8f73af929a5ce2a48e6d835796c6232185378431270214acda402665136f5",
+        ),
+        "clamped_n5": (
+            SweepConfig((5,), (-30.0, 50.0), 20, master_seed=3),
+            "630e0993ff6622cb4706365cb2517c3451096addbcb081917610a12748ab31ad",
+        ),
+        "exact_ham_n10": (
+            SweepConfig(
+                (10,),
+                (-1.0, 1.0),
+                15,
+                master_seed=19,
+                jobs=2,
+                measures=("pair", "obstacle3", "exact", "hamiltonian", "maxdeg"),
+            ),
+            "bd9eee6abbaef84353c9849ac0b5ae51cdee37c19d153d9b6b90874754cc4f43",
+        ),
+        "crn_jobs2_n100": (
+            SweepConfig((100,), (-2.0, 0.0, 2.0), 10, master_seed=5, jobs=2, crn=True),
+            "467848d17a9be078ef56991796fb616540af917a17f83aba3c666dfdce8673a0",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_report_bytes_unchanged(self, name: str) -> None:
+        import hashlib
+        import json
+
+        cfg, want = self.CASES[name]
+        rep = run_sweep(cfg)
+        blob = rep.to_csv() + json.dumps(rep.to_json_obj(include_records=True), sort_keys=True)
+        assert hashlib.sha256(blob.encode()).hexdigest() == want
+
+    def test_clamped_case_clamps_both_ends(self) -> None:
+        low, high = (threshold_p(5, c) for c in (-30.0, 50.0))
+        assert (low.p, low.clamped, high.p, high.clamped) == (0.0, True, 1.0, True)
+
+
+def _blas_threads() -> int | None:
+    """This process's OpenBLAS thread count, if a loaded library reports it."""
+    import ctypes
+
+    for path in randlab._openblas_paths():
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+            getter = getattr(lib, name, None)
+            if getter is not None:
+                getter.argtypes = []
+                getter.restype = ctypes.c_int
+                return getter()
+    return None
+
+
+class TestWorkerBlasThreads:
+    def test_workers_pinned_and_parent_untouched(self) -> None:
+        import concurrent.futures
+
+        before = _blas_threads()
+        if before is None:
+            pytest.skip("no loaded OpenBLAS reports its thread count")
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=1, initializer=randlab._single_thread_blas
+        ) as pool:
+            assert pool.submit(_blas_threads).result(timeout=60) == 1
+        run_sweep(SweepConfig((12,), (0.0,), 4, master_seed=1, jobs=2))
+        assert _blas_threads() == before
+
+    def test_initializer_is_silent_without_openblas(self, monkeypatch) -> None:
+        import ctypes
+
+        class NoSymbols:
+            pass
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: NoSymbols())
+        randlab._single_thread_blas()
+
+        def unloadable(path):
+            raise OSError(path)
+
+        monkeypatch.setattr(ctypes, "CDLL", unloadable)
+        randlab._single_thread_blas()
+
+    def test_initializer_is_silent_without_memory_map(self, monkeypatch) -> None:
+        import builtins
+
+        real_open = builtins.open
+
+        def no_maps(path, *args, **kwargs):
+            if path == "/proc/self/maps":
+                raise FileNotFoundError(path)
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", no_maps)
+        assert randlab._openblas_paths() == []
+        randlab._single_thread_blas()
