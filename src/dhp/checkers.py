@@ -6,13 +6,16 @@ violation, and return a Verdict whose witness is that first violation.
 That makes failure reports deterministic and as small as possible.
 
 The scans are exact brute force by design; the only speedups used are ones
-that provably cannot change the verdict or the witness (saturating bitmask
-counters, and skipping subtrees that can no longer produce a violation).
+that provably cannot change the verdict or the witness: saturating bitmask
+counters, and skipping subtrees that can no longer produce a violation,
+either because the prefix already sees k Y-vertices twice or because the
+suffix-degree lookahead shows that every completion will.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Mapping
 
@@ -116,12 +119,45 @@ class DegreeBoundReport:
 
 # -- subset scans ------------------------------------------------------------
 
+# Cap on the suffix-degree table, in bits of memory: each stored mask is
+# charged its full int object and list slot.  Past the cap only the lowest
+# layers are kept; a missing layer reads as 0, so the lookahead prunes less
+# but stays exact.
+LOOKAHEAD_TABLE_BITS = 1 << 27
+
+
+def _suffix_degree_table(g: Bigraph) -> list[list[int]]:
+    """``table[s][t]``: mask of Y-vertices with at least t neighbours among
+    X-vertices s..n-1, for 1 <= t <= min(n - s, layers).
+
+    Each row starts with the full Y mask (t = 0) and ends in a 0, so
+    ``table[s][t + 1]`` can be read whenever ``table[s][t]`` is a layer.
+    Rows are filled right to left with bit-sliced saturating counters;
+    ``layers`` is the most that keeps the rows and the working counters
+    within LOOKAHEAD_TABLE_BITS.
+    """
+    n = g.nx
+    full = (1 << g.ny) - 1
+    mask_bits = 8 * (sys.getsizeof(full) + 8)
+    row_bits = 8 * (sys.getsizeof([]) + 16)  # list header, the t = 0 and pad slots
+    layers = max(0, min(n, (LOOKAHEAD_TABLE_BITS // (n + 2) - row_bits) // mask_bits))
+    counts = [full] + [0] * layers
+    table = [[full, 0]] * (n + 1)  # row n: no X-vertex left
+    for s in range(n - 1, -1, -1):
+        row = g.adj_x[s]
+        top = min(n - s, layers)
+        for t in range(top, 0, -1):
+            counts[t] |= counts[t - 1] & row
+        table[s] = counts[: top + 1] + [0]
+    return table
+
 
 def _first_violation(
     g: Bigraph,
     k: int,
     budget: WorkBudget,
     leaf_test: Callable[[tuple[int, ...], int], bool] | None = None,
+    ahead: list[list[int]] | None = None,
 ) -> tuple[tuple[int, ...], int, str] | None:
     """Lexicographically first size-k X-subset S that violates, as
     (S, twice-seen(S) mask, reason).
@@ -133,6 +169,13 @@ def _first_violation(
     reaches k is skipped: adding vertices can only grow the accumulator, so
     no completion can violate.  With one, every leaf must be tested, so
     nothing is skipped.  Budget is charged per prefix visited.
+
+    ``ahead`` (a ``_suffix_degree_table``, pruning mode only) adds a
+    lookahead: a completion of prefix P + i skips only ``slack`` of the
+    X-vertices after i, so a Y-vertex with more than ``slack`` neighbours
+    there is hit again, and one with more than ``slack + 1`` is hit twice.
+    If those forced twice-seen vertices already number k, the prefix is
+    skipped.
     """
     adj = g.adj_x
     n = g.nx
@@ -142,6 +185,7 @@ def _first_violation(
     def descend(start: int, u1: int, u2: int) -> tuple[tuple[int, ...], int, str] | None:
         depth = len(chosen)
         leaf = depth + 1 == k
+        need = k - depth - 1  # vertices a completion adds after i
         # leave room for the remaining k - depth picks
         for i in range(start, n - (k - depth) + 1):
             budget.spend()
@@ -155,14 +199,41 @@ def _first_violation(
                 continue
             if prune and nu2.bit_count() >= k:
                 continue  # no superset of this prefix can violate
+            nu1 = u1 | row
+            if ahead is not None:
+                later = ahead[i + 1]
+                once = n - i - need  # slack + 1
+                if once < len(later) - 1 and (
+                    nu2 | (nu1 & later[once]) | later[once + 1]
+                ).bit_count() >= k:
+                    continue  # every completion sees k vertices twice
             chosen.append(i)
-            hit = descend(i + 1, u1 | row, nu2)
+            hit = descend(i + 1, nu1, nu2)
             if hit is not None:
                 return hit
             chosen.pop()
         return None
 
     return descend(0, 0, 0)
+
+
+def _first_deficient(
+    g: Bigraph, k_max: int, budget: WorkBudget
+) -> tuple[tuple[int, ...], int, str] | None:
+    """First X-subset S with 2 <= |S| <= k_max and |twice-seen(S)| < |S|,
+    in (size, lex) order, as ``_first_violation`` reports it.
+
+    The suffix-degree table is built after the k = 2 pass, so graphs that
+    fail on a pair never pay for it, and is shared by every larger k.
+    """
+    ahead = None
+    for k in range(2, k_max + 1):
+        hit = _first_violation(g, k, budget, ahead=ahead)
+        if hit is not None:
+            return hit
+        if ahead is None and k < k_max:
+            ahead = _suffix_degree_table(g)
+    return None
 
 
 def check_dhp(g: Bigraph, *, budget: int | WorkBudget | None = None) -> Verdict:
@@ -174,11 +245,9 @@ def check_dhp(g: Bigraph, *, budget: int | WorkBudget | None = None) -> Verdict:
     """
     if g.nx < 2:
         raise DomainError(f"double Hall property needs |X| >= 2, got {g.nx}")
-    b = as_budget(budget, SUBSET_BUDGET_DEFAULT, "subset")
-    for k in range(2, g.nx + 1):
-        hit = _first_violation(g, k, b)
-        if hit is not None:
-            return Verdict("dhp", False, {"S": list(hit[0])})
+    hit = _first_deficient(g, g.nx, as_budget(budget, SUBSET_BUDGET_DEFAULT, "subset"))
+    if hit is not None:
+        return Verdict("dhp", False, {"S": list(hit[0])})
     return Verdict("dhp", True)
 
 
@@ -383,15 +452,11 @@ def find_minimal_obstacle(
         raise DomainError("obstacles need |X| >= 2")
     if not (2 <= s_max <= g.nx):
         raise DomainError(f"s_max must be in 2..{g.nx}, got {s_max}")
-    b = as_budget(budget, SUBSET_BUDGET_DEFAULT, "subset")
-    for k in range(2, s_max + 1):
-        hit = _first_violation(g, k, b)
-        if hit is not None:
-            chosen, lam2, _ = hit
-            return Obstacle(
-                s=VertexSet.xs(chosen), t=VertexSet(Y_SIDE, lam2), minimal=True
-            )
-    return None
+    hit = _first_deficient(g, s_max, as_budget(budget, SUBSET_BUDGET_DEFAULT, "subset"))
+    if hit is None:
+        return None
+    chosen, lam2, _ = hit
+    return Obstacle(s=VertexSet.xs(chosen), t=VertexSet(Y_SIDE, lam2), minimal=True)
 
 
 def check_degree_bound(

@@ -287,20 +287,19 @@ def cmd_random(args: argparse.Namespace) -> int:
         crn=not args.no_crn,
     )
     report = run_sweep(config)
-    out_path = args.out if args.out is not None else args.output
-    if out_path.endswith(".json") or args.report_format == "json":
+    if args.output.endswith(".json") or args.report_format == "json":
         rep_obj = report.to_json_obj(include_records=args.records)
         payload = {
             "config": _config_of(args),
             "sweep_config": rep_obj["config"],
             "cells": rep_obj["cells"],
         }
-        _write_text(out_path, _dump_json(payload))
+        _write_text(args.output, _dump_json(payload))
     else:
         header = (
             "# config: " + json.dumps(_config_of(args), sort_keys=True) + "\n"
         )
-        _write_text(out_path, header + report.to_csv())
+        _write_text(args.output, header + report.to_csv())
     return 0
 
 
@@ -424,7 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_rand = sub.add_parser("random", help="seeded random-graph experiments")
     rand_sub = p_rand.add_subparsers(dest="experiment", required=True)
-    sw = _leaf_parser(rand_sub, "sweep", ("output", "seed", "jobs"))
+    sw = _leaf_parser(rand_sub, "sweep", ("seed", "jobs"))
     sw.add_argument(
         "--n-list", type=int, nargs="+", required=True, metavar="N"
     )
@@ -438,15 +437,17 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated: pair,obstacle3,exact,hamiltonian,maxdeg",
     )
     sw.add_argument(
+        "-o",
+        "--output",
         "--out",
-        default=None,
-        help="report path; .json extension selects JSON, otherwise CSV",
+        default="-",
+        help="report path (default stdout); .json extension selects JSON, otherwise CSV",
     )
     sw.add_argument(
         "--report-format",
         choices=("csv", "json"),
         default="csv",
-        help="report format when --out does not decide",
+        help="report format when the output path does not decide",
     )
     sw.add_argument(
         "--records",

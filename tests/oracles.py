@@ -56,6 +56,44 @@ def dhp_bruteforce(g: Bigraph) -> bool:
     return first_deficient_subset(g, 2) is None
 
 
+def prefix_scan_reference(g: Bigraph, k_max: int):
+    """The per-k prefix scan of ``check_dhp`` and ``find_minimal_obstacle``
+    as it stood before the suffix-degree lookahead, kept as the reference
+    for verdict, witness and unit count.
+
+    Unlike the rest of this module it uses the bitmask rows, so that its
+    unit count (one per prefix visited) means what the library's does.
+    Returns (first deficient S or None, its twice-seen set, units spent).
+    """
+    n = g.nx
+    adj = g.adj_x
+    units = 0
+
+    def descend(k: int, chosen: tuple[int, ...], start: int, u1: int, u2: int):
+        nonlocal units
+        for i in range(start, n - (k - len(chosen)) + 1):
+            units += 1
+            row = adj[i]
+            nu2 = u2 | (u1 & row)
+            if len(chosen) + 1 == k:
+                if nu2.bit_count() < k:
+                    return (*chosen, i), nu2
+                continue
+            if nu2.bit_count() >= k:
+                continue
+            hit = descend(k, (*chosen, i), i + 1, u1 | row, nu2)
+            if hit is not None:
+                return hit
+        return None
+
+    for k in range(2, k_max + 1):
+        hit = descend(k, (), 0, 0, 0)
+        if hit is not None:
+            s, mask = hit
+            return s, {j for j in range(g.ny) if mask >> j & 1}, units
+    return None, set(), units
+
+
 def two_connected_bruteforce(g: Bigraph, xs: set[int], ys: set[int]) -> bool:
     """2-connectivity of the induced subgraph, by deleting each vertex."""
     verts = [("X", i) for i in sorted(xs)] + [("Y", j) for j in sorted(ys)]

@@ -34,10 +34,16 @@ def dense_bigraphs(
     max_nx: int = 5,
     min_ny: int = 2,
     max_ny: int = 5,
+    ny_at_least_nx: bool = False,
 ) -> Bigraph:
-    """Bigraphs biased toward many edges, where the rich predicates live."""
+    """Bigraphs biased toward many edges, where the rich predicates live.
+
+    ``ny_at_least_nx`` skips the shapes where no X-set as large as X can
+    see |X| distinct Y-vertices, which every dHp, snp or supercyclic graph
+    needs.
+    """
     nx = draw(st.integers(min_nx, max_nx))
-    ny = draw(st.integers(min_ny, max_ny))
+    ny = draw(st.integers(max(min_ny, nx) if ny_at_least_nx else min_ny, max_ny))
     top = (1 << ny) - 1
     rows = []
     for _ in range(nx):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+import tracemalloc
+
 import pytest
 
 try:
@@ -34,7 +37,9 @@ from dhp import (
     pair_gadget,
     sample_bipartite,
     sample_gnnp,
+    threshold_p,
 )
+from dhp.checkers import LOOKAHEAD_TABLE_BITS
 
 
 class TestDhp:
@@ -78,32 +83,33 @@ class TestDhp:
 
 
 # Units spent (one per prefix visited) and witnesses of the three prefix
-# scans, recorded from the separate per-checker scans the shared engine
-# replaced: holding graphs, pair and larger cardinality failures, and an
-# snp connectivity failure.
+# scans: holding graphs, pair and larger cardinality failures, and an snp
+# connectivity failure.  Witnesses and snp units were recorded from the
+# separate per-checker scans the shared engine replaced; the dhp and
+# obstacle units from the scan with the suffix-degree lookahead.
 PINNED_SCANS = [
     (
         "biplane(2)",
         lambda: builtin_biplane(2),
-        (165, None),
+        (86, None),
         (213, None),
-        (165, None),
+        (86, None),
     ),
-    ("pair_gadget(6)", lambda: pair_gadget(6), (85, None), (94, None), (85, None)),
-    ("K(6,6)", lambda: Bigraph.complete(6, 6), (50, None), (94, None), (50, None)),
+    ("pair_gadget(6)", lambda: pair_gadget(6), (71, None), (94, None), (71, None)),
+    ("K(6,6)", lambda: Bigraph.complete(6, 6), (30, None), (94, None), (30, None)),
     (
         "sample(12x8, p=0.6, seed 34)",
         lambda: sample_bipartite(12, 8, 0.6, 34),
-        (143, {"S": [5, 6, 8]}),
+        (138, {"S": [5, 6, 8]}),
         (234, {"S": [5, 6, 8], "reason": "cardinality"}),
-        (143, ([5, 6, 8], [3, 7])),
+        (138, ([5, 6, 8], [3, 7])),
     ),
     (
         "sample(12x8, p=0.7, seed 1)",
         lambda: sample_bipartite(12, 8, 0.7, 1),
-        (613, {"S": list(range(9))}),
+        (131, {"S": list(range(9))}),
         (7010, {"S": list(range(9)), "reason": "cardinality"}),
-        (613, (list(range(9)), list(range(8)))),
+        (131, (list(range(9)), list(range(8)))),
     ),
     (
         "G(12,12,0.6) seed 0",
@@ -136,6 +142,84 @@ def test_scan_units_and_witnesses_are_pinned(make, dhp_scan, snp_scan, obstacle_
     units, obst = spent(lambda b: find_minimal_obstacle(g, g.nx, budget=b))
     found = None if obst is None else (list(obst.s.indices), list(obst.t.indices))
     assert (units, found) == obstacle_scan
+
+
+def _skewed_bigraph(rng: random.Random) -> Bigraph:
+    """nx <= 12, with uniform, per-X-row or per-Y-column edge rates; the
+    near-universal Y-vertices of the last two are where the suffix-degree
+    lookahead fires."""
+    nx, ny = rng.randrange(2, 13), rng.randrange(0, 15)
+    px, py = [1.0] * nx, [1.0] * ny
+    kind = rng.randrange(3)
+    if kind == 0:
+        px = [rng.choice((0.3, 0.5, 0.7, 0.9))] * nx
+    elif kind == 1:
+        px = [rng.choice((0.2, 0.5, 0.8, 1.0)) for _ in range(nx)]
+    else:
+        py = [rng.choice((0.1, 0.5, 0.9, 1.0)) for _ in range(ny)]
+    rows = tuple(
+        sum(1 << j for j in range(ny) if rng.random() < px[i] * py[j]) for i in range(nx)
+    )
+    return Bigraph(nx, ny, rows)
+
+
+def _assert_matches_prefix_scan(g: Bigraph, s_max: int) -> bool:
+    """check_dhp (when s_max = nx) and find_minimal_obstacle agree with the
+    scan without lookahead on verdict, witness and T, and spend no more
+    units; returns whether the lookahead saved any."""
+    ref_s, ref_t, ref_units = oracles.prefix_scan_reference(g, s_max)
+    limit = 10**8
+    b = WorkBudget(limit, "subset")
+    obst = find_minimal_obstacle(g, s_max, budget=b)
+    units = limit - b.remaining
+    found = None if obst is None else (obst.s.indices, set(obst.t.indices))
+    assert found == (None if ref_s is None else (ref_s, ref_t))
+    assert units <= ref_units
+    if s_max == g.nx:
+        b = WorkBudget(limit, "subset")
+        v = check_dhp(g, budget=b)
+        assert v.witness == (None if ref_s is None else {"S": list(ref_s)})
+        assert limit - b.remaining == units
+    return units < ref_units
+
+
+class TestSuffixDegreeLookahead:
+    def test_small_graphs_match_prefix_scan(self) -> None:
+        rng = random.Random(2024)
+        saved = 0
+        for _ in range(2400):
+            g = _skewed_bigraph(rng)
+            s_max = g.nx if rng.random() < 0.75 else rng.randrange(2, g.nx + 1)
+            saved += _assert_matches_prefix_scan(g, s_max)
+        assert saved >= 500
+
+    @pytest.mark.parametrize("n", [40, 60])
+    @pytest.mark.parametrize("c", [0.0, 2.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_threshold_samples_match_prefix_scan(self, n: int, c: float, seed: int) -> None:
+        g = sample_gnnp(n, threshold_p(n, c, "dhp").p, seed)
+        _assert_matches_prefix_scan(g, n)
+
+    def test_n80_threshold_sample_decided_within_default_budget(self) -> None:
+        # the scan without lookahead exhausts the 2^24-unit default here
+        g = sample_gnnp(80, threshold_p(80, 2.0, "dhp").p, 0)
+        assert check_dhp(g).holds
+
+    def test_table_memory_is_bounded(self) -> None:
+        # past k = 2 the table is built; kept whole it would take about
+        # 90 MB here, so only its lowest layers fit under the bound
+        n = 1024
+        g = Bigraph.complete(n, n)
+        pair_pass = (n - 1) + n * (n - 1) // 2
+        tracemalloc.start()
+        try:
+            check_dhp(g, budget=pair_pass + 5000)
+        except BudgetExceededError:
+            pass
+        finally:
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+        assert peak < LOOKAHEAD_TABLE_BITS // 8
 
 
 class TestSnp:
@@ -193,17 +277,17 @@ class TestSupercyclic:
 class TestTheoryImplications:
     """Chains the implications between the three properties."""
 
-    @given(dense_bigraphs(min_nx=3, max_nx=4, min_ny=2, max_ny=4))
+    @given(dense_bigraphs(min_nx=3, max_nx=4, min_ny=2, max_ny=4, ny_at_least_nx=True))
     def test_dhp_implies_snp(self, g: Bigraph) -> None:
         assume(check_dhp(g).holds)
         assert check_snp(g).holds
 
-    @given(dense_bigraphs(min_nx=3, max_nx=4, min_ny=2, max_ny=4))
+    @given(dense_bigraphs(min_nx=3, max_nx=4, min_ny=2, max_ny=4, ny_at_least_nx=True))
     def test_supercyclic_implies_snp(self, g: Bigraph) -> None:
         assume(check_supercyclic(g).holds)
         assert check_snp(g).holds
 
-    @given(dense_bigraphs(min_nx=3, max_nx=4, min_ny=2, max_ny=4))
+    @given(dense_bigraphs(min_nx=3, max_nx=4, min_ny=2, max_ny=4, ny_at_least_nx=True))
     def test_small_snp_implies_supercyclic(self, g: Bigraph) -> None:
         # at seven or fewer X-vertices the two predicates coincide
         assume(check_snp(g).holds)

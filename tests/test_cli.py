@@ -480,7 +480,7 @@ class TestFlags:
                 ["random", "sweep", "--n-list", "10", "--c-list", "0", "--trials", "2",
                  "--report-format", "json"],
                 {"output", "seed", "jobs", "experiment", "n_list", "c_list", "trials", "measure",
-                 "out", "report_format", "records", "no_crn"},
+                 "report_format", "records", "no_crn"},
             ),
         ],
     )
@@ -493,6 +493,20 @@ class TestFlags:
         code, out, _ = run_cli(argv, capsys)
         assert code == 0
         assert set(json.loads(out)["config"]) == keys | {"command", "subcommand"}
+
+    def test_sweep_output_spellings_are_one_option(self, tmp_path, capsys) -> None:
+        path = tmp_path / "sweep.csv"
+        written = []
+        for flag in ("-o", "--output", "--out"):
+            code, out, _ = run_cli(
+                ["random", "sweep", "--n-list", "10", "--c-list", "0", "--trials", "2",
+                 flag, str(path)],
+                capsys,
+            )
+            assert code == 0 and out == ""
+            written.append(path.read_text())
+        assert written[0] == written[1] == written[2]
+        assert '"output": ' in written[0] and '"out": ' not in written[0]
 
     def test_internal_bug_exits_four(self, tmp_path, capsys, monkeypatch) -> None:
         def broken(g, budget=None):
