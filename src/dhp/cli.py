@@ -59,7 +59,7 @@ from .cycles import (
 )
 from .errors import BudgetExceededError, ConfigError, ContractViolationError, DhpError, DomainError
 from .formats import load_bigraph, serialize_bigraph, bigraph_to_json_obj
-from .randlab import SweepConfig, check_hamiltonian, run_sweep
+from .randlab import EXACT_MEASURE_LIMIT, SweepConfig, check_hamiltonian, run_sweep
 
 
 def _read_text(path: str) -> str:
@@ -142,18 +142,20 @@ def _budgets(args: argparse.Namespace) -> dict:
     return {"budget_subsets": args.budget_subsets, "budget_nodes": args.budget_nodes}
 
 
-_CHECKS = {
-    "dhp": lambda g, args: check_dhp(g, budget=args.budget_subsets),
-    "snp": lambda g, args: check_snp(g, budget=args.budget_subsets),
-    "supercyclic": lambda g, args: check_supercyclic(g, **_budgets(args)),
-    "critical": lambda g, args: check_critical(g, **_budgets(args)),
-    "saturated-critical": lambda g, args: check_saturated_critical(g, **_budgets(args)),
-    "snp-minimal": lambda g, args: check_snp_minimal(g, budget=args.budget_subsets),
-    "design": _check_design,
-    "degree-bound": _check_degree_bound,
-}
+_SUBSETS = ("budget-subsets",)
+_BOTH = ("budget-subsets", "budget-nodes")
 
-CHECKABLE = tuple(_CHECKS)
+# property -> (the flags its handler reads beyond -i -o --strict, handler)
+_CHECKS = {
+    "dhp": (_SUBSETS, lambda g, args: check_dhp(g, budget=args.budget_subsets)),
+    "snp": (_SUBSETS, lambda g, args: check_snp(g, budget=args.budget_subsets)),
+    "supercyclic": (_BOTH, lambda g, args: check_supercyclic(g, **_budgets(args))),
+    "critical": (_BOTH, lambda g, args: check_critical(g, **_budgets(args))),
+    "saturated-critical": (_BOTH, lambda g, args: check_saturated_critical(g, **_budgets(args))),
+    "snp-minimal": (_SUBSETS, lambda g, args: check_snp_minimal(g, budget=args.budget_subsets)),
+    "design": ((), _check_design),
+    "degree-bound": ((), _check_degree_bound),
+}
 
 
 def _json_or_none(cyc) -> dict | None:
@@ -173,14 +175,7 @@ def _solve_cycle_cover(g: Bigraph, args: argparse.Namespace, diagnostics: dict) 
 
 
 def _solve_degree_split(g: Bigraph, args: argparse.Namespace, diagnostics: dict) -> dict | None:
-    return _json_or_none(
-        solve_degree_split(
-            g,
-            exact_paths=False if args.greedy_paths else None,
-            budget=args.budget_nodes,
-            diagnostics=diagnostics,
-        )
-    )
+    return _json_or_none(solve_degree_split(g, budget=args.budget_nodes, diagnostics=diagnostics))
 
 
 def _solve_high_degree(g: Bigraph, args: argparse.Namespace, diagnostics: dict) -> dict | None:
@@ -195,15 +190,14 @@ def _solve_hamiltonian(g: Bigraph, args: argparse.Namespace, diagnostics: dict) 
     return _json_or_none(check_hamiltonian(g, limit=args.limit, budget=args.budget_nodes))
 
 
+# mode -> (the flags its handler reads beyond -i -o --strict --budget-nodes, handler)
 _SOLVERS = {
-    "cover-cycle": _solve_cover_cycle,
-    "cycle-cover": _solve_cycle_cover,
-    "degree-split": _solve_degree_split,
-    "high-degree": _solve_high_degree,
-    "hamiltonian": _solve_hamiltonian,
+    "cover-cycle": (("xs", "superset"), _solve_cover_cycle),
+    "cycle-cover": ((), _solve_cycle_cover),
+    "degree-split": ((), _solve_degree_split),
+    "high-degree": (("k",), _solve_high_degree),
+    "hamiltonian": (("limit",), _solve_hamiltonian),
 }
-
-SOLVE_MODES = tuple(_SOLVERS)
 
 
 def _write_exhausted(args: argparse.Namespace, head: dict, exc: BudgetExceededError) -> int:
@@ -222,7 +216,7 @@ def _write_exhausted(args: argparse.Namespace, head: dict, exc: BudgetExceededEr
 def cmd_check(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     try:
-        verdict = _CHECKS[args.property](g, args)
+        verdict = _CHECKS[args.property][1](g, args)
     except BudgetExceededError as exc:
         return _write_exhausted(args, {"property": args.property, "holds": None}, exc)
     out = {"config": _config_of(args), **verdict.to_json_obj()}
@@ -234,7 +228,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     diagnostics: dict = {}
     try:
-        witness = _SOLVERS[args.mode](g, args, diagnostics)
+        witness = _SOLVERS[args.mode][1](g, args, diagnostics)
     except BudgetExceededError as exc:
         return _write_exhausted(args, {"result": None}, exc)
     out = {
@@ -312,7 +306,7 @@ def cmd_fmt(args: argparse.Namespace) -> int:
 
 # -- parser --------------------------------------------------------------------
 
-_SHARED_FLAGS = {
+_FLAGS = {
     "input": (("-i", "--input"), dict(default="-", help="input file (default stdin)")),
     "output": (("-o", "--output"), dict(default="-", help="output file (default stdout)")),
     "format": (
@@ -346,14 +340,27 @@ _SHARED_FLAGS = {
         ("--strict",),
         dict(action="store_true", help="reject duplicate edges when parsing edge lists"),
     ),
+    "xs": (
+        ("--xs",),
+        dict(default="all", help="target X-set: 'all' or comma-separated indices"),
+    ),
+    "superset": (
+        ("--superset",),
+        dict(action="store_true", help="allow extra X-vertices on the cycle"),
+    ),
+    "k": (("--k",), dict(type=int, default=None, help="the degree split point")),
+    "limit": (
+        ("--limit",),
+        dict(type=int, default=EXACT_MEASURE_LIMIT, help="exact search size cap"),
+    ),
 }
 
 
 def _leaf_parser(sub, name: str, flags: tuple[str, ...], **kwargs) -> argparse.ArgumentParser:
-    """A subcommand parser carrying only the shared flags its handler reads."""
+    """A subcommand parser carrying only the flags its handler reads."""
     p = sub.add_parser(name, **kwargs)
     for flag in flags:
-        names, options = _SHARED_FLAGS[flag]
+        names, options = _FLAGS[flag]
         p.add_argument(*names, **options)
     return p
 
@@ -366,42 +373,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p_check = _leaf_parser(
-        sub,
-        "check",
-        ("input", "output", "strict", "budget-subsets", "budget-nodes"),
-        help="decide a property and print a verdict",
-    )
-    p_check.add_argument("property", choices=CHECKABLE)
-    p_check.set_defaults(func=cmd_check)
+    p_check = sub.add_parser("check", help="decide a property and print a verdict")
+    check_sub = p_check.add_subparsers(dest="property", required=True)
+    for name, (flags, _) in _CHECKS.items():
+        leaf = _leaf_parser(check_sub, name, ("input", "output", "strict") + flags)
+        leaf.set_defaults(func=cmd_check)
 
-    p_solve = _leaf_parser(
-        sub,
-        "solve",
-        ("input", "output", "strict", "budget-nodes"),
-        help="search for a covering cycle witness",
-    )
-    p_solve.add_argument("mode", choices=SOLVE_MODES)
-    p_solve.add_argument(
-        "--xs",
-        default="all",
-        help="cover-cycle target X-set: 'all' or comma-separated indices",
-    )
-    p_solve.add_argument(
-        "--superset",
-        action="store_true",
-        help="cover-cycle: allow extra X-vertices on the cycle",
-    )
-    p_solve.add_argument("--k", type=int, default=None, help="high-degree: the degree split point")
-    p_solve.add_argument(
-        "--greedy-paths",
-        action="store_true",
-        help="degree-split: skip exact path minimisation",
-    )
-    p_solve.add_argument(
-        "--limit", type=int, default=16, help="hamiltonian: exact search size cap"
-    )
-    p_solve.set_defaults(func=cmd_solve)
+    p_solve = sub.add_parser("solve", help="search for a covering cycle witness")
+    solve_sub = p_solve.add_subparsers(dest="mode", required=True)
+    for name, (flags, _) in _SOLVERS.items():
+        leaf = _leaf_parser(solve_sub, name, ("input", "output", "strict", "budget-nodes") + flags)
+        leaf.set_defaults(func=cmd_solve)
 
     p_con = sub.add_parser("construct", help="generate a structured graph")
     con_sub = p_con.add_subparsers(dest="generator", required=True)

@@ -14,7 +14,9 @@ The solvers here come in two flavours:
   means either the preconditions were not checked or there is a bug.
 
 Every witness returned by any function in this module has been validated
-against the input graph.
+against the input graph.  Input witnesses that fail validation raise
+WitnessError (bad input); a witness this module built that fails raises
+ContractViolationError, since that can only be a bug here.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .budget import NODE_BUDGET_DEFAULT, WorkBudget, as_budget
+from .checkers import check_dhp
 from .core import (
     Bigraph,
     CycleWitness,
@@ -58,6 +61,28 @@ __all__ = [
     "solve_high_degree",
     "solve_degree_split",
 ]
+
+
+# -- checks shared by the searches and solvers --------------------------------
+
+
+def _checked(cyc: CycleWitness, g: Bigraph) -> CycleWitness:
+    """``cyc``, a cycle built here, after validating it against ``g``."""
+    try:
+        cyc.validate(g)
+    except WitnessError as exc:
+        raise ContractViolationError(f"constructed cycle failed validation: {exc}") from exc
+    return cyc
+
+
+def _verified_budget(g: Bigraph, budget: int | WorkBudget | None) -> WorkBudget:
+    """The one budget of a solver call, already charged for deciding that
+    ``g`` is dHp; a graph that is not raises DomainError."""
+    b = as_budget(budget, NODE_BUDGET_DEFAULT, "node")
+    v = check_dhp(g, budget=b)
+    if not v.holds:
+        raise DomainError(f"graph is not dHp; violating S = {v.witness['S']}")
+    return b
 
 
 # -- bipartite matching -------------------------------------------------------
@@ -94,22 +119,31 @@ class MatchingInstance:
         return len(self.adj)
 
 
+def _augment(
+    adj: list[int] | tuple[int, ...],
+    s: int,
+    left_right: list[int | None],
+    right_left: dict[int, int],
+    visited: list[int],
+) -> bool:
+    """Kuhn's augmenting-path step: match left vertex ``s`` to a right
+    vertex of ``adj[s]`` outside the mask ``visited[0]``, re-matching the
+    earlier holders recursively.  Candidates are tried in increasing order."""
+    for r in bits(adj[s] & ~visited[0]):
+        visited[0] |= 1 << r
+        holder = right_left.get(r)
+        if holder is None or _augment(adj, holder, left_right, right_left, visited):
+            right_left[r] = s
+            left_right[s] = r
+            return True
+    return False
+
+
 def _kuhn(inst: MatchingInstance) -> tuple[list[int | None], dict[int, int]]:
     left_right: list[int | None] = [None] * inst.n_left
     right_left: dict[int, int] = {}
-
-    def try_assign(s: int, visited: list[int]) -> bool:
-        for r in bits(inst.adj[s] & ~visited[0]):
-            visited[0] |= 1 << r
-            holder = right_left.get(r)
-            if holder is None or try_assign(holder, visited):
-                right_left[r] = s
-                left_right[s] = r
-                return True
-        return False
-
     for s in range(inst.n_left):
-        try_assign(s, [0])
+        _augment(inst.adj, s, left_right, right_left, [0])
     return left_right, right_left
 
 
@@ -175,16 +209,6 @@ def _search_exact_cycle(
     y_slot: dict[int, int] = {}
     avail: list[int] = [0] * m
 
-    def augment(s: int, visited: list[int]) -> bool:
-        for y in bits(avail[s] & ~visited[0]):
-            visited[0] |= 1 << y
-            holder = y_slot.get(y)
-            if holder is None or augment(holder, visited):
-                y_slot[y] = s
-                slot_y[s] = y
-                return True
-        return False
-
     def restore(snapshot: tuple[list[int | None], dict[int, int]]) -> None:
         slot_y[:] = snapshot[0]
         y_slot.clear()
@@ -200,7 +224,7 @@ def _search_exact_cycle(
                 return False
             snapshot = (slot_y[:], dict(y_slot))
             avail[m - 1] = mask
-            if augment(m - 1, [0]):
+            if _augment(avail, m - 1, slot_y, y_slot, [0]):
                 result.append(CycleWitness(tuple(order), tuple(slot_y)))
                 return True
             restore(snapshot)
@@ -216,7 +240,7 @@ def _search_exact_cycle(
                 continue
             snapshot = (slot_y[:], dict(y_slot))
             avail[depth - 1] = mask
-            if augment(depth - 1, [0]):
+            if _augment(avail, depth - 1, slot_y, y_slot, [0]):
                 used[idx] = True
                 order.append(cand)
                 if extend(depth + 1):
@@ -227,7 +251,7 @@ def _search_exact_cycle(
         return False
 
     if extend(1):
-        return result[0].canonical()
+        return _checked(result[0].canonical(), g)
     return None
 
 
@@ -355,7 +379,7 @@ def find_disjoint_cycle_cover(
             j1, j2 = choice[nxt_x]
             cur_y = j2 if j1 == cur_y else j1
             cur_x = nxt_x
-        cycles.append(CycleWitness(tuple(xs_seq), tuple(ys_seq)).canonical())
+        cycles.append(_checked(CycleWitness(tuple(xs_seq), tuple(ys_seq)).canonical(), g))
     return cycles
 
 
@@ -409,12 +433,7 @@ def rotate_path_to_cycle(g: Bigraph, p: PathWitness) -> CycleWitness | None:
     if covered != set(range(g.nx)):
         raise GraphInputError("rotation needs a path covering every X-vertex")
     cyc = _close_yy_path(g, list(p.vertices))
-    if cyc is not None:
-        try:
-            cyc.validate(g)
-        except WitnessError as exc:  # pragma: no cover - construction bug guard
-            raise ContractViolationError(f"rotated cycle failed validation: {exc}")
-    return cyc
+    return None if cyc is None else _checked(cyc, g)
 
 
 def absorb_virtual_edge(
@@ -463,8 +482,7 @@ def absorb_virtual_edge(
     if cut is None:
         if diagnostics is not None:
             diagnostics["case"] = "unused"
-        c.validate(g)
-        return c
+        return _checked(c, g)
 
     if ring[cut][0] == Y_SIDE:
         path = [ring[(cut - t) % two_m] for t in range(two_m)]
@@ -479,8 +497,7 @@ def absorb_virtual_edge(
             if diagnostics is not None:
                 diagnostics["case"] = "off-path"
                 diagnostics["pivot_y"] = y2
-            cyc.validate(g)
-            return cyc
+            return _checked(cyc, g)
 
     adj_y_end = g.adj_y[y]
     adj_x_end = g.adj_x[x]
@@ -493,8 +510,7 @@ def absorb_virtual_edge(
             if diagnostics is not None:
                 diagnostics["case"] = "on-path"
                 diagnostics["pivot_y"] = y_i
-            cyc.validate(g)
-            return cyc
+            return _checked(cyc, g)
     if diagnostics is not None:
         diagnostics["case"] = "failed"
     return None
@@ -577,7 +593,6 @@ def solve_high_degree(
     g: Bigraph,
     k: int,
     *,
-    verify: bool = True,
     budget: int | WorkBudget | None = None,
     diagnostics: dict | None = None,
 ) -> CycleWitness | None:
@@ -590,11 +605,9 @@ def solve_high_degree(
     exactly; join the paths through distinct high-degree X-vertices and
     close the cycle through the remaining ones; then absorb the helper
     edges one at a time.  Each absorption is guaranteed by the degree
-    hypotheses, so with ``verify`` on, a None return signals a bug rather
-    than a bad input.
+    hypotheses and the dHp check, so a None return signals a bug rather
+    than a bad input.  The dHp check and the search share ``budget``.
     """
-    from .checkers import check_dhp  # deferred to avoid an import cycle
-
     n = g.nx
     if k < 0:
         raise DomainError("k must be non-negative")
@@ -607,16 +620,12 @@ def solve_high_degree(
             raise DomainError(f"Y-vertex {j} has degree {dj} < |X| - k = {n - k}")
     if g.ny < n:
         raise DomainError(f"|Y| = {g.ny} < |X| = {n}; the graph cannot be dHp")
-    if verify:
-        v = check_dhp(g, budget=budget if isinstance(budget, int) else None)
-        if not v.holds:
-            raise DomainError(f"graph is not dHp; violating S = {v.witness['S']}")
-    b = as_budget(budget, NODE_BUDGET_DEFAULT, "node")
+    b = _verified_budget(g, budget)
 
     xs_small = [xv for xv in range(n) if g.degree_x(xv) <= k]
     xl = [xv for xv in range(n) if g.degree_x(xv) > k]
     if len(xs_small) > k:
-        raise (ContractViolationError if verify else DomainError)(
+        raise ContractViolationError(
             f"{len(xs_small)} X-vertices of degree <= {k}; a dHp graph meeting "
             "the degree preconditions has at most k of them"
         )
@@ -628,11 +637,7 @@ def solve_high_degree(
     helper = Bigraph(n, g.ny, tuple(helper_rows))
 
     if not xs_small:
-        ring: list[tuple[str, int]] = []
-        for i in range(n):
-            ring.append((X_SIDE, i))
-            ring.append((Y_SIDE, i))
-        cyc = _cycle_from_ring(ring)
+        cyc = CycleWitness(tuple(range(n)), tuple(range(n)))
     else:
         paths = _yy_path_system(g, xs_small, b)
         if paths is None:
@@ -664,11 +669,7 @@ def solve_high_degree(
             cross.append((X_SIDE, rest[idx]))
         cyc = _cycle_from_ring(cross + big)
 
-    cyc = cyc.canonical()
-    try:
-        cyc.validate(helper)
-    except WitnessError as exc:  # pragma: no cover - construction bug guard
-        raise ContractViolationError(f"helper-graph cycle invalid: {exc}")
+    cyc = _checked(cyc.canonical(), helper)
 
     current = helper
     while True:
@@ -693,11 +694,12 @@ def solve_high_degree(
             logger.warning("absorption of helper edge (%d, %d) failed", xv, yv)
             return None
         cyc = nxt
-    cyc.validate(g)
-    return cyc
+    return _checked(cyc, g)
 
 
 # -- split-Y-degree pipeline ----------------------------------------------------
+
+_EXACT_PATH_COVER_MAX_X = 12  # the subset DP costs about 3^|X| steps
 
 
 def _min_path_cover_exact(n: int, xadj: list[int]) -> list[list[int]]:
@@ -788,8 +790,6 @@ def _min_path_cover_greedy(n: int, xadj: list[int]) -> list[list[int]]:
 def solve_degree_split(
     g: Bigraph,
     *,
-    verify: bool = True,
-    exact_paths: bool | None = None,
     budget: int | WorkBudget | None = None,
     diagnostics: dict | None = None,
 ) -> CycleWitness | None:
@@ -807,12 +807,10 @@ def solve_degree_split(
     would contradict the covering theorem; it is reported via
     ``diagnostics`` and None.
 
-    Path-count minimisation is exact for |X| <= 12 (or with
-    ``exact_paths=True``); beyond that a greedy merge is used and the
-    result is best-effort.
+    Path-count minimisation is exact for |X| <= 12; beyond that a greedy
+    merge is used and the result is best-effort.  The dHp check and the
+    search share ``budget``.
     """
-    from .checkers import check_dhp  # deferred to avoid an import cycle
-
     n = g.nx
     if n < 2:
         raise DomainError("need |X| >= 2")
@@ -822,11 +820,7 @@ def solve_degree_split(
             raise DomainError(
                 f"Y-vertex {j} has degree {g.degree_y(j)}, outside {{2, n-2, n-1, n}}"
             )
-    if verify:
-        v = check_dhp(g, budget=budget if isinstance(budget, int) else None)
-        if not v.holds:
-            raise DomainError(f"graph is not dHp; violating S = {v.witness['S']}")
-    b = as_budget(budget, NODE_BUDGET_DEFAULT, "node")
+    b = _verified_budget(g, budget)
 
     ys_small = [j for j in range(g.ny) if g.degree_y(j) == 2]
     yl_mask = ((1 << g.ny) - 1) & ~mask_of(ys_small)
@@ -839,10 +833,7 @@ def solve_degree_split(
         xadj[c] |= 1 << a
         pair_ys[(a, c)].append(j)
 
-    use_exact = exact_paths if exact_paths is not None else n <= 12
-    if use_exact and n > 20:
-        raise DomainError("exact path minimisation is limited to |X| <= 20")
-    if use_exact:
+    if n <= _EXACT_PATH_COVER_MAX_X:
         paths_x = _min_path_cover_exact(n, xadj)
     else:
         paths_x = _min_path_cover_greedy(n, xadj)
@@ -875,9 +866,7 @@ def solve_degree_split(
             )
             return None
         y_close = (closers & -closers).bit_length() - 1
-        cyc = CycleWitness(tuple(xs_list), tuple(ys_list + [y_close])).canonical()
-        cyc.validate(g)
-        return cyc
+        return _checked(CycleWitness(tuple(xs_list), tuple(ys_list + [y_close])).canonical(), g)
 
     arrangement = list(range(m))
     flipped = [False] * m
@@ -939,6 +928,4 @@ def solve_degree_split(
             if pos < len(ys_list):
                 ring.append((Y_SIDE, ys_list[pos]))
         ring.append((Y_SIDE, assignment[t]))
-    cyc = _cycle_from_ring(ring).canonical()
-    cyc.validate(g)
-    return cyc
+    return _checked(_cycle_from_ring(ring).canonical(), g)

@@ -451,7 +451,7 @@ class TestDegreeBound:
         with pytest.raises(DomainError):
             check_degree_bound(Bigraph.empty(2, 2), verify_dhp=True)
 
-    @given(dense_bigraphs(min_nx=2, max_nx=5, min_ny=2, max_ny=5))
+    @given(dense_bigraphs(min_nx=2, max_nx=5, min_ny=2, max_ny=5, ny_at_least_nx=True))
     def test_bound_holds_whenever_dhp_does(self, g: Bigraph) -> None:
         assume(check_dhp(g).holds)
         r = check_degree_bound(g, verify_dhp=True)

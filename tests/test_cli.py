@@ -8,7 +8,15 @@ import json
 
 import pytest
 
-from dhp import Bigraph, ContractViolationError, load_bigraph, serialize_bigraph, check_dhp
+from dhp import (
+    Bigraph,
+    ContractViolationError,
+    CycleWitness,
+    builtin_biplane,
+    check_dhp,
+    load_bigraph,
+    serialize_bigraph,
+)
 from dhp.cli import main
 
 
@@ -212,6 +220,27 @@ class TestSolve:
         assert code == 0
         payload = json.loads(out)
         assert payload["result"] == "found"
+
+    def test_degree_split_reports_diagnostics(self, tmp_path, capsys) -> None:
+        from dhp import pair_gadget
+
+        path = write_graph(tmp_path, "gadget13.txt", pair_gadget(13))
+        code, out, _ = run_cli(["solve", "degree-split", "-i", path], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["result"] == "found"
+        assert payload["diagnostics"] == {"paths_best_effort": True}
+
+    def test_budget_exhaustion_exits_three(self, tmp_path, capsys) -> None:
+        path = write_graph(tmp_path, "k9.txt", Bigraph.complete(9, 9))
+        code, out, _ = run_cli(
+            ["solve", "high-degree", "-i", path, "--k", "2", "--budget-nodes", "3"],
+            capsys,
+        )
+        assert code == 3
+        payload = json.loads(out)
+        assert payload["result"] is None
+        assert payload["budget_exhausted"] is True
 
 
 class TestConstruct:
@@ -462,15 +491,8 @@ class TestFlags:
     @pytest.mark.parametrize(
         "argv, keys",
         [
-            (
-                ["check", "dhp"],
-                {"input", "output", "strict", "budget_subsets", "budget_nodes", "property"},
-            ),
-            (
-                ["solve", "cycle-cover"],
-                {"input", "output", "strict", "budget_nodes", "mode", "xs", "superset", "k",
-                 "greedy_paths", "limit"},
-            ),
+            (["check", "dhp"], {"input", "output", "strict", "budget_subsets", "property"}),
+            (["solve", "cycle-cover"], {"input", "output", "strict", "budget_nodes", "mode"}),
             (["fmt", "--format", "json"], {"input", "output", "format", "strict"}),
             (
                 ["construct", "pair-gadget", "--n", "2", "--format", "json"],
@@ -482,17 +504,65 @@ class TestFlags:
                 {"output", "seed", "jobs", "experiment", "n_list", "c_list", "trials", "measure",
                  "report_format", "records", "no_crn"},
             ),
+            *(
+                (["check", prop], {"input", "output", "strict", "property", *budgets})
+                for prop, budgets in [
+                    ("snp", {"budget_subsets"}),
+                    ("snp-minimal", {"budget_subsets"}),
+                    ("supercyclic", {"budget_subsets", "budget_nodes"}),
+                    ("critical", {"budget_subsets", "budget_nodes"}),
+                    ("saturated-critical", {"budget_subsets", "budget_nodes"}),
+                    ("design", set()),
+                    ("degree-bound", set()),
+                ]
+            ),
+            *(
+                (
+                    ["solve", mode, *extra],
+                    {"input", "output", "strict", "budget_nodes", "mode", *own},
+                )
+                for mode, extra, own in [
+                    ("cover-cycle", [], {"xs", "superset"}),
+                    ("degree-split", [], set()),
+                    ("high-degree", ["--k", "1"], {"k"}),
+                    ("hamiltonian", [], {"limit"}),
+                ]
+            ),
         ],
     )
     def test_config_echoes_only_the_flags_a_subcommand_takes(
         self, argv, keys, capsys, monkeypatch
     ) -> None:
-        monkeypatch.setattr(
-            "sys.stdin", io.StringIO(serialize_bigraph(Bigraph.complete(2, 2)))
-        )
+        monkeypatch.setattr("sys.stdin", io.StringIO(serialize_bigraph(builtin_biplane(1))))
         code, out, _ = run_cli(argv, capsys)
-        assert code == 0
+        # no critical graph is known, so those two verdicts fail
+        assert code == (1 if argv[1] in ("critical", "saturated-critical") else 0)
         assert set(json.loads(out)["config"]) == keys | {"command", "subcommand"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "dhp", "--budget-nodes", "5"],
+            ["check", "design", "--budget-subsets", "5"],
+            ["solve", "cycle-cover", "--k", "3"],
+            ["check", "-i", "graph.txt", "dhp"],
+        ],
+    )
+    def test_flag_a_leaf_does_not_read_is_rejected(self, argv, capsys) -> None:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("mode", ["cover-cycle", "cycle-cover", "degree-split"])
+    def test_invalid_constructed_cycle_exits_four(
+        self, mode, cube_file, capsys, monkeypatch
+    ) -> None:
+        # a cycle the solver built that fails validation is a bug, not bad input
+        broken = lambda c: CycleWitness(c.xs, (c.ys[0],) * c.m)  # noqa: E731
+        monkeypatch.setattr(CycleWitness, "canonical", broken)
+        code, _, err = run_cli(["solve", mode, "-i", cube_file], capsys)
+        assert code == 4
+        assert "internal contract violated" in err
 
     def test_sweep_output_spellings_are_one_option(self, tmp_path, capsys) -> None:
         path = tmp_path / "sweep.csv"

@@ -24,6 +24,7 @@ from dhp import (
     MatchingInstance,
     PathWitness,
     VertexSet,
+    WorkBudget,
     X_SIDE,
     Y_SIDE,
     absorb_virtual_edge,
@@ -37,7 +38,19 @@ from dhp import (
     solve_degree_split,
     solve_high_degree,
 )
-from dhp.cycles import _min_path_cover_exact, _min_path_cover_greedy
+from dhp.cycles import _min_path_cover_exact, _min_path_cover_greedy, _yy_path_system
+
+
+def _two_path_instance() -> Bigraph:
+    """n = 21, k = 4: x0 and x1 are the only low-degree X-vertices and
+    need two disjoint Y..Y paths, which the solver joins through x2."""
+    return Bigraph(21, 21, tuple([0b11100, 0b10111] + [(1 << 21) - 1] * 19))
+
+
+def _dhp_units(g: Bigraph) -> int:
+    b = WorkBudget(10**6, "node")
+    check_dhp(g, budget=b)
+    return 10**6 - b.remaining
 
 
 class TestMatching:
@@ -357,6 +370,23 @@ class TestHighDegreeSolver:
         with pytest.raises(DomainError):
             solve_high_degree(Bigraph.complete(8, 7), 2)
 
+    def test_paths_joined_through_high_degree_vertex(self) -> None:
+        g = _two_path_instance()
+        assert len(_yy_path_system(g, [0, 1], WorkBudget(100))) == 2
+        cyc = solve_high_degree(g, 4)
+        cyc.validate(g)
+        assert cyc.x_set() == g.full_x()
+        assert cyc.xs == (0, 2, 1, *range(20, 2, -1))
+        assert cyc.ys == (2, 1, 0, *range(20, 2, -1))
+
+    def test_verification_is_charged_to_the_passed_budget(self) -> None:
+        g = _two_path_instance()
+        with pytest.raises(BudgetExceededError):
+            solve_high_degree(g, 4, budget=WorkBudget(3, "node"))
+        b = WorkBudget(10**6, "node")
+        solve_high_degree(g, 4, budget=b)
+        assert 10**6 - b.remaining >= _dhp_units(g)
+
 
 class TestDegreeSplitSolver:
     def test_pair_gadget_solves(self) -> None:
@@ -388,17 +418,20 @@ class TestDegreeSplitSolver:
         with pytest.raises(DomainError):
             solve_degree_split(g)
 
-    def test_exact_paths_cap(self) -> None:
-        g = Bigraph.complete(21, 21)
-        with pytest.raises(DomainError):
-            solve_degree_split(g, exact_paths=True)
-
-    def test_greedy_flag_still_solves_gadget(self) -> None:
-        g = pair_gadget(5)
+    def test_greedy_path_cover_beyond_exact_size(self) -> None:
+        g = pair_gadget(13)
         diag: dict = {}
-        cyc = solve_degree_split(g, exact_paths=False, diagnostics=diag)
+        cyc = solve_degree_split(g, diagnostics=diag)
         assert cyc is not None
         cyc.validate(g)
+        assert cyc.x_set() == g.full_x()
+        assert diag["paths_best_effort"] is True
+
+    def test_verification_is_charged_to_the_passed_budget(self) -> None:
+        g = pair_gadget(5)
+        b = WorkBudget(10**6, "node")
+        solve_degree_split(g, budget=b)
+        assert 10**6 - b.remaining >= _dhp_units(g)
 
 
 class TestMinPathCover:

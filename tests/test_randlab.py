@@ -66,6 +66,15 @@ class TestSampling:
         for i in range(8):
             assert lo.adj_x[i] & ~hi.adj_x[i] == 0
 
+    @pytest.mark.parametrize("seed", [0, 1, 2**32, 2**63 + 5, 2**64 - 1])
+    @pytest.mark.parametrize("nx, ny", [(1, 1), (3, 5), (9, 4), (70, 66)])
+    def test_vectorized_kernel_matches_scalar_reference(self, seed, nx, ny) -> None:
+        want = [[randlab._uniform_scalar(seed, i, j) for j in range(ny)] for i in range(nx)]
+        assert randlab._uniform_grid(seed, nx, ny).tolist() == want
+        thr = randlab._threshold_u64(0.37)
+        edges = [(i, j) for i in range(nx) for j in range(ny) if want[i][j] < thr]
+        assert sample_bipartite(nx, ny, 0.37, seed) == Bigraph.from_edges(nx, ny, edges)
+
     def test_rejects_bad_arguments(self) -> None:
         with pytest.raises(DomainError):
             sample_bipartite(-1, 3, 0.5, seed=0)
