@@ -14,7 +14,6 @@ suffix-degree lookahead shows that every completion will.
 
 from __future__ import annotations
 
-import itertools
 import sys
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Mapping
@@ -274,56 +273,54 @@ def check_snp(g: Bigraph, *, budget: int | WorkBudget | None = None) -> Verdict:
     return Verdict("snp", True)
 
 
-def check_supercyclic(
-    g: Bigraph,
-    *,
-    budget_subsets: int | WorkBudget | None = None,
-    budget_nodes: int | WorkBudget | None = None,
-) -> Verdict:
+def check_supercyclic(g: Bigraph, *, budget: int | WorkBudget | None = None) -> Verdict:
     """Decide supercyclicity: for every X' within X with |X'| >= 3 there is a
     cycle whose X-vertices are exactly X'.
 
-    Delegates each existence question to the cycle engine; all searches
-    share one node budget.
+    Runs the prefix scan with the cycle engine as its leaf test.  The
+    scan's cardinality test is sound here: a cycle through exactly X' uses
+    |X'| distinct Y-vertices, each seen twice from X'.  The witness "S" is
+    the first X-set without a cycle in (size, lex) order.  Prefixes and
+    search nodes share one node budget.
     """
     from .cycles import find_cycle_covering  # deferred to avoid an import cycle
 
     if g.nx < 3:
         raise DomainError(f"supercyclicity needs |X| >= 3, got {g.nx}")
-    bs = as_budget(budget_subsets, SUBSET_BUDGET_DEFAULT, "subset")
-    bn = as_budget(budget_nodes, NODE_BUDGET_DEFAULT, "node")
+    b = as_budget(budget, NODE_BUDGET_DEFAULT, "node")
+
+    def has_cycle(chosen: tuple[int, ...], u2: int) -> bool:
+        return find_cycle_covering(g, VertexSet.xs(chosen), exact_x=True, budget=b) is not None
+
     for k in range(3, g.nx + 1):
-        for combo in itertools.combinations(range(g.nx), k):
-            bs.spend()
-            cyc = find_cycle_covering(g, VertexSet.xs(combo), exact_x=True, budget=bn)
-            if cyc is None:
-                return Verdict("supercyclic", False, {"S": list(combo)})
+        hit = _first_violation(g, k, b, has_cycle)
+        if hit is not None:
+            return Verdict("supercyclic", False, {"S": list(hit[0])})
     return Verdict("supercyclic", True)
 
 
-def check_critical(
-    g: Bigraph,
-    *,
-    budget_subsets: int | WorkBudget | None = None,
-    budget_nodes: int | WorkBudget | None = None,
-) -> Verdict:
+def check_critical(g: Bigraph, *, budget: int | WorkBudget | None = None) -> Verdict:
     """Decide criticality, reporting the first violated clause:
 
     1. the graph is snp but not supercyclic,
     2. every Y-vertex is seen twice from X,
     3. dropping any X-vertices (keeping at least 3) leaves a supercyclic graph.
+
+    Clause 3 is read off the clause-1 witness: a restriction to C is
+    supercyclic unless some X-set within C has no cycle, so the first
+    failing C in (size, lex) order is the first cycle-less X-set itself,
+    and clause 3 holds exactly when that set is all of X.
     """
     if g.nx < 3:
         raise DomainError(f"criticality needs |X| >= 3, got {g.nx}")
-    bs = as_budget(budget_subsets, SUBSET_BUDGET_DEFAULT, "subset")
-    bn = as_budget(budget_nodes, NODE_BUDGET_DEFAULT, "node")
+    b = as_budget(budget, NODE_BUDGET_DEFAULT, "node")
 
-    snp_v = check_snp(g, budget=bs)
+    snp_v = check_snp(g, budget=b)
     if not snp_v.holds:
         return Verdict(
             "critical", False, {"clause": 1, "detail": "not snp", "S": snp_v.witness["S"]}
         )
-    sc_v = check_supercyclic(g, budget_subsets=bs, budget_nodes=bn)
+    sc_v = check_supercyclic(g, budget=b)
     if sc_v.holds:
         return Verdict("critical", False, {"clause": 1, "detail": "graph is supercyclic"})
 
@@ -334,43 +331,36 @@ def check_critical(
             "critical", False, {"clause": 2, "detail": "Y not fully seen twice", "T": missing}
         )
 
-    for k in range(3, g.nx):
-        for combo in itertools.combinations(range(g.nx), k):
-            bs.spend()
-            sub, _, _ = induced_subgraph(g, VertexSet.xs(combo), g.full_y())
-            v = check_supercyclic(sub, budget_subsets=bs, budget_nodes=bn)
-            if not v.holds:
-                return Verdict(
-                    "critical",
-                    False,
-                    {"clause": 3, "detail": "proper restriction not supercyclic", "S": list(combo)},
-                )
+    s = sc_v.witness["S"]
+    if len(s) < g.nx:
+        detail = "proper restriction not supercyclic"
+        return Verdict("critical", False, {"clause": 3, "detail": detail, "S": s})
     return Verdict("critical", True)
 
 
-def check_saturated_critical(
-    g: Bigraph,
-    *,
-    budget_subsets: int | WorkBudget | None = None,
-    budget_nodes: int | WorkBudget | None = None,
-) -> Verdict:
+def check_saturated_critical(g: Bigraph, *, budget: int | WorkBudget | None = None) -> Verdict:
     """Critical, and adding any single missing X-Y edge makes the graph
-    supercyclic."""
-    bs = as_budget(budget_subsets, SUBSET_BUDGET_DEFAULT, "subset")
-    bn = as_budget(budget_nodes, NODE_BUDGET_DEFAULT, "node")
-    crit = check_critical(g, budget_subsets=bs, budget_nodes=bn)
+    supercyclic.
+
+    On a critical graph every proper X-set of size >= 3 already has its
+    cycle, and an added edge keeps them, so an augmented graph is
+    supercyclic exactly when it has a cycle through all of X.
+    """
+    from .cycles import find_cycle_covering  # deferred to avoid an import cycle
+
+    b = as_budget(budget, NODE_BUDGET_DEFAULT, "node")
+    crit = check_critical(g, budget=b)
     if not crit.holds:
         return Verdict(
             "saturated-critical", False, {"clause": "critical", "inner": dict(crit.witness or {})}
         )
     for x in range(g.nx):
         for y in bits(((1 << g.ny) - 1) & ~g.adj_x[x]):
-            v = check_supercyclic(g.with_edge(x, y), budget_subsets=bs, budget_nodes=bn)
-            if not v.holds:
+            if find_cycle_covering(g.with_edge(x, y), g.full_x(), budget=b) is None:
                 return Verdict(
                     "saturated-critical",
                     False,
-                    {"clause": "augmentation", "x": x, "y": y, "S": v.witness["S"]},
+                    {"clause": "augmentation", "x": x, "y": y, "S": list(range(g.nx))},
                 )
     return Verdict("saturated-critical", True)
 

@@ -138,20 +138,19 @@ def _check_degree_bound(g: Bigraph, args: argparse.Namespace) -> Verdict:
     return Verdict("degree-bound", report.within_bound, report.to_json_obj())
 
 
-def _budgets(args: argparse.Namespace) -> dict:
-    return {"budget_subsets": args.budget_subsets, "budget_nodes": args.budget_nodes}
-
-
 _SUBSETS = ("budget-subsets",)
-_BOTH = ("budget-subsets", "budget-nodes")
+_NODES = ("budget-nodes",)
 
 # property -> (the flags its handler reads beyond -i -o --strict, handler)
 _CHECKS = {
     "dhp": (_SUBSETS, lambda g, args: check_dhp(g, budget=args.budget_subsets)),
     "snp": (_SUBSETS, lambda g, args: check_snp(g, budget=args.budget_subsets)),
-    "supercyclic": (_BOTH, lambda g, args: check_supercyclic(g, **_budgets(args))),
-    "critical": (_BOTH, lambda g, args: check_critical(g, **_budgets(args))),
-    "saturated-critical": (_BOTH, lambda g, args: check_saturated_critical(g, **_budgets(args))),
+    "supercyclic": (_NODES, lambda g, args: check_supercyclic(g, budget=args.budget_nodes)),
+    "critical": (_NODES, lambda g, args: check_critical(g, budget=args.budget_nodes)),
+    "saturated-critical": (
+        _NODES,
+        lambda g, args: check_saturated_critical(g, budget=args.budget_nodes),
+    ),
     "snp-minimal": (_SUBSETS, lambda g, args: check_snp_minimal(g, budget=args.budget_subsets)),
     "design": ((), _check_design),
     "degree-bound": ((), _check_degree_bound),
@@ -243,31 +242,33 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return 0 if witness is not None else 1
 
 
+def _build_biplane(args: argparse.Namespace) -> Bigraph:
+    if (args.order is None) == (args.import_file is None):
+        raise DomainError("construct biplane needs exactly one of --order or --import")
+    if args.order is not None:
+        return builtin_biplane(args.order)
+    return design_to_bigraph(import_design(_read_text(args.import_file)))
+
+
+def _build_power(args: argparse.Namespace) -> Bigraph:
+    g = iterated_product(_load_graph(args, args.graph), args.k)
+    print("# growth: " + json.dumps(growth_report(g), sort_keys=True), file=sys.stderr)
+    return g
+
+
+# generator -> build(args)
+_CONSTRUCTS = {
+    "pair-gadget": lambda args: pair_gadget(args.n),
+    "biplane": _build_biplane,
+    "product": lambda args: bipartite_product(
+        _load_graph(args, args.left), _load_graph(args, args.right)
+    ),
+    "power": _build_power,
+}
+
+
 def cmd_construct(args: argparse.Namespace) -> int:
-    if args.generator == "pair-gadget":
-        g = pair_gadget(args.n)
-    elif args.generator == "biplane":
-        if (args.order is None) == (args.import_file is None):
-            raise DomainError(
-                "construct biplane needs exactly one of --order or --import"
-            )
-        if args.order is not None:
-            g = builtin_biplane(args.order)
-        else:
-            g = design_to_bigraph(import_design(_read_text(args.import_file)))
-    elif args.generator == "product":
-        a = _load_graph(args, args.left)
-        b = _load_graph(args, args.right)
-        g = bipartite_product(a, b)
-    else:  # power
-        base = _load_graph(args, args.graph)
-        g = iterated_product(base, args.k)
-        report = growth_report(g)
-        print(
-            "# growth: " + json.dumps(report, sort_keys=True),
-            file=sys.stderr,
-        )
-    return _emit_graph(args, g)
+    return _emit_graph(args, _CONSTRUCTS[args.generator](args))
 
 
 def cmd_random(args: argparse.Namespace) -> int:
@@ -382,7 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="search for a covering cycle witness")
     solve_sub = p_solve.add_subparsers(dest="mode", required=True)
     for name, (flags, _) in _SOLVERS.items():
-        leaf = _leaf_parser(solve_sub, name, ("input", "output", "strict", "budget-nodes") + flags)
+        leaf = _leaf_parser(solve_sub, name, ("input", "output", "strict") + _NODES + flags)
         leaf.set_defaults(func=cmd_solve)
 
     p_con = sub.add_parser("construct", help="generate a structured graph")

@@ -19,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .core import Bigraph, bipartite_complement, bit_list
+from .core import Bigraph, bipartite_complement, bit_list, check_side_limit
 from .errors import (
     ConstructionError,
     DesignImportError,
@@ -45,7 +45,9 @@ __all__ = [
     "pad_with_universal",
 ]
 
-PRODUCT_SIDE_LIMIT = 1 << 20
+# Cap on nx * ny of a product: at most 128 MiB of row bitsets each way;
+# biplane(3)^4 (14641 per side) is admitted, biplane(3)^5 is not.
+PRODUCT_CELL_LIMIT = 1 << 30
 
 BUILTIN_BIPLANE_ORDERS = (0, 1, 2, 3)
 
@@ -291,6 +293,14 @@ def design_to_bigraph(spec: DesignSpec) -> Bigraph:
     return Bigraph(spec.v, len(spec.blocks), tuple(rows))
 
 
+def _check_product_size(nx: int, ny: int) -> None:
+    check_side_limit(nx, ny, "product")
+    if nx * ny > PRODUCT_CELL_LIMIT:
+        raise ResourceLimitError(
+            f"product of {nx} x {ny} exceeds the limit of {PRODUCT_CELL_LIMIT} cells"
+        )
+
+
 def bipartite_product(g: Bigraph, h: Bigraph) -> Bigraph:
     """The product on X_g x X_h and Y_g x Y_h where (x, x') ~ (y, y') iff
     both coordinate edges exist.  Indices are row-major: (i, i') becomes
@@ -299,10 +309,7 @@ def bipartite_product(g: Bigraph, h: Bigraph) -> Bigraph:
     """
     new_nx = g.nx * h.nx
     new_ny = g.ny * h.ny
-    if new_nx > PRODUCT_SIDE_LIMIT or new_ny > PRODUCT_SIDE_LIMIT:
-        raise ResourceLimitError(
-            f"product side {max(new_nx, new_ny)} exceeds limit {PRODUCT_SIDE_LIMIT}"
-        )
+    _check_product_size(new_nx, new_ny)
     rows = []
     for i in range(g.nx):
         g_row = g.adj_x[i]
@@ -320,9 +327,12 @@ def bipartite_product(g: Bigraph, h: Bigraph) -> Bigraph:
 
 
 def iterated_product(g: Bigraph, k: int) -> Bigraph:
-    """The k-fold bipartite product of ``g`` with itself (k >= 1)."""
+    """The k-fold bipartite product of ``g`` with itself (k >= 1).  The size
+    of every power is checked before the first one is built."""
     if k < 1:
         raise DomainError(f"iterated product needs k >= 1, got {k}")
+    for j in range(2, k + 1):
+        _check_product_size(g.nx**j, g.ny**j)
     out = g
     for _ in range(k - 1):
         out = bipartite_product(out, g)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Literal
 
-from .errors import DomainError, GraphInputError, WitnessError
+from .errors import DomainError, GraphInputError, ResourceLimitError, WitnessError
 
 __all__ = [
     "Side",
@@ -31,12 +31,23 @@ __all__ = [
     "induced_subgraph",
     "bipartite_complement",
     "is_two_connected",
+    "SIDE_LIMIT",
 ]
 
 Side = Literal["X", "Y"]
 
 X_SIDE: Side = "X"
 Y_SIDE: Side = "Y"
+
+# Cap on the vertices per side of a graph read from a file or built as a
+# product.  A graph costs about 16 bytes per declared vertex before its
+# first edge, so a larger side raises ResourceLimitError instead of an OOM.
+SIDE_LIMIT = 1 << 20
+
+
+def check_side_limit(nx: int, ny: int, what: str) -> None:
+    if nx > SIDE_LIMIT or ny > SIDE_LIMIT:
+        raise ResourceLimitError(f"{what} side {max(nx, ny)} exceeds limit {SIDE_LIMIT}")
 
 
 def mask_of(indices: Iterable[int]) -> int:
@@ -492,11 +503,7 @@ class CycleWitness:
         return CycleWitness(tuple(best[0::2]), tuple(best[1::2]))
 
     def to_json_obj(self) -> dict:
-        out = []
-        for x, y in zip(self.xs, self.ys):
-            out.append(["x", x])
-            out.append(["y", y])
-        return {"cycle": out}
+        return {"cycle": [[side.lower(), i] for side, i in self.vertices()]}
 
 
 @dataclass(frozen=True, slots=True)

@@ -51,8 +51,8 @@ class BudgetExceededError(DhpError, RuntimeError):
 
 class ContractViolationError(DhpError, RuntimeError):
     """An internal guarantee failed; under the stated preconditions this
-    should be impossible, so it indicates a bug or an unverified caller
-    assertion (for example passing a non-dHp graph with verification off)."""
+    should be impossible, so it indicates a bug (for example a cycle the
+    solver built that fails its own validation), never bad input."""
 
 
 class ConstructionError(DhpError, ValueError):

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .core import Bigraph
+from .core import Bigraph, check_side_limit
 from .errors import ParseError
 
 __all__ = [
@@ -52,6 +52,7 @@ def parse_bigraph(text: str, strict: bool = False) -> Bigraph:
                 raise ParseError(lineno, "header sizes must be integers") from None
             if nx < 0 or ny < 0:
                 raise ParseError(lineno, "vertex counts must be non-negative")
+            check_side_limit(nx, ny, "graph")
             header = (nx, ny)
             continue
         if len(tokens) != 2:
@@ -95,6 +96,7 @@ def bigraph_from_json_obj(obj: Any) -> Bigraph:
     nx, ny = obj["nx"], obj["ny"]
     if not (isinstance(nx, int) and isinstance(ny, int)) or isinstance(nx, bool) or isinstance(ny, bool):
         raise ParseError(1, "nx and ny must be integers")
+    check_side_limit(nx, ny, "graph")
     edges = obj["edges"]
     if not isinstance(edges, list):
         raise ParseError(1, "edges must be a list of [i, j] pairs")

@@ -188,6 +188,8 @@ def threshold_p(n: int, c: float, kind: str = "dhp") -> ThresholdParams:
         raise DomainError(f"unknown threshold kind {kind!r}")
     if n < 3:
         raise DomainError(f"threshold formula needs n >= 3, got {n}")
+    if not math.isfinite(c):
+        raise DomainError(f"threshold offset must be finite, got {c}")
     base = math.log(n) + math.log(math.log(n)) + c
     if kind == "dhp":
         radicand = (base + math.log(n)) / n
@@ -334,12 +336,7 @@ class PoissonReport:
     table: tuple[dict, ...]
 
     def to_json_obj(self) -> dict:
-        return {
-            "rate": self.rate,
-            "n_samples": self.n_samples,
-            "tv": self.tv,
-            "table": list(self.table),
-        }
+        return {**asdict(self), "table": list(self.table)}
 
 
 def poisson_gof(samples: Sequence[int], rate: float) -> PoissonReport:
@@ -428,6 +425,8 @@ class SweepConfig:
             raise ConfigError("n_list is empty")
         if not self.c_list:
             raise ConfigError("c_list is empty")
+        if not all(math.isfinite(c) for c in self.c_list):
+            raise ConfigError(f"c values must be finite, got {list(self.c_list)}")
         if any(n < 3 for n in self.n_list):
             raise ConfigError("all n values must be >= 3 (threshold formula)")
         for n in self.n_list:
@@ -481,24 +480,12 @@ class TrialRecord:
         return self.n0 + self.n1
 
     def to_json_obj(self) -> dict:
-        return {
-            "seed": self.seed,
-            "n": self.n,
-            "c": self.c,
-            "p": self.p,
-            "n0": self.n0,
-            "n1": self.n1,
-            "n_bad": self.n_bad,
-            "pair_ok": self.pair_ok,
-            "max_degree": self.max_degree,
-            "obstacle3": None
-            if self.obstacle3 is None
-            else self.obstacle3.to_json_obj(),
-            "surrogate_dhp": self.surrogate,
-            "exact_dhp": self.exact_dhp,
-            "hamiltonian": self.hamiltonian,
-            "maxdeg_ratio": self.maxdeg_ratio,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["n_bad"] = self.n_bad
+        out["surrogate_dhp"] = out.pop("surrogate")
+        if self.obstacle3 is not None:
+            out["obstacle3"] = self.obstacle3.to_json_obj()
+        return out
 
 
 def _run_trial(task: tuple, grid: "np.ndarray | None" = None) -> TrialRecord:

@@ -121,15 +121,18 @@ def two_connected_bruteforce(g: Bigraph, xs: set[int], ys: set[int]) -> bool:
     return connected_without(None) and all(connected_without(v) for v in verts)
 
 
+def first_snp_violator(g: Bigraph):
+    """First S with |S| >= 3, in (size, lex) order, that has fewer than |S|
+    twice-seen Y-vertices or whose touched subgraph is not 2-connected."""
+    for s in subsets_of_size_at_least(range(g.nx), 3):
+        t = lambda2(g, s)
+        if len(t) < len(s) or not two_connected_bruteforce(g, set(s), t):
+            return s
+    return None
+
+
 def snp_bruteforce(g: Bigraph) -> bool:
-    for k in range(3, g.nx + 1):
-        for s in itertools.combinations(range(g.nx), k):
-            t = lambda2(g, s)
-            if len(t) < k:
-                return False
-            if not two_connected_bruteforce(g, set(s), t):
-                return False
-    return True
+    return first_snp_violator(g) is None
 
 
 def _distinct_choice(sets: list[set[int]]) -> bool:
@@ -175,12 +178,60 @@ def hamiltonian_bruteforce(g: Bigraph) -> bool:
     return covering_cycle_exists(g, range(g.nx))
 
 
+def first_cycleless_set(g: Bigraph, has_cycle=covering_cycle_exists):
+    """First X-set of size >= 3, in (size, lex) order, with no cycle whose
+    X-vertices are exactly it.  ``has_cycle(g, xs)`` decides existence."""
+    for s in subsets_of_size_at_least(range(g.nx), 3):
+        if not has_cycle(g, s):
+            return s
+    return None
+
+
 def supercyclic_bruteforce(g: Bigraph) -> bool:
-    for k in range(3, g.nx + 1):
-        for s in itertools.combinations(range(g.nx), k):
-            if not covering_cycle_exists(g, s):
-                return False
-    return True
+    return first_cycleless_set(g) is None
+
+
+def critical_reference(g: Bigraph, has_cycle=covering_cycle_exists):
+    """The witness ``check_critical`` must report, or None when ``g`` is
+    critical, straight from the definition with clauses in order.
+
+    Clause 3 asks whether the restriction of ``g`` to each X-set C with
+    3 <= |C| < |X| (all of Y kept) is supercyclic, in (size, lex) order of
+    C.  A cycle whose X-vertices are exactly S within C lies inside that
+    restriction, so C fails when it contains a cycle-less set of ``g``.
+    """
+    s = first_snp_violator(g)
+    if s is not None:
+        return {"clause": 1, "detail": "not snp", "S": list(s)}
+    cycleless = [
+        set(s) for s in subsets_of_size_at_least(range(g.nx), 3) if not has_cycle(g, s)
+    ]
+    if not cycleless:
+        return {"clause": 1, "detail": "graph is supercyclic"}
+    unseen = sorted(set(range(g.ny)) - lambda2(g, range(g.nx)))
+    if unseen:
+        return {"clause": 2, "detail": "Y not fully seen twice", "T": unseen}
+    for k in range(3, g.nx):
+        for c in itertools.combinations(range(g.nx), k):
+            if any(s <= set(c) for s in cycleless):
+                return {"clause": 3, "detail": "proper restriction not supercyclic", "S": list(c)}
+    return None
+
+
+def saturated_critical_reference(g: Bigraph, has_cycle=covering_cycle_exists):
+    """The witness ``check_saturated_critical`` must report, or None: the
+    graph is critical and adding any one missing edge, in (x, y) order,
+    leaves no cycle-less X-set."""
+    inner = critical_reference(g, has_cycle)
+    if inner is not None:
+        return {"clause": "critical", "inner": inner}
+    for x in range(g.nx):
+        for y in sorted(set(range(g.ny)) - neighbors(g, x)):
+            h = Bigraph.from_edges(g.nx, g.ny, [*g.edges(), (x, y)])
+            s = first_cycleless_set(h, has_cycle)
+            if s is not None:
+                return {"clause": "augmentation", "x": x, "y": y, "S": list(s)}
+    return None
 
 
 def disjoint_cover_exists(g: Bigraph) -> bool:

@@ -39,6 +39,7 @@ from dhp import (
     sample_gnnp,
     threshold_p,
 )
+from dhp import cycles
 from dhp.checkers import LOOKAHEAD_TABLE_BITS
 
 
@@ -261,9 +262,10 @@ class TestSupercyclic:
     @settings(deadline=None)
     def test_matches_oracle(self, g: Bigraph) -> None:
         v = check_supercyclic(g)
-        assert v.holds == oracles.supercyclic_bruteforce(g)
+        first = oracles.first_cycleless_set(g)
+        assert v.holds == (first is None)
         if not v.holds:
-            assert not oracles.covering_cycle_exists(g, v.witness["S"])
+            assert v.witness["S"] == list(first)
 
     def test_small_x_rejected(self) -> None:
         with pytest.raises(DomainError):
@@ -294,7 +296,85 @@ class TestTheoryImplications:
         assert check_supercyclic(g).holds
 
 
+def _block_cycles(monkeypatch, blocked: set[tuple[Bigraph, frozenset[int]]]):
+    """Make the cycle engine report no cycle through exactly S in graph H
+    for each (H, S) in ``blocked``, and return the matching existence test
+    for the references.  No critical graph is known, so this is the only
+    way to reach the later clauses of the criticality checks."""
+    real = cycles.find_cycle_covering
+
+    def patched(g, xs, exact_x=True, *, budget=None):
+        if exact_x and (g, frozenset(xs.indices)) in blocked:
+            return None
+        return real(g, xs, exact_x, budget=budget)
+
+    monkeypatch.setattr(cycles, "find_cycle_covering", patched)
+    return lambda g, s: (g, frozenset(s)) not in blocked and oracles.covering_cycle_exists(g, s)
+
+
+def _first_missing_edge(g: Bigraph) -> tuple[int, int]:
+    return next((x, y) for x in range(g.nx) for y in range(g.ny) if not g.has_edge(x, y))
+
+
 class TestCriticalFamily:
+    @given(bigraphs(min_nx=3, max_nx=4, max_ny=4))
+    @settings(deadline=None)
+    def test_critical_matches_reference(self, g: Bigraph) -> None:
+        assert check_critical(g).witness == oracles.critical_reference(g)
+        assert check_saturated_critical(g).witness == oracles.saturated_critical_reference(g)
+
+    @pytest.mark.parametrize(
+        "make, blocks, clause",
+        [
+            # all of X cycle-less, every proper set fine: critical, saturated
+            (lambda: builtin_biplane(1), lambda g: [(g, range(4))], None),
+            # ... and the first augmented graph stays without a spanning cycle
+            (
+                lambda: builtin_biplane(1),
+                lambda g: [(g, range(4)), (g.with_edge(*_first_missing_edge(g)), range(4))],
+                "augmentation",
+            ),
+            # a Y-vertex seen once
+            (
+                lambda: Bigraph(4, 5, tuple(builtin_biplane(1).adj_x)).with_edge(0, 4),
+                lambda g: [(g, range(4))],
+                2,
+            ),
+            # a proper cycle-less set
+            (lambda: builtin_biplane(1), lambda g: [(g, (1, 2, 3))], 3),
+            (lambda: builtin_biplane(2), lambda g: [(g, (2, 4, 5, 6)), (g, (0, 1, 3, 6))], 3),
+            (lambda: builtin_biplane(2), lambda g: [(g, range(7)), (g, (1, 2, 3, 4, 5))], 3),
+            (lambda: builtin_biplane(2), lambda g: [(g, range(7))], None),
+        ],
+    )
+    def test_blocked_cycles_match_reference(self, make, blocks, clause, monkeypatch) -> None:
+        g = make()
+        assert check_snp(g).holds
+        blocked = {(h, frozenset(s)) for h, s in blocks(g)}
+        has_cycle = _block_cycles(monkeypatch, blocked)
+        crit = check_critical(g)
+        sat = check_saturated_critical(g)
+        assert crit.witness == oracles.critical_reference(g, has_cycle)
+        assert sat.witness == oracles.saturated_critical_reference(g, has_cycle)
+        if clause is None:
+            assert crit.holds and sat.holds
+        elif clause == "augmentation":
+            assert crit.holds and sat.witness["clause"] == "augmentation"
+        else:
+            assert crit.witness["clause"] == clause
+            assert sat.witness == {"clause": "critical", "inner": crit.witness}
+
+    def test_one_node_budget_pays_for_scan_and_search(self) -> None:
+        g = builtin_biplane(1)
+        for check in (check_supercyclic, check_critical, check_saturated_critical):
+            b = WorkBudget(10**6, "node")
+            check(g, budget=b)
+            assert 0 < b.remaining < 10**6
+            with pytest.raises(BudgetExceededError, match="node budget"):
+                check(g, budget=3)
+            with pytest.raises(TypeError):
+                check(g, budget_subsets=10)
+
     def test_supercyclic_graph_is_not_critical(self) -> None:
         v = check_critical(builtin_biplane(1))
         assert not v.holds

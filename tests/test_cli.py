@@ -118,6 +118,12 @@ class TestCheck:
             main(["check", "frobnitz"])
         assert exc.value.code == 2
 
+    def test_oversized_header_exits_two(self, capsys, monkeypatch) -> None:
+        monkeypatch.setattr("sys.stdin", io.StringIO("bigraph 1048577 1\n"))
+        code, out, err = run_cli(["fmt"], capsys)
+        assert code == 2 and out == ""
+        assert "exceeds limit" in err
+
     def test_reads_stdin_by_default(self, capsys, monkeypatch) -> None:
         monkeypatch.setattr(
             "sys.stdin", io.StringIO(serialize_bigraph(Bigraph.complete(2, 2)))
@@ -453,6 +459,15 @@ class TestRandom:
         assert code == 2
         assert "zeta" in err
 
+    @pytest.mark.parametrize("c", ["nan", "inf"])
+    def test_non_finite_offset_exits_two(self, c, capsys) -> None:
+        code, out, err = run_cli(
+            ["random", "sweep", "--n-list", "10", "--c-list", "0", c, "--trials", "2"],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert "finite" in err
+
     def test_exact_measure_size_guard(self, capsys) -> None:
         code, _, err = run_cli(
             [
@@ -509,9 +524,9 @@ class TestFlags:
                 for prop, budgets in [
                     ("snp", {"budget_subsets"}),
                     ("snp-minimal", {"budget_subsets"}),
-                    ("supercyclic", {"budget_subsets", "budget_nodes"}),
-                    ("critical", {"budget_subsets", "budget_nodes"}),
-                    ("saturated-critical", {"budget_subsets", "budget_nodes"}),
+                    ("supercyclic", {"budget_nodes"}),
+                    ("critical", {"budget_nodes"}),
+                    ("saturated-critical", {"budget_nodes"}),
                     ("design", set()),
                     ("degree-bound", set()),
                 ]
@@ -544,6 +559,8 @@ class TestFlags:
         [
             ["check", "dhp", "--budget-nodes", "5"],
             ["check", "design", "--budget-subsets", "5"],
+            ["check", "supercyclic", "--budget-subsets", "5"],
+            ["check", "critical", "--budget-subsets", "5"],
             ["solve", "cycle-cover", "--k", "3"],
             ["check", "-i", "graph.txt", "dhp"],
         ],

@@ -186,6 +186,29 @@ class TestProduct:
         with pytest.raises(ResourceLimitError):
             bipartite_product(wide, wide)
 
+    def test_cell_guard_checks_every_power_before_building(self) -> None:
+        import tracemalloc
+
+        b3 = builtin_biplane(3)
+        wide = Bigraph.empty(1 << 10, 1 << 10)
+        tracemalloc.start()
+        try:
+            # 161051 per side passes the side cap; the cell count does not
+            with pytest.raises(ResourceLimitError, match="cells"):
+                iterated_product(b3, 5)
+            with pytest.raises(ResourceLimitError, match="cells"):
+                bipartite_product(wide, wide)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_cell_guard_admits_a_fourth_power_of_order_three_size(self) -> None:
+        # biplane(3)^4 has 14641 vertices per side; an empty graph of that
+        # shape is cheap to build
+        g = iterated_product(Bigraph.empty(11, 11), 4)
+        assert (g.nx, g.ny, g.num_edges) == (14641, 14641, 0)
+
     def test_iterated_product(self) -> None:
         cube = builtin_biplane(1)
         assert iterated_product(cube, 1) == cube

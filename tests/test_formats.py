@@ -12,8 +12,10 @@ except ModuleNotFoundError:
 from strategies import bigraphs
 
 from dhp import (
+    SIDE_LIMIT,
     Bigraph,
     ParseError,
+    ResourceLimitError,
     load_bigraph,
     parse_bigraph,
     parse_bigraph_json,
@@ -93,6 +95,33 @@ def test_json_errors() -> None:
         with pytest.raises(ParseError) as exc:
             parse_bigraph_json(text)
         assert phrase in exc.value.message, text
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        f"bigraph {SIDE_LIMIT + 1} 1\n",
+        f"bigraph 1 {SIDE_LIMIT + 1}\n0 0\n",
+        f'{{"nx": {SIDE_LIMIT + 1}, "ny": 1, "edges": []}}',
+        f'{{"nx": 1, "ny": {10**9}, "edges": [[0, 0]]}}',
+    ],
+)
+def test_oversized_side_rejected_before_allocating(text: str) -> None:
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            load_bigraph(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_side_limit_admits_its_own_size() -> None:
+    g = parse_bigraph(f"bigraph 1 {SIDE_LIMIT}\n0 {SIDE_LIMIT - 1}\n")
+    assert g.ny == SIDE_LIMIT and g.has_edge(0, SIDE_LIMIT - 1)
 
 
 def test_json_tolerates_extra_keys() -> None:

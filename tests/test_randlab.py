@@ -111,6 +111,14 @@ class TestThreshold:
         with pytest.raises(DomainError):
             threshold_p(10, 0.0, kind="weird")
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_non_finite_offset_rejected(self, c: float) -> None:
+        for kind in ("dhp", "hamiltonian"):
+            with pytest.raises(DomainError):
+                threshold_p(300, c, kind=kind)
+        with pytest.raises(ConfigError):
+            SweepConfig((300,), (0.0, c), 1, 0).validate()
+
 
 class TestPairScan:
     def test_complete_pairs_are_clean(self) -> None:
