@@ -114,6 +114,7 @@ def pair_gadget(n: int) -> Bigraph:
     ny = n(n-1), X-degrees 2(n-1), Y-degrees 2."""
     if n < 2:
         raise DomainError(f"pair gadget needs n >= 2, got {n}")
+    check_side_limit(n, n * (n - 1), "pair gadget")
     rows = [0] * n
     y = 0
     for i, j in itertools.combinations(range(n), 2):

@@ -45,12 +45,14 @@ from .errors import (
     ContractViolationError,
     DomainError,
     GraphInputError,
+    ResourceLimitError,
     WitnessError,
 )
 
 logger = logging.getLogger(__name__)
 
 __all__ = [
+    "CYCLE_TARGET_LIMIT",
     "MatchingInstance",
     "max_matching",
     "hall_violator",
@@ -61,6 +63,11 @@ __all__ = [
     "solve_high_degree",
     "solve_degree_split",
 ]
+
+# Cap on the X-vertices of one exact covering-cycle search.  The search
+# recurses once per target and its augmenting path once per slot, so a
+# larger search could overflow Python's default recursion limit of 1000.
+CYCLE_TARGET_LIMIT = 384
 
 
 # -- checks shared by the searches and solvers --------------------------------
@@ -189,70 +196,74 @@ def _search_exact_cycle(
     Canonical order: the smallest target anchors the cycle, candidates are
     tried in increasing index order, and the anchor's successor is kept
     smaller than its predecessor so each cycle is visited in one direction
-    only.
+    only.  Each node spends one unit; each pair takes its Y-vertex by
+    Kuhn's step as ``_augment`` would, and backtracking pops an undo log.
     """
     m = len(targets)
+    if m > CYCLE_TARGET_LIMIT:
+        raise ResourceLimitError(f"cycle search capped at {CYCLE_TARGET_LIMIT} targets, got {m}")
     adj = g.adj_x
     if any(adj[x].bit_count() < 2 for x in targets):
         return None
-    if g.ny == m:
-        # such a cycle would pass through every Y-vertex
-        if any(row.bit_count() < 2 for row in g.adj_y):
-            return None
-        if m == g.nx and not is_two_connected(g):
-            return None
+    if g.ny == m and (  # such a cycle would pass through every Y-vertex
+        any(row.bit_count() < 2 for row in g.adj_y) or (m == g.nx and not is_two_connected(g))
+    ):
+        return None
 
-    order = [targets[0]]
-    rest = targets[1:]
-    used = [False] * len(rest)
-    slot_y: list[int | None] = [None] * m
-    y_slot: dict[int, int] = {}
-    avail: list[int] = [0] * m
+    # the search runs on positions in ``targets``; slot i joins order[i] to its successor
+    common = [[adj[a] & adj[b] for b in targets] for a in targets]
+    meets = [mask_of(j for j, c in enumerate(row) if c) for row in common]
+    unused, order, avail, seen = (1 << m) - 2, [0], [0] * m, 0
+    y_slot = [-1] * g.ny  # slot matched to each Y-vertex, -1 when free
+    undo: list[tuple[int, int]] = []  # (y, previous y_slot[y])
 
-    def restore(snapshot: tuple[list[int | None], dict[int, int]]) -> None:
-        slot_y[:] = snapshot[0]
-        y_slot.clear()
-        y_slot.update(snapshot[1])
-
-    result: list[CycleWitness] = []
-
-    def extend(depth: int) -> bool:
-        budget.spend()
-        if depth == m:
-            mask = adj[order[-1]] & adj[order[0]]
-            if mask == 0:
-                return False
-            snapshot = (slot_y[:], dict(y_slot))
-            avail[m - 1] = mask
-            if _augment(avail, m - 1, slot_y, y_slot, [0]):
-                result.append(CycleWitness(tuple(order), tuple(slot_y)))
+    def augment(s: int) -> bool:
+        nonlocal seen
+        c = avail[s] & ~seen
+        while c:
+            low = c & -c
+            c ^= low
+            seen |= low
+            y = low.bit_length() - 1
+            holder = y_slot[y]
+            if holder < 0 or augment(holder):
+                undo.append((y, holder))
+                y_slot[y] = s
                 return True
-            restore(snapshot)
-            return False
-        for idx in range(len(rest)):
-            if used[idx]:
-                continue
-            cand = rest[idx]
-            if depth == m - 1 and m >= 3 and cand < order[1]:
-                continue  # mirror image of an ordering already tried
-            mask = adj[order[-1]] & adj[cand]
-            if mask == 0:
-                continue
-            snapshot = (slot_y[:], dict(y_slot))
-            avail[depth - 1] = mask
-            if _augment(avail, depth - 1, slot_y, y_slot, [0]):
-                used[idx] = True
-                order.append(cand)
-                if extend(depth + 1):
-                    return True
-                order.pop()
-                used[idx] = False
-            restore(snapshot)
         return False
 
-    if extend(1):
-        return _checked(result[0].canonical(), g)
-    return None
+    def extend(depth: int, last: int) -> bool:
+        nonlocal unused, seen
+        budget.spend()
+        c = (unused or 1) & meets[last]  # with every target placed, close at the anchor
+        row = common[last]
+        if depth == m - 1 and m >= 3:
+            c &= -1 << order[1]  # mirror image of an ordering already tried
+        while c:
+            low = c & -c
+            c ^= low
+            j = low.bit_length() - 1
+            avail[depth - 1] = row[j]
+            seen = 0
+            mark = len(undo)
+            if augment(depth - 1):
+                if depth == m:
+                    return True
+                unused ^= low
+                order.append(j)
+                if extend(depth + 1, j):
+                    return True
+                order.pop()
+                unused ^= low
+                while len(undo) > mark:
+                    y, holder = undo.pop()
+                    y_slot[y] = holder
+        return False
+
+    if not extend(1, 0):
+        return None
+    ys = sorted((y for y in range(g.ny) if y_slot[y] >= 0), key=y_slot.__getitem__)
+    return _checked(CycleWitness(tuple(targets[i] for i in order), tuple(ys)).canonical(), g)
 
 
 def find_cycle_covering(
@@ -309,30 +320,18 @@ def find_disjoint_cycle_cover(
     for i in range(n - 1, -1, -1):
         futures[i] = futures[i + 1] | adj[i]
 
-    cap = [2] * g.ny
-    avail_mask = (1 << g.ny) - 1
+    avail_mask = (1 << g.ny) - 1  # y's used at most once so far
     half_mask = 0  # y's used exactly once so far
     choice: list[tuple[int, int]] = [(0, 0)] * n
 
     def take(j: int) -> None:
         nonlocal avail_mask, half_mask
-        cap[j] -= 1
-        if cap[j] == 1:
-            half_mask |= 1 << j
-        else:
-            half_mask &= ~(1 << j)
-            avail_mask &= ~(1 << j)
-
-    def release(j: int) -> None:
-        nonlocal avail_mask, half_mask
-        cap[j] += 1
-        if cap[j] == 1:
-            half_mask |= 1 << j
-            avail_mask |= 1 << j
-        else:
-            half_mask &= ~(1 << j)
+        if half_mask >> j & 1:
+            avail_mask ^= 1 << j
+        half_mask ^= 1 << j
 
     def assign(i: int) -> bool:
+        nonlocal avail_mask, half_mask
         b.spend()
         if i == n:
             return half_mask == 0
@@ -343,12 +342,12 @@ def find_disjoint_cycle_cover(
             for bi in range(ai + 1, len(cands)):
                 j1, j2 = cands[ai], cands[bi]
                 choice[i] = (j1, j2)
+                saved = avail_mask, half_mask
                 take(j1)
                 take(j2)
                 if assign(i + 1):
                     return True
-                release(j2)
-                release(j1)
+                avail_mask, half_mask = saved
         return False
 
     if not assign(0):

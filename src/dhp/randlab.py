@@ -346,8 +346,8 @@ def poisson_gof(samples: Sequence[int], rate: float) -> PoissonReport:
     n = len(samples)
     if n < 100:
         raise DomainError(f"need at least 100 samples, got {n}")
-    if rate < 0:
-        raise DomainError("rate must be non-negative")
+    if not (math.isfinite(rate) and rate >= 0):
+        raise DomainError(f"rate must be finite and non-negative, got {rate}")
     counts: dict[int, int] = {}
     for s in samples:
         counts[s] = counts.get(s, 0) + 1

@@ -94,6 +94,82 @@ def prefix_scan_reference(g: Bigraph, k_max: int):
     return None, set(), units
 
 
+def exact_cycle_search_reference(g: Bigraph, targets: list[int], budget):
+    """``cycles._search_exact_cycle`` as it stood before its undo-log
+    rewrite, kept as the reference for the cycle it returns (X-order and
+    Y-vertices) and for its node count, one ``budget.spend()`` per node.
+
+    Like ``prefix_scan_reference`` it is the library's algorithm, not a
+    brute force: it shares the matching step ``cycles._augment`` and the
+    output check ``cycles._checked`` with the code under test.
+    """
+    from dhp.core import CycleWitness, is_two_connected
+    from dhp.cycles import _augment, _checked
+
+    m = len(targets)
+    adj = g.adj_x
+    if any(adj[x].bit_count() < 2 for x in targets):
+        return None
+    if g.ny == m:
+        # such a cycle would pass through every Y-vertex
+        if any(row.bit_count() < 2 for row in g.adj_y):
+            return None
+        if m == g.nx and not is_two_connected(g):
+            return None
+
+    order = [targets[0]]
+    rest = targets[1:]
+    used = [False] * len(rest)
+    slot_y: list[int | None] = [None] * m
+    y_slot: dict[int, int] = {}
+    avail: list[int] = [0] * m
+
+    def restore(snapshot: tuple[list[int | None], dict[int, int]]) -> None:
+        slot_y[:] = snapshot[0]
+        y_slot.clear()
+        y_slot.update(snapshot[1])
+
+    result: list[CycleWitness] = []
+
+    def extend(depth: int) -> bool:
+        budget.spend()
+        if depth == m:
+            mask = adj[order[-1]] & adj[order[0]]
+            if mask == 0:
+                return False
+            snapshot = (slot_y[:], dict(y_slot))
+            avail[m - 1] = mask
+            if _augment(avail, m - 1, slot_y, y_slot, [0]):
+                result.append(CycleWitness(tuple(order), tuple(slot_y)))
+                return True
+            restore(snapshot)
+            return False
+        for idx in range(len(rest)):
+            if used[idx]:
+                continue
+            cand = rest[idx]
+            if depth == m - 1 and m >= 3 and cand < order[1]:
+                continue  # mirror image of an ordering already tried
+            mask = adj[order[-1]] & adj[cand]
+            if mask == 0:
+                continue
+            snapshot = (slot_y[:], dict(y_slot))
+            avail[depth - 1] = mask
+            if _augment(avail, depth - 1, slot_y, y_slot, [0]):
+                used[idx] = True
+                order.append(cand)
+                if extend(depth + 1):
+                    return True
+                order.pop()
+                used[idx] = False
+            restore(snapshot)
+        return False
+
+    if extend(1):
+        return _checked(result[0].canonical(), g)
+    return None
+
+
 def two_connected_bruteforce(g: Bigraph, xs: set[int], ys: set[int]) -> bool:
     """2-connectivity of the induced subgraph, by deleting each vertex."""
     verts = [("X", i) for i in sorted(xs)] + [("Y", j) for j in sorted(ys)]

@@ -147,6 +147,12 @@ class TestSolve:
             ("x", i) for i in range(4)
         }
 
+    def test_cover_cycle_past_the_target_cap_exits_two(self, tmp_path, capsys) -> None:
+        path = write_graph(tmp_path, "k500.txt", Bigraph.complete(500, 500))
+        code, _, err = run_cli(["solve", "cover-cycle", "-i", path, "--xs", "all"], capsys)
+        assert code == 2
+        assert "capped at 384" in err
+
     def test_cover_cycle_subset_and_superset(self, tmp_path, capsys) -> None:
         # x2 has degree one, so an exact cycle on {x0, x2} cannot exist
         # but nothing blocks the pair {x0, x1}

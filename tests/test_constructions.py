@@ -60,6 +60,19 @@ class TestPairGadget:
         with pytest.raises(DomainError):
             pair_gadget(1)
 
+    def test_side_cap_checked_before_building(self) -> None:
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            # 1025 * 1024 Y-vertices is just past SIDE_LIMIT = 2**20
+            with pytest.raises(ResourceLimitError):
+                pair_gadget(1025)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 class TestBiplanes:
     def test_builtin_sizes_and_regularity(self) -> None:

@@ -23,11 +23,13 @@ from dhp import (
     GraphInputError,
     MatchingInstance,
     PathWitness,
+    ResourceLimitError,
     VertexSet,
     WorkBudget,
     X_SIDE,
     Y_SIDE,
     absorb_virtual_edge,
+    builtin_biplane,
     check_dhp,
     find_cycle_covering,
     find_disjoint_cycle_cover,
@@ -35,10 +37,18 @@ from dhp import (
     max_matching,
     pair_gadget,
     rotate_path_to_cycle,
+    sample_gnnp,
     solve_degree_split,
     solve_high_degree,
+    threshold_p,
 )
-from dhp.cycles import _min_path_cover_exact, _min_path_cover_greedy, _yy_path_system
+from dhp.cycles import (
+    CYCLE_TARGET_LIMIT,
+    _min_path_cover_exact,
+    _min_path_cover_greedy,
+    _search_exact_cycle,
+    _yy_path_system,
+)
 
 
 def _two_path_instance() -> Bigraph:
@@ -144,6 +154,104 @@ class TestFindCycleCovering:
         g = Bigraph.complete(6, 6)
         with pytest.raises(BudgetExceededError):
             find_cycle_covering(g, g.full_x(), budget=3)
+
+
+def _ham_sample(n: int, c: float, seed: int) -> Bigraph:
+    return sample_gnnp(n, threshold_p(n, c, "hamiltonian").p, seed)
+
+
+# Whole-X searches pinned from the search before its undo-log rewrite:
+# (graph, nodes spent, cycle X-order, cycle Y-vertices).
+PINNED_CYCLE_SEARCHES = {
+    "K(6,6)": (
+        lambda: Bigraph.complete(6, 6), 6, (0, 5, 4, 3, 2, 1), (0, 1, 2, 3, 4, 5)
+    ),
+    "builtin_biplane(2)": (
+        lambda: builtin_biplane(2), 7, (0, 6, 5, 4, 3, 2, 1), (0, 6, 5, 4, 3, 2, 1)
+    ),
+    "builtin_biplane(3)": (
+        lambda: builtin_biplane(3),
+        11,
+        (0, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1),
+        (6, 5, 4, 3, 2, 1, 0, 10, 9, 8, 7),
+    ),
+    "ham n=14 c=0 seed 28": (
+        lambda: _ham_sample(14, 0.0, 28),
+        861,
+        (0, 12, 7, 10, 13, 9, 11, 4, 6, 8, 2, 5, 3, 1),
+        (4, 12, 2, 8, 5, 10, 0, 1, 3, 7, 6, 13, 11, 9),
+    ),
+    "ham n=14 c=0 seed 34": (
+        lambda: _ham_sample(14, 0.0, 34),
+        2207,
+        (0, 1, 2, 3, 8, 12, 11, 6, 13, 10, 4, 9, 7, 5),
+        (3, 9, 5, 7, 13, 11, 12, 2, 1, 4, 6, 10, 0, 8),
+    ),
+}
+
+
+def _capped_search(search, g: Bigraph, targets: list[int], cap: int):
+    """(cycle as (xs, ys) or None, nodes spent), or "exhausted"."""
+    b = WorkBudget(cap, "node")
+    try:
+        cyc = search(g, targets, b)
+    except BudgetExceededError:
+        return "exhausted"
+    return (None if cyc is None else (cyc.xs, cyc.ys)), cap - b.remaining
+
+
+class TestExactCycleSearch:
+    """The undo-log search keeps the reference search's canonical order:
+    same cycle, same Y-vertices, same node count, so a capped search runs
+    out at the same node."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED_CYCLE_SEARCHES))
+    def test_pinned_searches(self, name: str) -> None:
+        build, nodes, xs, ys = PINNED_CYCLE_SEARCHES[name]
+        g = build()
+        targets = list(range(g.nx))
+        assert _capped_search(_search_exact_cycle, g, targets, 10**6) == ((xs, ys), nodes)
+        assert _capped_search(_search_exact_cycle, g, targets, nodes - 1) == "exhausted"
+
+    def test_matches_reference_search(self) -> None:
+        rng = random.Random(4002)
+        found = 0
+        for _ in range(1000):
+            nx = rng.randrange(2, 9)
+            ny = rng.randrange(2, 11)
+            g = genutil.rand_bigraph(rng, nx, ny, rng.choice((0.3, 0.5, 0.7, 0.9)))
+            if rng.random() < 0.5:
+                targets = list(range(nx))
+            else:
+                targets = sorted(rng.sample(range(nx), rng.randrange(2, nx + 1)))
+            ref = _capped_search(oracles.exact_cycle_search_reference, g, targets, 10**6)
+            assert _capped_search(_search_exact_cycle, g, targets, 10**6) == ref
+            units = ref[1]
+            if units:
+                for search in (oracles.exact_cycle_search_reference, _search_exact_cycle):
+                    assert _capped_search(search, g, targets, units - 1) == "exhausted"
+                    assert _capped_search(search, g, targets, units) == ref
+            found += ref[0] is not None
+        assert 300 <= found <= 700
+
+    def test_target_cap_rejects_a_larger_search(self) -> None:
+        g = Bigraph.complete(500, 500)  # raised RecursionError before the cap
+        with pytest.raises(ResourceLimitError):
+            find_cycle_covering(g, g.full_x())
+
+    def test_target_cap_admits_its_own_size(self) -> None:
+        g = Bigraph.complete(CYCLE_TARGET_LIMIT, CYCLE_TARGET_LIMIT)
+        cyc = find_cycle_covering(g, g.full_x())
+        assert cyc is not None and len(cyc.xs) == CYCLE_TARGET_LIMIT
+        cyc.validate(g)
+
+    def test_target_cap_applies_to_each_superset(self) -> None:
+        # x0 has one neighbour, so every set holding it fails before search;
+        # the first superset past the cap raises instead of searching
+        n = CYCLE_TARGET_LIMIT + 1
+        g = Bigraph(n, n, tuple([1] + [(1 << n) - 1] * (n - 1)))
+        with pytest.raises(ResourceLimitError):
+            find_cycle_covering(g, VertexSet.xs(range(n - 1)), exact_x=False)
 
 
 class TestDisjointCycleCover:

@@ -263,6 +263,11 @@ class TestPoissonGof:
         with pytest.raises(DomainError):
             poisson_gof([0] * 99, rate=1.0)
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -1.0])
+    def test_rate_must_be_finite_and_non_negative(self, rate: float) -> None:
+        with pytest.raises(DomainError):
+            poisson_gof([0] * 100, rate)
+
 
 class TestChernoff:
     def test_complete_graph_ratio(self) -> None:
