@@ -10,13 +10,22 @@ that provably cannot change the verdict or the witness: saturating bitmask
 counters, and skipping subtrees that can no longer produce a violation,
 either because the prefix already sees k Y-vertices twice or because the
 suffix-degree lookahead shows that every completion will.
+
+``check_dhp`` and ``find_minimal_obstacle`` share one level scan
+(``_scan_size``): each level of the prefix tree is a set of numpy arrays,
+expanded in bounded lex-ordered chunks, and it spends the units a
+depth-first scan with the same pruning would.  The budget is checked once
+per chunk, before the chunk is made.  Where the property holds, the scan
+runs out exactly when a depth-first scan would; on a failing graph it can
+run out under a cap the depth-first scan, stopping at the witness, would
+have met.  ``check_snp`` and ``check_supercyclic`` test every leaf, so
+they keep the depth-first scan (``_first_violation``).
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from .budget import NODE_BUDGET_DEFAULT, SUBSET_BUDGET_DEFAULT, WorkBudget, as_budget
 from .core import (
@@ -31,6 +40,11 @@ from .core import (
     neighborhood_at_least,
 )
 from .errors import ContractViolationError, DomainError, GraphInputError
+
+# numpy is imported where it is used, as in core: loaded here, ahead of the
+# rest of the package, it raised the peak memory of `import dhp` by 1.5 MB.
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Verdict",
@@ -118,73 +132,204 @@ class DegreeBoundReport:
 
 # -- subset scans ------------------------------------------------------------
 
-# Cap on the suffix-degree table, in bits of memory: each stored mask is
-# charged its full int object and list slot.  Past the cap only the lowest
-# layers are kept; a missing layer reads as 0, so the lookahead prunes less
-# but stays exact.
+# Cap on the suffix-degree table, in bits of memory.  The table takes at
+# most half of it, which leaves the other half to the level scan's arrays.
+# Past the cap only the lowest layers are kept; a missing layer reads as 0,
+# so the lookahead prunes less but stays exact.
 LOOKAHEAD_TABLE_BITS = 1 << 27
 
+# Mask words the level scan expands at once: a chunk holds at most
+# LEVEL_CHUNK_WORDS // words children, or one parent's children if that is
+# more, so a chunk's arrays take about 1 MiB whatever the size of the level.
+LEVEL_CHUNK_WORDS = 1 << 14
 
-def _suffix_degree_table(g: Bigraph) -> list[list[int]]:
-    """``table[s][t]``: mask of Y-vertices with at least t neighbours among
-    X-vertices s..n-1, for 1 <= t <= min(n - s, layers).
 
-    Each row starts with the full Y mask (t = 0) and ends in a 0, so
-    ``table[s][t + 1]`` can be read whenever ``table[s][t]`` is a layer.
-    Rows are filled right to left with bit-sliced saturating counters;
-    ``layers`` is the most that keeps the rows and the working counters
-    within LOOKAHEAD_TABLE_BITS.
+def _word_columns(masks: Sequence[int], words: int) -> list[np.ndarray]:
+    """Bitmasks as ``words`` uint64 arrays: array w holds bits 64w..64w+63
+    of each mask."""
+    import numpy as np
+
+    buf = b"".join(m.to_bytes(8 * words, "little") for m in masks)
+    table = np.frombuffer(buf, "<u8").reshape(len(masks), words)
+    return [table[:, w].astype(np.uint64) for w in range(words)]
+
+
+def _popcount(cols: list[np.ndarray]) -> np.ndarray:
+    """Set bits per entry of a mask held as word columns."""
+    import numpy as np
+
+    if len(cols) == 1:
+        return np.bitwise_count(cols[0])
+    counts = np.bitwise_count(cols[0]).astype(np.int64)
+    for col in cols[1:]:
+        counts += np.bitwise_count(col)
+    return counts
+
+
+def _suffix_degree_table(adj: list[np.ndarray]) -> list[np.ndarray]:
+    """Word columns of ``table[s, t]``, flattened to s * width + t: the mask
+    of Y-vertices with at least t neighbours among X-vertices s..n-1, for
+    1 <= t <= min(n - s, layers), and 0 for larger t below width.
+
+    ``adj`` holds the X-rows as word columns.  Rows are filled right to
+    left with bit-sliced saturating counters, layer 0 being all ones.
+    ``width`` is layers + 3, so t + 1 can be read for every t <= layers + 1,
+    and ``layers`` is the most that keeps the table within half of
+    LOOKAHEAD_TABLE_BITS.
     """
-    n = g.nx
-    full = (1 << g.ny) - 1
-    mask_bits = 8 * (sys.getsizeof(full) + 8)
-    row_bits = 8 * (sys.getsizeof([]) + 16)  # list header, the t = 0 and pad slots
-    layers = max(0, min(n, (LOOKAHEAD_TABLE_BITS // (n + 2) - row_bits) // mask_bits))
-    counts = [full] + [0] * layers
-    table = [[full, 0]] * (n + 1)  # row n: no X-vertex left
+    import numpy as np
+
+    words, n = len(adj), len(adj[0])
+    layers = max(0, min(n, LOOKAHEAD_TABLE_BITS // (128 * words * (n + 1)) - 3))
+    table = np.zeros((words, n + 1, layers + 3), np.uint64)
+    counts = np.zeros((words, layers + 1), np.uint64)
+    counts[:, 0] = ~np.uint64(0)
+    rows = np.stack(adj)
     for s in range(n - 1, -1, -1):
-        row = g.adj_x[s]
         top = min(n - s, layers)
-        for t in range(top, 0, -1):
-            counts[t] |= counts[t - 1] & row
-        table[s] = counts[: top + 1] + [0]
-    return table
+        counts[:, 1 : top + 1] |= counts[:, :top] & rows[:, s, None]
+        table[:, s, 1 : top + 1] = counts[:, 1 : top + 1]
+    return [col.ravel() for col in table]
+
+
+class _Level:
+    """The surviving prefixes of one chunk at one depth, in lex order.
+
+    ``last``: each prefix's last X-vertex; ``pos``: its index among the
+    chunk's children before pruning; ``par``: its parent's index in the
+    level above; ``once``/``twice``: word columns of the Y-vertices it sees
+    at least once and at least twice; ``base``: children made at this depth
+    by earlier chunks; ``ends``: running total of children per prefix, each
+    having those up to X-vertex ``top``; ``next``: the first prefix not yet
+    expanded.
+    """
+
+    __slots__ = ("last", "pos", "par", "once", "twice", "base", "top", "ends", "next")
+
+    def __init__(self, last, pos, par, once, twice, base, top):
+        self.last, self.pos, self.par = last, pos, par
+        self.once, self.twice, self.base = once, twice, base
+        self.top = top
+        self.ends = (top - last).cumsum()
+        self.next = 0
+
+
+def _scan_size(
+    adj: list[np.ndarray], k: int, table: list[np.ndarray] | None, budget: WorkBudget
+) -> tuple[tuple[int, ...], int] | None:
+    """Lexicographically first k-subset S of X with |twice-seen(S)| < k, as
+    (S, twice-seen mask), or None.
+
+    The prefix tree is expanded a level at a time as arrays: a parent's
+    children come out contiguous and in order, so every level stays in lex
+    order.  A prefix whose twice-seen count reaches k is dropped, since
+    adding vertices can only grow it.  With ``table`` (a
+    ``_suffix_degree_table``) a prefix P + i is also dropped when every
+    completion sees k vertices twice: a completion skips only ``slack`` of
+    the X-vertices after i, so a Y-vertex with more than ``slack``
+    neighbours there is hit again, and one with more than ``slack + 1`` is
+    hit twice.
+
+    Levels are expanded in lex-ordered chunks, depth first, so memory stays
+    bounded by the chunk size and the first hit found is the first in lex
+    order.  Each chunk's children are checked against the budget before
+    they are made.  Units are one per prefix a depth-first scan with the
+    same pruning visits: every child made if S does not exist, and the
+    depth-first rank of S if it does.
+    """
+    import numpy as np
+
+    n = len(adj[0])
+    chunk = max(1, LEVEL_CHUNK_WORDS // len(adj))
+    if table is not None:
+        width = len(table[0]) // (n + 1)
+    spent = 0
+    made = [0] * (k + 1)  # children made at each depth so far
+    root = [np.zeros(1, np.uint64)] * len(adj)
+    zero = np.zeros(1, np.intp)
+    stack = [_Level(zero - 1, zero, zero, root, root, 0, n - k)]
+    while stack:
+        up = stack[-1]
+        first = up.next
+        if first == len(up.last):
+            stack.pop()
+            continue
+        depth = len(stack)  # of the children
+        done = int(up.ends[first - 1]) if first else 0
+        stop = max(first + 1, int(up.ends.searchsorted(done + chunk, "right")))
+        total = int(up.ends[stop - 1]) - done
+        if spent + total > budget.remaining:
+            budget.spend(spent + total)  # raises
+        spent += total
+        up.next = stop
+
+        # the children of parents first..stop-1, in lex order
+        fan = up.top - up.last[first:stop]
+        par = np.arange(first, stop).repeat(fan)
+        last = (up.top + 1 + done - up.ends[first:stop]).repeat(fan)
+        last += np.arange(total)
+        rows = [col[last] for col in adj]
+        twice = [t[par] | (o[par] & r) for t, o, r in zip(up.twice, up.once, rows)]
+        live = (_popcount(twice) < k).nonzero()[0]
+        base = made[depth]
+        made[depth] += total
+
+        if depth == k:
+            if live.size == 0:
+                continue
+            j = int(live[0])
+            s = [int(last[j])]
+            units = base + j + 1
+            p = par[j]
+            for level in reversed(stack[1:]):
+                s.append(int(level.last[p]))
+                units += level.base + int(level.pos[p]) + 1
+                p = level.par[p]
+            budget.spend(units)
+            mask = sum(int(col[j]) << (64 * w) for w, col in enumerate(twice))
+            return tuple(reversed(s)), mask
+
+        up_par = par[live]
+        last = last[live]
+        once = [o[up_par] | r[live] for o, r in zip(up.once, rows)]
+        twice = [col[live] for col in twice]
+        if table is not None and live.size:
+            t = (last + 1) * width + np.minimum(n - last - (k - depth), width - 2)
+            forced = [
+                tw | (o & col[t]) | col[t + 1] for tw, o, col in zip(twice, once, table)
+            ]
+            keep = (_popcount(forced) < k).nonzero()[0]
+            live, up_par, last = live[keep], up_par[keep], last[keep]
+            once = [col[keep] for col in once]
+            twice = [col[keep] for col in twice]
+        if live.size:
+            stack.append(_Level(last, live, up_par, once, twice, base, n - k + depth))
+    budget.spend(spent)
+    return None
 
 
 def _first_violation(
     g: Bigraph,
     k: int,
     budget: WorkBudget,
-    leaf_test: Callable[[tuple[int, ...], int], bool] | None = None,
-    ahead: list[list[int]] | None = None,
-) -> tuple[tuple[int, ...], int, str] | None:
+    leaf_test: Callable[[tuple[int, ...], int], bool],
+) -> tuple[tuple[int, ...], str] | None:
     """Lexicographically first size-k X-subset S that violates, as
-    (S, twice-seen(S) mask, reason).
+    (S, reason).
 
     S violates with reason "cardinality" when |twice-seen(S)| < k, and with
     reason "connectivity" when ``leaf_test(S, twice-seen mask)`` is false.
     Saturating one-seen/twice-seen accumulators are carried down a prefix
-    tree.  Without a leaf test, a prefix whose twice-seen count already
-    reaches k is skipped: adding vertices can only grow the accumulator, so
-    no completion can violate.  With one, every leaf must be tested, so
-    nothing is skipped.  Budget is charged per prefix visited.
-
-    ``ahead`` (a ``_suffix_degree_table``, pruning mode only) adds a
-    lookahead: a completion of prefix P + i skips only ``slack`` of the
-    X-vertices after i, so a Y-vertex with more than ``slack`` neighbours
-    there is hit again, and one with more than ``slack + 1`` is hit twice.
-    If those forced twice-seen vertices already number k, the prefix is
-    skipped.
+    tree; every leaf must be tested, so nothing is skipped.  Budget is
+    charged per prefix visited.
     """
     adj = g.adj_x
     n = g.nx
-    prune = leaf_test is None
     chosen: list[int] = []
 
-    def descend(start: int, u1: int, u2: int) -> tuple[tuple[int, ...], int, str] | None:
+    def descend(start: int, u1: int, u2: int) -> tuple[tuple[int, ...], str] | None:
         depth = len(chosen)
         leaf = depth + 1 == k
-        need = k - depth - 1  # vertices a completion adds after i
         # leave room for the remaining k - depth picks
         for i in range(start, n - (k - depth) + 1):
             budget.spend()
@@ -192,22 +337,12 @@ def _first_violation(
             nu2 = u2 | (u1 & row)
             if leaf:
                 if nu2.bit_count() < k:
-                    return (*chosen, i), nu2, "cardinality"
-                if not prune and not leaf_test((*chosen, i), nu2):
-                    return (*chosen, i), nu2, "connectivity"
+                    return (*chosen, i), "cardinality"
+                if not leaf_test((*chosen, i), nu2):
+                    return (*chosen, i), "connectivity"
                 continue
-            if prune and nu2.bit_count() >= k:
-                continue  # no superset of this prefix can violate
-            nu1 = u1 | row
-            if ahead is not None:
-                later = ahead[i + 1]
-                once = n - i - need  # slack + 1
-                if once < len(later) - 1 and (
-                    nu2 | (nu1 & later[once]) | later[once + 1]
-                ).bit_count() >= k:
-                    continue  # every completion sees k vertices twice
             chosen.append(i)
-            hit = descend(i + 1, nu1, nu2)
+            hit = descend(i + 1, u1 | row, nu2)
             if hit is not None:
                 return hit
             chosen.pop()
@@ -218,20 +353,22 @@ def _first_violation(
 
 def _first_deficient(
     g: Bigraph, k_max: int, budget: WorkBudget
-) -> tuple[tuple[int, ...], int, str] | None:
+) -> tuple[tuple[int, ...], int] | None:
     """First X-subset S with 2 <= |S| <= k_max and |twice-seen(S)| < |S|,
-    in (size, lex) order, as ``_first_violation`` reports it.
+    in (size, lex) order, as (S, twice-seen mask).
 
     The suffix-degree table is built after the k = 2 pass, so graphs that
     fail on a pair never pay for it, and is shared by every larger k.
     """
-    ahead = None
+    words = max(1, -(-g.ny // 64))
+    adj = _word_columns(g.adj_x, words)
+    table = None
     for k in range(2, k_max + 1):
-        hit = _first_violation(g, k, budget, ahead=ahead)
+        hit = _scan_size(adj, k, table, budget)
         if hit is not None:
             return hit
-        if ahead is None and k < k_max:
-            ahead = _suffix_degree_table(g)
+        if table is None and k < k_max:
+            table = _suffix_degree_table(adj)
     return None
 
 
@@ -268,7 +405,7 @@ def check_snp(g: Bigraph, *, budget: int | WorkBudget | None = None) -> Verdict:
     for k in range(3, g.nx + 1):
         hit = _first_violation(g, k, b, two_connected)
         if hit is not None:
-            s, _, reason = hit
+            s, reason = hit
             return Verdict("snp", False, {"S": list(s), "reason": reason})
     return Verdict("snp", True)
 
@@ -445,7 +582,7 @@ def find_minimal_obstacle(
     hit = _first_deficient(g, s_max, as_budget(budget, SUBSET_BUDGET_DEFAULT, "subset"))
     if hit is None:
         return None
-    chosen, lam2, _ = hit
+    chosen, lam2 = hit
     return Obstacle(s=VertexSet.xs(chosen), t=VertexSet(Y_SIDE, lam2), minimal=True)
 
 

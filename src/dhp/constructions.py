@@ -115,14 +115,20 @@ def pair_gadget(n: int) -> Bigraph:
     if n < 2:
         raise DomainError(f"pair gadget needs n >= 2, got {n}")
     check_side_limit(n, n * (n - 1), "pair gadget")
-    rows = [0] * n
-    y = 0
-    for i, j in itertools.combinations(range(n), 2):
-        for _ in range(2):
-            rows[i] |= 1 << y
-            rows[j] |= 1 << y
-            y += 1
-    return Bigraph(n, y, tuple(rows))
+    ny = n * (n - 1)
+    # Pair p of combinations(range(n), 2) owns Y-vertices 2p and 2p + 1,
+    # bits 3 << 2(p % 4) of byte p // 4.  Rows are packed as bytes and the
+    # mirror is written down, so the build is linear in the output.
+    first = list(itertools.accumulate(range(n - 1, 0, -1), initial=0))  # pair (a, a + 1)
+    rows = []
+    for i in range(n):
+        below = [first[a] + i - a - 1 for a in range(i)]  # pairs (a, i)
+        row = bytearray(-(-ny // 8))
+        for p in below + list(range(first[i], first[i] + n - 1 - i)):
+            row[p >> 2] |= 3 << 2 * (p & 3)
+        rows.append(int.from_bytes(row, "little"))
+    cols = [(1 << i) | (1 << j) for i, j in itertools.combinations(range(n), 2) for _ in range(2)]
+    return Bigraph._from_both(n, ny, tuple(rows), tuple(cols))
 
 
 def _development(v: int, d_set: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:

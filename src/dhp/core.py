@@ -207,18 +207,26 @@ class Bigraph:
         """Build from an (nx, ny) bool numpy adjacency matrix.
 
         Both orientations are packed with ``np.packbits``, so the mirror
-        costs one transposed pack instead of the per-edge loop of
-        ``__post_init__``; a bool matrix cannot name a vertex out of range.
+        costs one transposed pack; a bool matrix cannot name a vertex out of
+        range.
         """
         import numpy as np
 
         if not isinstance(mat, np.ndarray) or mat.dtype != np.bool_ or mat.ndim != 2:
             raise GraphInputError("from_dense needs a 2-D bool numpy array")
+        return cls._from_both(mat.shape[0], mat.shape[1], _packed_rows(mat), _packed_rows(mat.T))
+
+    @classmethod
+    def _from_both(
+        cls, nx: int, ny: int, adj_x: tuple[int, ...], adj_y: tuple[int, ...]
+    ) -> "Bigraph":
+        """Build from rows the caller has already mirrored and range-checked,
+        skipping the per-edge loop of ``__post_init__``."""
         g = object.__new__(cls)
-        object.__setattr__(g, "nx", mat.shape[0])
-        object.__setattr__(g, "ny", mat.shape[1])
-        object.__setattr__(g, "adj_x", _packed_rows(mat))
-        object.__setattr__(g, "adj_y", _packed_rows(mat.T))
+        object.__setattr__(g, "nx", nx)
+        object.__setattr__(g, "ny", ny)
+        object.__setattr__(g, "adj_x", adj_x)
+        object.__setattr__(g, "adj_y", adj_y)
         return g
 
     @classmethod

@@ -25,7 +25,7 @@ import itertools
 import logging
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterator
 
 from .budget import NODE_BUDGET_DEFAULT, WorkBudget, as_budget
 from .checkers import check_dhp
@@ -323,35 +323,36 @@ def find_disjoint_cycle_cover(
     avail_mask = (1 << g.ny) - 1  # y's used at most once so far
     half_mask = 0  # y's used exactly once so far
     choice: list[tuple[int, int]] = [(0, 0)] * n
-
-    def take(j: int) -> None:
-        nonlocal avail_mask, half_mask
-        if half_mask >> j & 1:
-            avail_mask ^= 1 << j
-        half_mask ^= 1 << j
-
-    def assign(i: int) -> bool:
-        nonlocal avail_mask, half_mask
+    # Depth-first over X-vertices, one node unit per node, on an explicit
+    # stack so that depth n does not meet Python's recursion limit: for
+    # each X-vertex given a pair, the pairs it has left and the masks
+    # before it took one.
+    pairs: list[Iterator[tuple[int, int]]] = []
+    saved: list[tuple[int, int]] = []
+    while True:
+        i = len(pairs)
         b.spend()
         if i == n:
-            return half_mask == 0
-        if half_mask & ~futures[i]:
-            return False  # a half-used y can never reach degree 2 again
-        cands = bit_list(adj[i] & avail_mask)
-        for ai in range(len(cands)):
-            for bi in range(ai + 1, len(cands)):
-                j1, j2 = cands[ai], cands[bi]
-                choice[i] = (j1, j2)
-                saved = avail_mask, half_mask
-                take(j1)
-                take(j2)
-                if assign(i + 1):
-                    return True
-                avail_mask, half_mask = saved
-        return False
-
-    if not assign(0):
-        return None
+            if half_mask == 0:
+                break
+        elif not half_mask & ~futures[i]:  # every half-used y can still reach degree 2
+            pairs.append(itertools.combinations(bit_list(adj[i] & avail_mask), 2))
+            saved.append((avail_mask, half_mask))
+        # the deepest X-vertex with a pair left takes it
+        while pairs:
+            avail_mask, half_mask = saved[-1]
+            pair = next(pairs[-1], None)
+            if pair is not None:
+                break
+            pairs.pop()
+            saved.pop()
+        else:
+            return None
+        choice[len(pairs) - 1] = pair
+        for j in pair:
+            if half_mask >> j & 1:
+                avail_mask ^= 1 << j
+            half_mask ^= 1 << j
 
     y_to_x: dict[int, list[int]] = defaultdict(list)
     for i, (j1, j2) in enumerate(choice):

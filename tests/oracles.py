@@ -56,11 +56,14 @@ def dhp_bruteforce(g: Bigraph) -> bool:
     return first_deficient_subset(g, 2) is None
 
 
-def prefix_scan_reference(g: Bigraph, k_max: int):
-    """The per-k prefix scan of ``check_dhp`` and ``find_minimal_obstacle``
-    as it stood before the suffix-degree lookahead, kept as the reference
-    for verdict, witness and unit count.
+def prefix_scan_reference(g: Bigraph, k_max: int, lookahead: bool = False):
+    """The per-k depth-first prefix scan of ``check_dhp`` and
+    ``find_minimal_obstacle``, kept as the reference for verdict, witness
+    and unit count.
 
+    Without ``lookahead`` it is the scan as it stood before the
+    suffix-degree lookahead; with it, the scan as it stood before the level
+    scan replaced it, with every layer of the suffix-degree table kept.
     Unlike the rest of this module it uses the bitmask rows, so that its
     unit count (one per prefix visited) means what the library's does.
     Returns (first deficient S or None, its twice-seen set, units spent).
@@ -68,9 +71,18 @@ def prefix_scan_reference(g: Bigraph, k_max: int):
     n = g.nx
     adj = g.adj_x
     units = 0
+    # later[s][t]: Y-vertices with at least t neighbours among s..n-1,
+    # for t <= n - s, then a 0
+    later = [[(1 << g.ny) - 1, 0] for _ in range(n + 1)]
+    for s in range(n - 1, -1, -1) if lookahead else ():
+        prev = later[s + 1]
+        later[s] = [prev[0]] + [
+            prev[t] | (prev[t - 1] & adj[s]) for t in range(1, n - s + 1)
+        ] + [0]
 
-    def descend(k: int, chosen: tuple[int, ...], start: int, u1: int, u2: int):
+    def descend(k: int, chosen: tuple[int, ...], start: int, u1: int, u2: int, ahead: bool):
         nonlocal units
+        need = k - len(chosen) - 1
         for i in range(start, n - (k - len(chosen)) + 1):
             units += 1
             row = adj[i]
@@ -81,13 +93,18 @@ def prefix_scan_reference(g: Bigraph, k_max: int):
                 continue
             if nu2.bit_count() >= k:
                 continue
-            hit = descend(k, (*chosen, i), i + 1, u1 | row, nu2)
+            nu1 = u1 | row
+            if ahead:
+                masks, once = later[i + 1], n - i - need
+                if (nu2 | (nu1 & masks[once]) | masks[once + 1]).bit_count() >= k:
+                    continue
+            hit = descend(k, (*chosen, i), i + 1, nu1, nu2, ahead)
             if hit is not None:
                 return hit
         return None
 
     for k in range(2, k_max + 1):
-        hit = descend(k, (), 0, 0, 0)
+        hit = descend(k, (), 0, 0, 0, lookahead and k > 2)
         if hit is not None:
             s, mask = hit
             return s, {j for j in range(g.ny) if mask >> j & 1}, units

@@ -39,7 +39,7 @@ from dhp import (
     sample_gnnp,
     threshold_p,
 )
-from dhp import cycles
+from dhp import checkers, cycles
 from dhp.checkers import LOOKAHEAD_TABLE_BITS
 
 
@@ -221,6 +221,108 @@ class TestSuffixDegreeLookahead:
             _, peak = tracemalloc.get_traced_memory()
             tracemalloc.stop()
         assert peak < LOOKAHEAD_TABLE_BITS // 8
+
+
+def _wide_bigraph(rng: random.Random, ny: int) -> Bigraph:
+    """nx <= 10 with sparse rows, plus a few near-universal Y-vertices at
+    the top of the last word column for the lookahead to count."""
+    nx = rng.randrange(2, 11)
+    p = rng.choice((0.05, 0.1, 0.2, 0.4))
+    hubs = rng.choice((0, 1, 2, 4, 8))
+    rows = tuple(
+        sum(1 << j for j in range(ny) if rng.random() < (0.95 if j >= ny - hubs else p))
+        for _ in range(nx)
+    )
+    return Bigraph(nx, ny, rows)
+
+
+def _assert_matches_depth_first_scan(g: Bigraph, s_max: int) -> bool:
+    """find_minimal_obstacle, and check_dhp when s_max = nx, agree with the
+    depth-first scan with lookahead on verdict, witness, T and units;
+    returns whether the property holds up to s_max."""
+    ref_s, ref_t, ref_units = oracles.prefix_scan_reference(g, s_max, lookahead=True)
+    limit = 10**8
+    b = WorkBudget(limit, "subset")
+    obst = find_minimal_obstacle(g, s_max, budget=b)
+    found = None if obst is None else (obst.s.indices, set(obst.t.indices))
+    assert (found, limit - b.remaining) == (None if ref_s is None else (ref_s, ref_t), ref_units)
+    if s_max == g.nx:
+        b = WorkBudget(limit, "subset")
+        v = check_dhp(g, budget=b)
+        assert v.witness == (None if ref_s is None else {"S": list(ref_s)})
+        assert limit - b.remaining == ref_units
+    return ref_s is None
+
+
+class TestLevelScan:
+    @pytest.mark.parametrize("ny", [63, 64, 65, 128, 129])
+    def test_matches_depth_first_scan_across_word_columns(self, ny: int) -> None:
+        rng = random.Random(ny)
+        holds = 0
+        for _ in range(120):
+            g = _wide_bigraph(rng, ny)
+            s_max = g.nx if rng.random() < 0.75 else rng.randrange(2, g.nx + 1)
+            holds += _assert_matches_depth_first_scan(g, s_max)
+        assert 10 <= holds <= 110  # both outcomes are covered
+
+    @pytest.mark.parametrize("chunk_words", [1, 2, 5, 64])
+    def test_chunking_changes_nothing(self, chunk_words: int, monkeypatch) -> None:
+        # with one word column a chunk holds chunk_words children, or one
+        # parent's children when those are more
+        monkeypatch.setattr(checkers, "LEVEL_CHUNK_WORDS", chunk_words)
+        rng = random.Random(chunk_words)
+        for _ in range(300):
+            g = _skewed_bigraph(rng)
+            s_max = g.nx if rng.random() < 0.75 else rng.randrange(2, g.nx + 1)
+            _assert_matches_depth_first_scan(g, s_max)
+        for ny in (65, 129):
+            for _ in range(20):
+                g = _wide_bigraph(rng, ny)
+                _assert_matches_depth_first_scan(g, g.nx)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_threshold_units_match_depth_first_scan(self, seed: int) -> None:
+        g = sample_gnnp(40, threshold_p(40, 0.0, "dhp").p, seed)
+        _assert_matches_depth_first_scan(g, 40)
+
+    def test_wide_levels_are_expanded_in_bounded_chunks(self) -> None:
+        # the widest level here holds far more than one chunk's children;
+        # expanded whole, the levels took a peak of 22 MiB
+        g = sample_gnnp(100, threshold_p(100, 2.0, "dhp").p, 0)
+        tracemalloc.start()
+        try:
+            assert check_dhp(g).holds
+        finally:
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
+    def test_budget_raises_whenever_depth_first_scan_would(self) -> None:
+        rng = random.Random(8)
+        for _ in range(300):
+            g = _skewed_bigraph(rng)
+            ref_s, _, ref_units = oracles.prefix_scan_reference(g, g.nx, lookahead=True)
+            for cap in {0, ref_units // 2, ref_units - 1, ref_units, rng.randrange(ref_units + 1)}:
+                b = WorkBudget(max(cap, 0), "subset")
+                try:
+                    v = check_dhp(g, budget=b)
+                except BudgetExceededError:
+                    # where the property holds, exactly when the scan would
+                    assert ref_s is not None or cap < ref_units
+                    continue
+                assert cap >= ref_units
+                assert v.witness == (None if ref_s is None else {"S": list(ref_s)})
+                assert cap - b.remaining == ref_units
+
+    def test_failing_scan_exhausts_a_whole_chunk_at_a_time(self) -> None:
+        # the first deficient pair is 8th in depth-first order, but the
+        # level scan makes all 11 + 66 prefixes of the pair pass first
+        g = sample_gnnp(12, 0.6, 0)
+        with pytest.raises(BudgetExceededError):
+            check_dhp(g, budget=76)
+        b = WorkBudget(77, "subset")
+        assert check_dhp(g, budget=b).witness == {"S": [0, 7]}
+        assert b.remaining == 77 - 8
 
 
 class TestSnp:

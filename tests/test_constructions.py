@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
@@ -59,6 +60,18 @@ class TestPairGadget:
     def test_too_small(self) -> None:
         with pytest.raises(DomainError):
             pair_gadget(1)
+
+    def test_matches_bit_at_a_time_build(self) -> None:
+        # the loop the packed build replaced, which cost about n^4
+        for n in range(2, 31):
+            rows, y = [0] * n, 0
+            for i, j in itertools.combinations(range(n), 2):
+                for _ in range(2):
+                    rows[i] |= 1 << y
+                    rows[j] |= 1 << y
+                    y += 1
+            g, ref = pair_gadget(n), Bigraph(n, y, tuple(rows))
+            assert (g, g.adj_y) == (ref, ref.adj_y)
 
     def test_side_cap_checked_before_building(self) -> None:
         import tracemalloc

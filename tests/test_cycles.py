@@ -37,6 +37,7 @@ from dhp import (
     max_matching,
     pair_gadget,
     rotate_path_to_cycle,
+    sample_bipartite,
     sample_gnnp,
     solve_degree_split,
     solve_high_degree,
@@ -279,6 +280,34 @@ class TestDisjointCycleCover:
         g = Bigraph.from_edges(2, 2, [(0, 0), (1, 0), (0, 1)])
         assert find_disjoint_cycle_cover(g) is None
         assert find_disjoint_cycle_cover(g.with_edge(1, 1)) is not None
+
+    @pytest.mark.parametrize(
+        "make, nodes, cover",
+        [
+            (lambda: pair_gadget(4), 33, [((0, 1), (0, 1)), ((2, 3), (10, 11))]),
+            (
+                lambda: sample_bipartite(8, 9, 0.35, 5),
+                99,
+                [((0, 3, 4, 5, 1, 2, 7, 6), (3, 7, 1, 5, 4, 8, 2, 6))],
+            ),
+            (lambda: sample_bipartite(8, 8, 0.45, 0), 52, None),
+        ],
+    )
+    def test_search_order_and_nodes_are_pinned(self, make, nodes, cover) -> None:
+        # recorded from the recursive search the explicit stack replaced
+        b = WorkBudget(10**6, "node")
+        found = find_disjoint_cycle_cover(make(), budget=b)
+        assert 10**6 - b.remaining == nodes
+        assert (None if found is None else [(c.xs, c.ys) for c in found]) == cover
+
+    def test_search_depth_is_not_bounded_by_the_recursion_limit(self) -> None:
+        # one 2n-cycle, so the search runs n = 1100 X-vertices deep
+        n = 1100
+        g = Bigraph(n, n, tuple((1 << i) | (1 << (i + 1) % n) for i in range(n)))
+        b = WorkBudget(10**6, "node")
+        cover = find_disjoint_cycle_cover(g, budget=b)
+        assert [len(c.xs) for c in cover] == [n]
+        assert 10**6 - b.remaining == n + 1
 
 
 def _any_covering_yy_path(g: Bigraph) -> PathWitness | None:
