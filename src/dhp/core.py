@@ -182,11 +182,15 @@ class Bigraph:
                 raise GraphInputError(
                     f"adjacency row for x{i} mentions Y-vertices outside 0..{self.ny - 1}"
                 )
-            rest = row
-            while rest:
-                low = rest & -rest
-                mirror[low.bit_length() - 1] |= 1 << i
-                rest ^= low
+            # character j of the reversed binary string is bit j, so one
+            # str.find pass visits a row's edges without rewriting the row
+            # once per bit (which cost about n^4 on wide sparse rows)
+            digits = bin(row)[:1:-1]
+            bit = 1 << i
+            j = digits.find("1")
+            while j >= 0:
+                mirror[j] |= bit
+                j = digits.find("1", j + 1)
         object.__setattr__(self, "adj_y", tuple(mirror))
 
     # -- construction ------------------------------------------------------
@@ -457,9 +461,6 @@ class CycleWitness:
     def x_set(self) -> VertexSet:
         return VertexSet.xs(self.xs)
 
-    def y_set(self) -> VertexSet:
-        return VertexSet.ys(self.ys)
-
     def vertices(self) -> list[tuple[Side, int]]:
         out: list[tuple[Side, int]] = []
         for x, y in zip(self.xs, self.ys):
@@ -523,10 +524,6 @@ class PathWitness:
     """
 
     vertices: tuple[tuple[Side, int], ...]
-
-    @classmethod
-    def from_vertices(cls, seq: Iterable[tuple[Side, int]]) -> "PathWitness":
-        return cls(tuple((side, int(idx)) for side, idx in seq))
 
     @property
     def is_trivial(self) -> bool:

@@ -126,13 +126,9 @@ def parse_bigraph_json(text: str) -> Bigraph:
     return bigraph_from_json_obj(obj)
 
 
-def load_bigraph(text: str, fmt: str = "auto", strict: bool = False) -> Bigraph:
-    """Parse either supported format. ``auto`` sniffs a leading '{'."""
-    if fmt == "auto":
-        stripped = text.lstrip()
-        fmt = "json" if stripped.startswith("{") else "edge-list"
-    if fmt == "json":
+def load_bigraph(text: str, strict: bool = False) -> Bigraph:
+    """Parse either supported format: JSON when the text starts with '{',
+    the edge list otherwise."""
+    if text.lstrip().startswith("{"):
         return parse_bigraph_json(text)
-    if fmt == "edge-list":
-        return parse_bigraph(text, strict=strict)
-    raise ParseError(1, f"unknown graph format {fmt!r}")
+    return parse_bigraph(text, strict=strict)

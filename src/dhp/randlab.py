@@ -17,10 +17,12 @@ many common neighbours they have, from which the pair conditions and the
 size-3 obstacle scan both follow.  A matrix product does the counting; the
 scan then touches only the rare pairs with exactly two common neighbours.
 
-A sweep trial keeps its sample as the bool matrix it is drawn as: the
-``Bigraph`` is packed from it and the pair profile multiplies it directly.
-Under common random numbers one task per seed draws the uniform grid once
-and thresholds it for every offset c.  Sweep worker processes run their
+A sweep trial keeps its sample only as the bool matrix it is drawn as: it
+reads the pair counts, the first size-3 obstacle and the maximum degree off
+that matrix and its pair-count product, and packs a ``Bigraph`` only for
+the exact measures.  Under common random numbers one task per seed draws
+the uniform grid once and thresholds it for every offset c.  A sweep starts
+at most min(jobs, tasks, usable cores) worker processes, and they run their
 BLAS single-threaded, so parallel workers do not oversubscribe the cores.
 """
 
@@ -29,6 +31,8 @@ from __future__ import annotations
 import concurrent.futures
 import functools
 import math
+import os
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from typing import Iterable, Sequence
 
@@ -36,7 +40,7 @@ import numpy as np
 
 from .budget import WorkBudget
 from .checkers import Obstacle, check_dhp
-from .core import Bigraph, CycleWitness, VertexSet, bit_list, bits
+from .core import Bigraph, CycleWitness, VertexSet
 from .cycles import find_cycle_covering
 from .errors import ConfigError, DomainError, ResourceLimitError
 
@@ -72,6 +76,8 @@ EXACT_MEASURE_LIMIT = 16
 # profile adds about 20 bytes per X-pair, so a trial at the cap stays near
 # half a GiB; larger requests raise ResourceLimitError instead of an OOM.
 MAX_SAMPLE_CELLS = 1 << 24
+
+_LOG_MAX_FLOAT = math.log(sys.float_info.max)
 
 MEASURES = ("pair", "obstacle3", "exact", "hamiltonian", "maxdeg")
 
@@ -118,18 +124,12 @@ def _threshold_u64(p: float) -> int:
     return int(p * (1 << 64))
 
 
-def _bool_matrix(
-    nx: int, ny: int, p: float, seed: int, grid: "np.ndarray | None" = None
-) -> "np.ndarray":
-    """Adjacency matrix of the sample; ``grid``, when given, is the
-    already drawn ``_uniform_grid(seed, nx, ny)``."""
+def _threshold(grid: "np.ndarray", p: float) -> "np.ndarray":
+    """Adjacency matrix of the sample at edge probability p, from the
+    seed's uniform grid: an edge where its uniform falls below p * 2^64."""
     thr = _threshold_u64(p)
-    if thr <= 0:
-        return np.zeros((nx, ny), dtype=bool)
     if thr >= 1 << 64:
-        return np.ones((nx, ny), dtype=bool)
-    if grid is None:
-        grid = _uniform_grid(seed, nx, ny)
+        return np.ones(grid.shape, dtype=bool)
     return grid < np.uint64(thr)
 
 
@@ -144,7 +144,7 @@ def _unpack_graph(g: Bigraph) -> "np.ndarray":
     nbytes = (g.ny + 7) // 8
     buf = b"".join(row.to_bytes(nbytes, "little") for row in g.adj_x)
     arr = np.frombuffer(buf, dtype=np.uint8).reshape(g.nx, nbytes)
-    return np.unpackbits(arr, axis=1, bitorder="little")[:, : g.ny]
+    return np.unpackbits(arr, axis=1, bitorder="little")[:, : g.ny].view(bool)
 
 
 def sample_bipartite(nx: int, ny: int, p: float, seed: int) -> Bigraph:
@@ -155,7 +155,7 @@ def sample_bipartite(nx: int, ny: int, p: float, seed: int) -> Bigraph:
     if not (0.0 <= p <= 1.0):
         raise DomainError(f"edge probability must be in [0, 1], got {p}")
     _check_sample_size(nx, ny)
-    return Bigraph.from_dense(_bool_matrix(nx, ny, p, seed))
+    return Bigraph.from_dense(_threshold(_uniform_grid(seed, nx, ny), p))
 
 
 def sample_gnnp(n: int, p: float, seed: int) -> Bigraph:
@@ -212,77 +212,63 @@ def _not_above_diagonal(n: int) -> "np.ndarray":
     return mask
 
 
-def _pair_profile(
-    g: Bigraph, dense: "np.ndarray | None" = None
-) -> tuple[int, int, list[tuple[int, int, int]]]:
-    """Counts of X-pairs with zero and with one common neighbour, plus the
-    list of pairs with exactly two (as (a, b, common-mask) with a < b, in
-    lexicographic order).  ``dense`` is the adjacency matrix of ``g`` when
-    the caller has it.  Uses one matrix product; counts up to 2**24 stay
-    exact in float32, so the result does not depend on the BLAS."""
-    n = g.nx
-    if n < 2:
-        return 0, 0, []
-    if dense is None:
-        dense = _unpack_graph(g)
-    a_mat = dense.astype(np.float32)
+def _pair_profile(mat: "np.ndarray") -> tuple[int, int, "np.ndarray"]:
+    """Counts of X-pairs with zero and with one common neighbour in the bool
+    adjacency matrix ``mat``, plus the pair-count matrix: entry (a, b) with
+    a < b is the number of common neighbours, every other entry is -1.
+    Uses one matrix product; counts up to 2**24 stay exact in float32, so
+    the result does not depend on the BLAS."""
+    a_mat = mat.astype(np.float32)
     common = a_mat @ a_mat.T
-    common[_not_above_diagonal(n)] = -1  # count each pair a < b once
+    common[_not_above_diagonal(len(mat))] = -1  # count each pair a < b once
     n0 = int(np.count_nonzero(common == 0))
     n1 = int(np.count_nonzero(common == 1))
-    rows, cols = np.nonzero(common == 2)  # row-major, so lexicographic
-    thin = [
-        (a, b, g.adj_x[a] & g.adj_x[b])
-        for a, b in zip(rows.tolist(), cols.tolist())
-    ]
-    return n0, n1, thin
+    return n0, n1, common
+
+
+def _scan_thin(mat: "np.ndarray", common: "np.ndarray") -> Obstacle | None:
+    """Size-3 minimal obstacle search over the pairs with two common
+    neighbours, given the adjacency matrix and its pair-count matrix.
+
+    A minimal obstacle (S, T) with |S| = 3 forces |T| = 2 with both
+    T-vertices adjacent to all of S, which makes every pair inside S have
+    common neighbourhood exactly T.  So it suffices to extend each pair
+    a < b with common neighbours {t1, t2} by a third X-vertex c > b
+    adjacent to both whose pairs with a and with b also count two common
+    neighbours.  The pairs are tested a block at a time in lexicographic
+    order, and the first hit in lexicographic triple order is returned.
+    """
+    thin = common == 2  # above the diagonal only, so thin[b, c] means c > b
+    rows, cols = np.nonzero(thin)  # row-major, so lexicographic
+    step = max(1, (1 << 16) // max(1, len(mat)))  # pairs per block of 64 Ki cells
+    for lo in range(0, len(rows), step):
+        a, b = rows[lo : lo + step], cols[lo : lo + step]
+        t1, t2 = np.nonzero(mat[a] & mat[b])[1].reshape(-1, 2).T
+        third = thin[a] & thin[b] & mat.T[t1] & mat.T[t2]
+        found = np.flatnonzero(third.any(axis=1))
+        if found.size:
+            i = found[0]
+            return Obstacle(
+                s=VertexSet.xs((int(a[i]), int(b[i]), int(third[i].argmax()))),
+                t=VertexSet.ys((int(t1[i]), int(t2[i]))),
+                minimal=True,
+            )
+    return None
 
 
 def count_bad_pairs(g: Bigraph) -> tuple[int, int]:
     """(n0, n1): the number of X-pairs with no common neighbour and with
     exactly one.  Either kind being positive already refutes the pair case
     of the double Hall property."""
-    n0, n1, _ = _pair_profile(g)
+    n0, n1, _ = _pair_profile(_unpack_graph(g))
     return n0, n1
-
-
-def _scan_thin(
-    g: Bigraph, thin: list[tuple[int, int, int]]
-) -> Obstacle | None:
-    """Size-3 minimal obstacle search over the thin-pair list.
-
-    A minimal obstacle (S, T) with |S| = 3 forces |T| = 2 with both
-    T-vertices adjacent to all of S, which makes every pair inside S have
-    common neighbourhood exactly T.  So it suffices to extend each pair
-    with two common neighbours by a third X-vertex adjacent to both and
-    confirm the two remaining pair conditions; the first hit in
-    lexicographic triple order is returned.
-    """
-    for a, b, tmask in thin:
-        t1, t2 = bit_list(tmask)
-        for c in bits(g.adj_y[t1] & g.adj_y[t2]):
-            if c <= b:
-                continue  # the triple is found at its two smallest members
-            if c == a or c == b:
-                continue
-            if (g.adj_x[a] & g.adj_x[c]) == tmask and (
-                g.adj_x[b] & g.adj_x[c]
-            ) == tmask:
-                return Obstacle(
-                    s=VertexSet.xs((a, b, c)),
-                    t=VertexSet(side="Y", mask=tmask),
-                    minimal=True,
-                )
-    return None
 
 
 def scan_obstacles_size3(g: Bigraph) -> Obstacle | None:
     """First (lexicographic) X-triple S forming a minimal obstacle with its
     two-element super-neighbourhood, or None."""
-    if g.nx < 3:
-        return None
-    _, _, thin = _pair_profile(g)
-    return _scan_thin(g, thin)
+    mat = _unpack_graph(g)
+    return _scan_thin(mat, _pair_profile(mat)[2])
 
 
 def surrogate_dhp(g: Bigraph) -> bool:
@@ -293,10 +279,11 @@ def surrogate_dhp(g: Bigraph) -> bool:
     story; at finite n the surrogate can only err by missing an obstacle
     with |S| >= 4 whose triples are all clean, so it over-approximates.
     """
-    n0, n1, thin = _pair_profile(g)
+    mat = _unpack_graph(g)
+    n0, n1, common = _pair_profile(mat)
     if n0 or n1:
         return False
-    return _scan_thin(g, thin) is None
+    return _scan_thin(mat, common) is None
 
 
 def check_hamiltonian(
@@ -325,7 +312,11 @@ def check_hamiltonian(
 
 
 def _poisson_pmf(rate: float, k: int) -> float:
-    return math.exp(-rate) * rate**k / math.factorial(k)
+    """Poisson(rate) mass at k, in log space so that no power or
+    factorial overflows a float."""
+    if rate == 0.0:
+        return 1.0 if k == 0 else 0.0
+    return math.exp(k * math.log(rate) - rate - math.lgamma(k + 1))
 
 
 @dataclass(frozen=True)
@@ -488,54 +479,50 @@ class TrialRecord:
         return out
 
 
-def _run_trial(task: tuple, grid: "np.ndarray | None" = None) -> TrialRecord:
-    """One record from (seed, n, c, p, measures, exact_limit); ``grid`` is
-    the seed's uniform grid when the caller has drawn it already."""
-    seed, n, c, p, measures, exact_limit = task
-    mat = _bool_matrix(n, n, p, seed, grid)
-    g = Bigraph.from_dense(mat)
-    n0, n1, thin = _pair_profile(g, mat)
-    pair_ok = n0 == 0 and n1 == 0
-    maxdeg = g.max_degree()
-    obstacle = surtag = None
-    if "obstacle3" in measures:
-        obstacle = _scan_thin(g, thin)
-        surtag = pair_ok and obstacle is None
-    exact = None
-    if "exact" in measures:
-        exact = check_dhp(g).holds
-    ham = None
-    if "hamiltonian" in measures:
-        ham = check_hamiltonian(g, limit=exact_limit) is not None
-    ratio = None
-    if "maxdeg" in measures:
-        ratio = maxdeg / math.sqrt(2 * n * math.log(n))
-    return TrialRecord(
-        seed=seed,
-        n=n,
-        c=c,
-        p=p,
-        n0=n0,
-        n1=n1,
-        pair_ok=pair_ok,
-        max_degree=maxdeg,
-        obstacle3=obstacle,
-        surrogate=surtag,
-        exact_dhp=exact,
-        hamiltonian=ham,
-        maxdeg_ratio=ratio,
-    )
-
-
 def _run_seed(task: tuple) -> list[TrialRecord]:
-    """The records of one seed at every (c, p) in the task, in that order,
-    thresholding one uniform grid: (seed, n, ((c, p), ...), measures,
-    exact_limit)."""
+    """The records of one seed at every (c, p) in the task, in that order:
+    (seed, n, ((c, p), ...), measures, exact_limit).  The seed's uniform
+    grid is drawn once and thresholded for each p; a trial reads its
+    statistics off that bool matrix and packs a ``Bigraph`` only for the
+    exact measures."""
     seed, n, cps, measures, exact_limit = task
     grid = _uniform_grid(seed, n, n)
-    return [
-        _run_trial((seed, n, c, p, measures, exact_limit), grid) for c, p in cps
-    ]
+    records = []
+    for c, p in cps:
+        mat = _threshold(grid, p)
+        n0, n1, common = _pair_profile(mat)
+        pair_ok = n0 == 0 and n1 == 0
+        maxdeg = int(max(mat.sum(axis=0).max(), mat.sum(axis=1).max()))
+        obstacle = surtag = exact = ham = ratio = None
+        if "obstacle3" in measures:
+            obstacle = _scan_thin(mat, common)
+            surtag = pair_ok and obstacle is None
+        if "exact" in measures or "hamiltonian" in measures:
+            g = Bigraph.from_dense(mat)
+            if "exact" in measures:
+                exact = check_dhp(g).holds
+            if "hamiltonian" in measures:
+                ham = check_hamiltonian(g, limit=exact_limit) is not None
+        if "maxdeg" in measures:
+            ratio = maxdeg / math.sqrt(2 * n * math.log(n))
+        records.append(
+            TrialRecord(
+                seed=seed,
+                n=n,
+                c=c,
+                p=p,
+                n0=n0,
+                n1=n1,
+                pair_ok=pair_ok,
+                max_degree=maxdeg,
+                obstacle3=obstacle,
+                surrogate=surtag,
+                exact_dhp=exact,
+                hamiltonian=ham,
+                maxdeg_ratio=ratio,
+            )
+        )
+    return records
 
 
 def _openblas_paths() -> list[str]:
@@ -674,7 +661,9 @@ def _aggregate_cell(
     var_nbad = _mean((x - mean_nbad) ** 2 for x in nbads)
     tv = None
     if trials >= 100:
-        tv = poisson_gof(nbads, math.exp(-c)).tv
+        # far below the threshold exp(-c) overflows; the TV distance to
+        # Poisson(rate) tends to 1 as the rate grows without bound
+        tv = 1.0 if -c > _LOG_MAX_FLOAT else poisson_gof(nbads, math.exp(-c)).tv
     pr_obs = pr_sur = pr_exact = pr_ham = ratio_mean = None
     if "obstacle3" in measures:
         pr_obs = sum(1 for r in records if r.obstacle3 is not None) / trials
@@ -711,7 +700,9 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     Per-trial seeds are derived, never sequential, so trials are
     independent tasks; with jobs > 1 they are distributed over processes
     whose BLAS runs single-threaded, and reassembled in task order, making
-    the report identical for any worker count.  With crn enabled the seed
+    the report identical for any worker count.  At most min(jobs, tasks,
+    usable cores) worker processes are started, since more could not run
+    at once and the pool forks all of them up front.  With crn enabled the seed
     derivation ignores the position of c in the grid, so each trial index
     sees the same uniforms at every offset: one task per (n, seed) draws
     its uniform grid once and thresholds it for every c.
@@ -739,10 +730,15 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         for n, seed_cix, cs in groups
         for t in range(config.trials)
     ]
-    if config.jobs > 1:
-        chunk = max(1, len(tasks) // (config.jobs * 8))
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    workers = min(config.jobs, len(tasks), cores)
+    if workers > 1:
+        chunk = max(1, len(tasks) // (workers * 8))
         with concurrent.futures.ProcessPoolExecutor(
-            max_workers=config.jobs, initializer=_single_thread_blas
+            max_workers=workers, initializer=_single_thread_blas
         ) as pool:
             results = list(pool.map(_run_seed, tasks, chunksize=chunk))
     else:

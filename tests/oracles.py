@@ -365,6 +365,29 @@ def obstacle3_bruteforce(g: Bigraph):
     return None
 
 
+def obstacle3_thin_scan_reference(g: Bigraph):
+    """The thin-pair scan over the adjacency bitmasks: extend each X-pair
+    a < b with exactly two common neighbours {t1, t2} by the first c > b
+    adjacent to both whose pairs with a and with b share exactly {t1, t2}.
+    Returns (S, T) as index tuples, or None.  It enumerates pairs, not
+    triples, so it reaches samples of n = 300."""
+    for a in range(g.nx):
+        for b in range(a + 1, g.nx):
+            tmask = g.adj_x[a] & g.adj_x[b]
+            if tmask.bit_count() != 2:
+                continue
+            t1, t2 = (j for j in range(g.ny) if tmask >> j & 1)
+            both = g.adj_y[t1] & g.adj_y[t2]
+            for c in range(b + 1, g.nx):
+                if (
+                    both >> c & 1
+                    and g.adj_x[a] & g.adj_x[c] == tmask
+                    and g.adj_x[b] & g.adj_x[c] == tmask
+                ):
+                    return (a, b, c), (t1, t2)
+    return None
+
+
 def is_obstacle_bruteforce(g: Bigraph, s: set[int], t: set[int]) -> bool:
     return len(s) >= 2 and len(s) > len(t) and lambda2(g, s) <= t
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+import time
+
 import numpy as np
 import pytest
 
@@ -27,6 +30,7 @@ from dhp import (
     induced_subgraph,
     is_two_connected,
     neighborhood_at_least,
+    pair_gadget,
 )
 
 
@@ -107,6 +111,25 @@ class TestBigraph:
         for bad in (np.ones((3, 3), dtype=np.uint8), np.ones(3, dtype=bool), np.ones((2, 2, 2), dtype=bool), [[True]]):
             with pytest.raises(GraphInputError):
                 Bigraph.from_dense(bad)
+
+    @pytest.mark.parametrize("ny", [29, 30, 31, 63, 64, 65])
+    def test_mirror_matches_definition(self, ny: int) -> None:
+        rng = random.Random(ny)
+        full = (1 << ny) - 1
+        rows = (0, full, 1, 1 << (ny - 1)) + tuple(rng.getrandbits(ny) for _ in range(66))
+        mirror = tuple(
+            sum(1 << i for i, row in enumerate(rows) if row >> j & 1) for j in range(ny)
+        )
+        assert Bigraph(len(rows), ny, rows).adj_y == mirror
+
+    def test_mirror_build_is_linear_in_row_width(self) -> None:
+        # 500 rows of 249,500 bits: peeling one bit at a time off each row
+        # costs about n^4 and took seconds
+        g = pair_gadget(500)
+        t0 = time.perf_counter()
+        rebuilt = Bigraph(g.nx, g.ny, g.adj_x)
+        assert time.perf_counter() - t0 < 2.0
+        assert rebuilt.adj_y == g.adj_y
 
     @given(bigraphs())
     def test_adjacency_mirror_consistent(self, g: Bigraph) -> None:

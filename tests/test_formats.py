@@ -129,11 +129,6 @@ def test_json_tolerates_extra_keys() -> None:
     assert g.has_edge(0, 0)
 
 
-def test_unknown_format_rejected() -> None:
-    with pytest.raises(ParseError):
-        load_bigraph("bigraph 1 1\n", fmt="yaml")
-
-
 def test_serialization_is_canonical() -> None:
     g = Bigraph.from_edges(2, 2, [(1, 1), (0, 1), (0, 0)])
     assert serialize_bigraph(g) == "bigraph 2 2\n0 0\n0 1\n1 1\n"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 import random
 
 import pytest
@@ -35,7 +36,7 @@ from dhp import (
     threshold_p,
 )
 from dhp import randlab
-from dhp.randlab import CSV_COLUMNS, _run_trial, trial_seed
+from dhp.randlab import CSV_COLUMNS, trial_seed
 
 
 class TestSampling:
@@ -179,6 +180,27 @@ class TestObstacleScan:
             assert got.s.indices == expect[0]
             assert set(got.t.indices) == expect[1]
 
+    def test_matches_thin_scan_reference_on_sweep_samples(self) -> None:
+        # below the threshold a sample has many pairs with exactly two
+        # common neighbours; the records and the public scan must both
+        # name the reference scan's first obstacle
+        cfg = SweepConfig((20, 40, 100, 300), (-4.0, -2.0, 0.0, 2.0), 6, master_seed=8)
+        found = thin = 0
+        for cell in run_sweep(cfg).cells:
+            for rec in cell.records:
+                g = sample_gnnp(rec.n, rec.p, rec.seed)
+                want = oracles.obstacle3_thin_scan_reference(g)
+                for got in (rec.obstacle3, scan_obstacles_size3(g)):
+                    assert (None if got is None else (got.s.indices, got.t.indices)) == want
+                found += want is not None
+                if cell.c == -4.0:
+                    thin += sum(
+                        (g.adj_x[a] & g.adj_x[b]).bit_count() == 2
+                        for a in range(g.nx)
+                        for b in range(a + 1, g.nx)
+                    )
+        assert found > 0 and thin > 1000
+
 
 class TestSurrogate:
     @given(bigraphs(min_nx=2, max_nx=6, max_ny=6))
@@ -263,6 +285,13 @@ class TestPoissonGof:
         with pytest.raises(DomainError):
             poisson_gof([0] * 99, rate=1.0)
 
+    def test_rate_too_large_for_float_powers(self) -> None:
+        # far below the threshold every pair of a 20-vertex side is bad:
+        # rate**k and k! overflow a float long before the pmf is small
+        rep = poisson_gof([190] * 100, math.exp(10))
+        assert rep.tv == pytest.approx(1.0)
+        assert rep.table[-1]["expected"] == pytest.approx(1.0)
+
     @pytest.mark.parametrize("rate", [math.nan, math.inf, -1.0])
     def test_rate_must_be_finite_and_non_negative(self, rate: float) -> None:
         with pytest.raises(DomainError):
@@ -313,14 +342,84 @@ class TestSweeps:
         parallel = SweepConfig((12,), (0.0,), 30, master_seed=5, jobs=2)
         assert run_sweep(serial).to_csv() == run_sweep(parallel).to_csv()
 
+    @pytest.mark.parametrize("c", [-10.0, -800.0])
+    def test_far_below_threshold_tv_tends_to_one(self, c: float) -> None:
+        # p clamps to 0, so all 190 pairs are bad and the rate exp(-c) is
+        # beyond float powers (c = -10) or beyond a float at all (c = -800)
+        cell = run_sweep(SweepConfig((20,), (c,), 100, master_seed=1)).cells[0]
+        assert cell.p == 0.0 and cell.mean_nbad == 190
+        assert cell.tv_poisson == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("cores, want", [(1, None), (2, 2), (64, 3)])
+    def test_workers_bounded_by_tasks_and_cores(self, monkeypatch, cores, want) -> None:
+        import concurrent.futures
+
+        started = []
+
+        class InlinePool:
+            def __init__(self, max_workers, initializer=None):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+        cfg = SweepConfig((10,), (0.0,), 3, master_seed=9, jobs=10**6)
+        got = run_sweep(cfg).to_csv()
+        assert started == ([] if want is None else [want])
+        assert got == run_sweep(SweepConfig((10,), (0.0,), 3, master_seed=9)).to_csv()
+
+    @pytest.mark.parametrize(
+        "measures, packs",
+        [
+            (("pair", "obstacle3", "maxdeg"), False),
+            (("pair", "exact"), True),
+            (("pair", "hamiltonian"), True),
+        ],
+    )
+    def test_bigraph_packed_only_for_exact_measures(self, monkeypatch, measures, packs) -> None:
+        calls = []
+        from_dense = Bigraph.from_dense.__func__
+
+        def counting(cls, mat):
+            calls.append(mat.shape)
+            return from_dense(cls, mat)
+
+        monkeypatch.setattr(Bigraph, "from_dense", classmethod(counting))
+        run_sweep(SweepConfig((8,), (-1.0, 1.0), 3, master_seed=4, measures=measures))
+        assert len(calls) == (6 if packs else 0)
+
     def test_records_are_recomputable(self) -> None:
+        # every recorded statistic, redone through the public functions
         cfg = SweepConfig((10,), (0.0,), 10, master_seed=13)
         rep = run_sweep(cfg)
         for rec in rep.cells[0].records:
-            again = _run_trial(
-                (rec.seed, rec.n, rec.c, rec.p, cfg.measures, cfg.exact_limit)
+            g = sample_gnnp(rec.n, rec.p, rec.seed)
+            n0, n1 = count_bad_pairs(g)
+            obstacle = scan_obstacles_size3(g)
+            maxdeg = g.max_degree()
+            again = randlab.TrialRecord(
+                seed=rec.seed,
+                n=rec.n,
+                c=rec.c,
+                p=rec.p,
+                n0=n0,
+                n1=n1,
+                pair_ok=n0 == 0 and n1 == 0,
+                max_degree=maxdeg,
+                obstacle3=obstacle,
+                surrogate=surrogate_dhp(g),
+                maxdeg_ratio=maxdeg / math.sqrt(2 * rec.n * math.log(rec.n)),
             )
             assert again == rec
+            assert type(rec.max_degree) is int
 
     def test_crn_shares_seeds_across_offsets(self) -> None:
         cfg = SweepConfig((10,), (-1.0, 1.0), 8, master_seed=3, crn=True)
