@@ -7,7 +7,7 @@ one WorkBudget object through several calls makes them share a single cap.
 
 from __future__ import annotations
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, ConfigError
 
 __all__ = ["WorkBudget", "SUBSET_BUDGET_DEFAULT", "NODE_BUDGET_DEFAULT"]
 
@@ -20,7 +20,8 @@ class WorkBudget:
 
     def __init__(self, limit: int, label: str = "work"):
         if limit < 0:
-            raise ValueError("budget limit must be non-negative")
+            # a ValueError too, so callers that catch that keep working
+            raise ConfigError(f"{label} budget must be non-negative, got {limit}")
         self.remaining = limit
         self.label = label
 

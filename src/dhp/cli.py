@@ -70,6 +70,8 @@ def _read_text(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read {path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
 
 
 def _write_text(path: str, text: str) -> None:

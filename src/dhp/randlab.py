@@ -34,15 +34,19 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .budget import WorkBudget
 from .checkers import Obstacle, check_dhp
 from .core import Bigraph, CycleWitness, VertexSet
 from .cycles import find_cycle_covering
 from .errors import ConfigError, DomainError, ResourceLimitError
+
+# numpy is imported where it is used, as in core and checkers, so that the
+# CLI calls that never sample (construct, fmt, most checks and solves) start
+# without loading it.
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "mix64",
@@ -92,7 +96,9 @@ def mix64(z: int) -> int:
     return (z ^ (z >> 31)) & MASK64
 
 
-def _mix64_np(z: "np.ndarray") -> "np.ndarray":
+def _mix64_np(z: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     z = z.copy()
     z ^= z >> np.uint64(30)
     z *= np.uint64(0xBF58476D1CE4E5B9)
@@ -108,7 +114,9 @@ def _uniform_scalar(seed: int, i: int, j: int) -> int:
     return mix64(mix64((seed ^ (i << 21)) & MASK64) ^ j)
 
 
-def _uniform_grid(seed: int, nx: int, ny: int) -> "np.ndarray":
+def _uniform_grid(seed: int, nx: int, ny: int) -> np.ndarray:
+    import numpy as np
+
     row_keys = np.full(nx, seed & MASK64, dtype=np.uint64)
     row_keys ^= np.arange(nx, dtype=np.uint64) << np.uint64(21)
     row_keys = _mix64_np(row_keys)
@@ -124,9 +132,11 @@ def _threshold_u64(p: float) -> int:
     return int(p * (1 << 64))
 
 
-def _threshold(grid: "np.ndarray", p: float) -> "np.ndarray":
+def _threshold(grid: np.ndarray, p: float) -> np.ndarray:
     """Adjacency matrix of the sample at edge probability p, from the
     seed's uniform grid: an edge where its uniform falls below p * 2^64."""
+    import numpy as np
+
     thr = _threshold_u64(p)
     if thr >= 1 << 64:
         return np.ones(grid.shape, dtype=bool)
@@ -140,7 +150,9 @@ def _check_sample_size(nx: int, ny: int) -> None:
         )
 
 
-def _unpack_graph(g: Bigraph) -> "np.ndarray":
+def _unpack_graph(g: Bigraph) -> np.ndarray:
+    import numpy as np
+
     nbytes = (g.ny + 7) // 8
     buf = b"".join(row.to_bytes(nbytes, "little") for row in g.adj_x)
     arr = np.frombuffer(buf, dtype=np.uint8).reshape(g.nx, nbytes)
@@ -205,19 +217,23 @@ def threshold_p(n: int, c: float, kind: str = "dhp") -> ThresholdParams:
 
 
 @functools.lru_cache(maxsize=4)
-def _not_above_diagonal(n: int) -> "np.ndarray":
+def _not_above_diagonal(n: int) -> np.ndarray:
     """Read-only n x n mask of the entries (a, b) with a >= b."""
+    import numpy as np
+
     mask = np.tri(n, dtype=bool)
     mask.setflags(write=False)
     return mask
 
 
-def _pair_profile(mat: "np.ndarray") -> tuple[int, int, "np.ndarray"]:
+def _pair_profile(mat: np.ndarray) -> tuple[int, int, np.ndarray]:
     """Counts of X-pairs with zero and with one common neighbour in the bool
     adjacency matrix ``mat``, plus the pair-count matrix: entry (a, b) with
     a < b is the number of common neighbours, every other entry is -1.
     Uses one matrix product; counts up to 2**24 stay exact in float32, so
     the result does not depend on the BLAS."""
+    import numpy as np
+
     a_mat = mat.astype(np.float32)
     common = a_mat @ a_mat.T
     common[_not_above_diagonal(len(mat))] = -1  # count each pair a < b once
@@ -226,7 +242,7 @@ def _pair_profile(mat: "np.ndarray") -> tuple[int, int, "np.ndarray"]:
     return n0, n1, common
 
 
-def _scan_thin(mat: "np.ndarray", common: "np.ndarray") -> Obstacle | None:
+def _scan_thin(mat: np.ndarray, common: np.ndarray) -> Obstacle | None:
     """Size-3 minimal obstacle search over the pairs with two common
     neighbours, given the adjacency matrix and its pair-count matrix.
 
@@ -238,6 +254,8 @@ def _scan_thin(mat: "np.ndarray", common: "np.ndarray") -> Obstacle | None:
     neighbours.  The pairs are tested a block at a time in lexicographic
     order, and the first hit in lexicographic triple order is returned.
     """
+    import numpy as np
+
     thin = common == 2  # above the diagonal only, so thin[b, c] means c > b
     rows, cols = np.nonzero(thin)  # row-major, so lexicographic
     step = max(1, (1 << 16) // max(1, len(mat)))  # pairs per block of 64 Ki cells
@@ -319,6 +337,21 @@ def _poisson_pmf(rate: float, k: int) -> float:
     return math.exp(k * math.log(rate) - rate - math.lgamma(k + 1))
 
 
+def _poisson_support(rate: float, kmax: int) -> range:
+    """The k in [0, kmax] where the Poisson(rate) mass is a positive float:
+    the pmf is unimodal, so this is one interval, walked out from the mode
+    (or from kmax when the mode lies beyond it)."""
+    mid = min(int(rate), kmax)
+    if _poisson_pmf(rate, mid) == 0.0:
+        return range(0)
+    lo = hi = mid
+    while lo > 0 and _poisson_pmf(rate, lo - 1) > 0.0:
+        lo -= 1
+    while hi < kmax and _poisson_pmf(rate, hi + 1) > 0.0:
+        hi += 1
+    return range(lo, hi + 1)
+
+
 @dataclass(frozen=True)
 class PoissonReport:
     rate: float
@@ -342,10 +375,15 @@ def poisson_gof(samples: Sequence[int], rate: float) -> PoissonReport:
     counts: dict[int, int] = {}
     for s in samples:
         counts[s] = counts.get(s, 0) + 1
+    if min(counts) < 0:
+        raise DomainError(f"samples must be non-negative counts, got {min(counts)}")
     kmax = max(counts)
     total = 0.0
     cdf = 0.0
-    for k in range(kmax + 1):
+    # a k outside the pmf's float support that no sample takes adds exactly
+    # +0.0 to both sums, so visiting only the support and the sampled k, in
+    # increasing order, gives the floats of the full range 0..kmax
+    for k in sorted(set(_poisson_support(rate, kmax)).union(counts)):
         pk = _poisson_pmf(rate, k)
         cdf += pk
         total += abs(counts.get(k, 0) / n - pk)
@@ -547,9 +585,13 @@ def _single_thread_blas() -> None:
     Forked workers inherit the parent's BLAS thread pool, so every worker
     would otherwise spin that many threads on the same cores.  Where no
     loaded library has a thread setter nothing changes; the results are the
-    same at any thread count (see ``_pair_profile``).
+    same at any thread count (see ``_pair_profile``).  numpy, which loads
+    the BLAS, is imported first, so a worker that did not inherit it from
+    its parent still pins the library its trials will use.
     """
     import ctypes
+
+    import numpy  # noqa: F401
 
     for path in _openblas_paths():
         try:
@@ -736,6 +778,10 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         cores = os.cpu_count() or 1
     workers = min(config.jobs, len(tasks), cores)
     if workers > 1:
+        # loaded before the fork, so every worker inherits numpy and its BLAS
+        # instead of importing them on its own
+        import numpy  # noqa: F401
+
         chunk = max(1, len(tasks) // (workers * 8))
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=workers, initializer=_single_thread_blas

@@ -8,6 +8,7 @@ code under test is the public ``Bigraph`` read API.
 from __future__ import annotations
 
 import itertools
+import math
 
 from dhp import Bigraph
 
@@ -449,3 +450,24 @@ def min_path_cover_bruteforce(n: int, edges: list[tuple[int, int]]) -> int:
                 pieces += 1
         best = min(best, pieces)
     return best
+
+
+def poisson_tv_reference(samples, rate: float) -> float:
+    """Total-variation distance between the samples' empirical distribution
+    and Poisson(rate), summing the pmf over every k from 0 to the largest
+    sample.  The pmf is the library's log-space formula, so the result can
+    be compared for exact float equality."""
+    n = len(samples)
+    counts: dict[int, int] = {}
+    for s in samples:
+        counts[s] = counts.get(s, 0) + 1
+    total = 0.0
+    cdf = 0.0
+    for k in range(max(counts) + 1):
+        if rate == 0.0:
+            pk = 1.0 if k == 0 else 0.0
+        else:
+            pk = math.exp(k * math.log(rate) - rate - math.lgamma(k + 1))
+        cdf += pk
+        total += abs(counts.get(k, 0) / n - pk)
+    return 0.5 * (total + max(0.0, 1.0 - cdf))

@@ -102,6 +102,36 @@ class TestCheck:
         assert code == 2
         assert "error:" in err
 
+    def test_non_utf8_file_exits_two(self, tmp_path, capsys) -> None:
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xff\xfe\x00")
+        code, _, err = run_cli(["fmt", "-i", str(path)], capsys)
+        assert code == 2
+        assert "error:" in err and "UTF-8" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "dhp", "--budget-subsets", "-5"],
+            ["check", "snp", "--budget-subsets", "-1"],
+            ["check", "supercyclic", "--budget-nodes", "-1"],
+            ["solve", "cover-cycle", "--budget-nodes", "-1"],
+            ["solve", "cycle-cover", "--budget-nodes", "-3"],
+        ],
+    )
+    def test_negative_budget_exits_two(self, argv, cube_file, capsys) -> None:
+        code, out, err = run_cli(argv + ["-i", cube_file], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "non-negative" in err
+
+    def test_negative_budget_is_still_a_value_error(self) -> None:
+        from dhp import ConfigError, check_supercyclic
+
+        with pytest.raises(ConfigError) as info:
+            check_supercyclic(builtin_biplane(1), budget=-1)
+        assert isinstance(info.value, ValueError)
+
     def test_strict_duplicate_edge(self, tmp_path, capsys) -> None:
         path = tmp_path / "dup.txt"
         path.write_text("bigraph 2 2\n0 0\n0 0\n0 1\n1 0\n1 1\n")

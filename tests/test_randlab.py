@@ -297,6 +297,37 @@ class TestPoissonGof:
         with pytest.raises(DomainError):
             poisson_gof([0] * 100, rate)
 
+    def test_negative_samples_rejected(self) -> None:
+        with pytest.raises(DomainError):
+            poisson_gof([0] * 99 + [-1], 1.0)
+
+    def test_tv_equals_full_range_sum(self) -> None:
+        # rates from far above to far below the threshold (c in [-9, 6],
+        # rate e^-c), samples around the rate, at the top of a 60-vertex
+        # side's pair count, or mixed, so that sampled k fall inside,
+        # below and above the pmf's float support
+        rng = random.Random(2024)
+        rates = [0.0, 1e-300, 0.5, 1.0, math.exp(9.0), 1e4]
+        rates += [math.exp(-rng.uniform(-9.0, 6.0)) for _ in range(200)]
+        for rate in rates:
+            kind = rng.randrange(3)
+            if kind == 0:
+                spread = 4 * math.sqrt(rate) + 3
+                samples = [max(0, round(rng.gauss(rate, spread))) for _ in range(100)]
+            elif kind == 1:
+                samples = [1770 - rng.randrange(3) for _ in range(100)]
+            else:
+                samples = [rng.choice((0, 1, 2, 1770, round(rate))) for _ in range(150)]
+            assert poisson_gof(samples, rate).tv == oracles.poisson_tv_reference(samples, rate)
+
+    def test_far_below_threshold_is_quick(self) -> None:
+        # every pair of a 2000-vertex side bad: the full-range sum made
+        # about two million pmf calls; the support is about ten thousand
+        bad = 2000 * 1999 // 2
+        rep = poisson_gof([bad] * 100, math.exp(10))
+        assert rep.tv == pytest.approx(1.0)
+        assert len(randlab._poisson_support(math.exp(10), bad)) < 20_000
+
 
 class TestChernoff:
     def test_complete_graph_ratio(self) -> None:
