@@ -11,15 +11,16 @@ counters, and skipping subtrees that can no longer produce a violation,
 either because the prefix already sees k Y-vertices twice or because the
 suffix-degree lookahead shows that every completion will.
 
-``check_dhp`` and ``find_minimal_obstacle`` share one level scan
-(``_scan_size``): each level of the prefix tree is a set of numpy arrays,
-expanded in bounded lex-ordered chunks, and it spends the units a
-depth-first scan with the same pruning would.  The budget is checked once
-per chunk, before the chunk is made.  Where the property holds, the scan
-runs out exactly when a depth-first scan would; on a failing graph it can
-run out under a cap the depth-first scan, stopping at the witness, would
-have met.  ``check_snp`` and ``check_supercyclic`` test every leaf, so
-they keep the depth-first scan (``_first_violation``).
+Every subset scan runs on one engine, the level scan ``_scan_size``: each
+level of the prefix tree is a set of numpy arrays, expanded in bounded
+lex-ordered chunks, and it spends the units a depth-first scan with the
+same pruning would.  ``check_dhp`` and ``find_minimal_obstacle`` scan for
+a deficient set.  ``check_snp`` and ``check_supercyclic`` pass a leaf test
+(2-connectivity, a covering cycle), which must see every leaf, so their
+scans prune nothing.  The budget is checked once per chunk, before the
+chunk is made.  Where the property holds, the scan runs out exactly when a
+depth-first scan would; on a failing graph it can run out under a cap the
+depth-first scan, stopping at the witness, would have met.
 """
 
 from __future__ import annotations
@@ -214,28 +215,58 @@ class _Level:
         self.next = 0
 
 
+def _leaves(
+    stack: list[_Level], last: np.ndarray, par: np.ndarray,
+    twice: list[np.ndarray], pick: np.ndarray,
+) -> tuple[list[tuple[int, ...]], list[int], np.ndarray]:
+    """The leaves ``pick`` of the chunk below ``stack``: their X-subsets,
+    twice-seen masks, and depth-first ranks over the levels above."""
+    import numpy as np
+
+    cols, rank, p = [last[pick]], pick + 1, par[pick]
+    for level in reversed(stack[1:]):
+        cols.append(level.last[p])
+        rank = rank + level.base + level.pos[p] + 1
+        p = level.par[p]
+    sets = list(map(tuple, np.stack(cols[::-1], axis=1).tolist()))
+    masks = [0] * len(pick)
+    for w, col in enumerate(twice):
+        masks = [m | v << (64 * w) for m, v in zip(masks, col[pick].tolist())]
+    return sets, masks, rank
+
+
 def _scan_size(
-    adj: list[np.ndarray], k: int, table: list[np.ndarray] | None, budget: WorkBudget
+    adj: list[np.ndarray],
+    k: int,
+    table: list[np.ndarray] | None,
+    budget: WorkBudget,
+    leaf_test: Callable[[tuple[int, ...], int], bool] | None = None,
 ) -> tuple[tuple[int, ...], int] | None:
-    """Lexicographically first k-subset S of X with |twice-seen(S)| < k, as
-    (S, twice-seen mask), or None.
+    """Lexicographically first k-subset S of X with |twice-seen(S)| < k, or
+    with ``leaf_test(S, twice-seen mask)`` false, as (S, twice-seen mask),
+    or None.
 
     The prefix tree is expanded a level at a time as arrays: a parent's
     children come out contiguous and in order, so every level stays in lex
-    order.  A prefix whose twice-seen count reaches k is dropped, since
-    adding vertices can only grow it.  With ``table`` (a
+    order.  Without a leaf test, a prefix whose twice-seen count reaches k
+    is dropped, since adding vertices can only grow it.  With ``table`` (a
     ``_suffix_degree_table``) a prefix P + i is also dropped when every
     completion sees k vertices twice: a completion skips only ``slack`` of
     the X-vertices after i, so a Y-vertex with more than ``slack``
     neighbours there is hit again, and one with more than ``slack + 1`` is
-    hit twice.
+    hit twice.  With a leaf test every leaf must be tested, so no prefix is
+    dropped and ``table`` must be None; in each chunk of leaves the test
+    runs, in lex order, on those before the first that fails on count.
 
     Levels are expanded in lex-ordered chunks, depth first, so memory stays
     bounded by the chunk size and the first hit found is the first in lex
     order.  Each chunk's children are checked against the budget before
-    they are made.  Units are one per prefix a depth-first scan with the
-    same pruning visits: every child made if S does not exist, and the
-    depth-first rank of S if it does.
+    they are made, and charged when the scan ends.  Units are one per
+    prefix a depth-first scan with the same pruning visits: every child
+    made if S does not exist, and the depth-first rank of S if it does.  A
+    leaf test may spend from the same budget: it runs while its chunk is
+    reserved but not yet charged, so its units add to the same total as in
+    the depth-first scan, and a run past the budget still raises.
     """
     import numpy as np
 
@@ -270,25 +301,22 @@ def _scan_size(
         last += np.arange(total)
         rows = [col[last] for col in adj]
         twice = [t[par] | (o[par] & r) for t, o, r in zip(up.twice, up.once, rows)]
-        live = (_popcount(twice) < k).nonzero()[0]
         base = made[depth]
         made[depth] += total
 
         if depth == k:
-            if live.size == 0:
+            short = (_popcount(twice) < k).nonzero()[0]
+            j = int(short[0]) if short.size else total
+            if leaf_test is not None and j:
+                sets, masks, _ = _leaves(stack, last, par, twice, np.arange(j))
+                j = next((i for i in range(j) if not leaf_test(sets[i], masks[i])), j)
+            if j == total:
                 continue
-            j = int(live[0])
-            s = [int(last[j])]
-            units = base + j + 1
-            p = par[j]
-            for level in reversed(stack[1:]):
-                s.append(int(level.last[p]))
-                units += level.base + int(level.pos[p]) + 1
-                p = level.par[p]
-            budget.spend(units)
-            mask = sum(int(col[j]) << (64 * w) for w, col in enumerate(twice))
-            return tuple(reversed(s)), mask
+            (s,), (mask,), (rank,) = _leaves(stack, last, par, twice, np.array([j]))
+            budget.spend(base + int(rank))
+            return s, mask
 
+        live = np.arange(total) if leaf_test else (_popcount(twice) < k).nonzero()[0]
         up_par = par[live]
         last = last[live]
         once = [o[up_par] | r[live] for o, r in zip(up.once, rows)]
@@ -308,66 +336,29 @@ def _scan_size(
     return None
 
 
-def _first_violation(
-    g: Bigraph,
-    k: int,
-    budget: WorkBudget,
-    leaf_test: Callable[[tuple[int, ...], int], bool],
-) -> tuple[tuple[int, ...], str] | None:
-    """Lexicographically first size-k X-subset S that violates, as
-    (S, reason).
-
-    S violates with reason "cardinality" when |twice-seen(S)| < k, and with
-    reason "connectivity" when ``leaf_test(S, twice-seen mask)`` is false.
-    Saturating one-seen/twice-seen accumulators are carried down a prefix
-    tree; every leaf must be tested, so nothing is skipped.  Budget is
-    charged per prefix visited.
-    """
-    adj = g.adj_x
-    n = g.nx
-    chosen: list[int] = []
-
-    def descend(start: int, u1: int, u2: int) -> tuple[tuple[int, ...], str] | None:
-        depth = len(chosen)
-        leaf = depth + 1 == k
-        # leave room for the remaining k - depth picks
-        for i in range(start, n - (k - depth) + 1):
-            budget.spend()
-            row = adj[i]
-            nu2 = u2 | (u1 & row)
-            if leaf:
-                if nu2.bit_count() < k:
-                    return (*chosen, i), "cardinality"
-                if not leaf_test((*chosen, i), nu2):
-                    return (*chosen, i), "connectivity"
-                continue
-            chosen.append(i)
-            hit = descend(i + 1, u1 | row, nu2)
-            if hit is not None:
-                return hit
-            chosen.pop()
-        return None
-
-    return descend(0, 0, 0)
-
-
 def _first_deficient(
-    g: Bigraph, k_max: int, budget: WorkBudget
+    g: Bigraph,
+    k_min: int,
+    k_max: int,
+    budget: WorkBudget,
+    leaf_test: Callable[[tuple[int, ...], int], bool] | None = None,
 ) -> tuple[tuple[int, ...], int] | None:
-    """First X-subset S with 2 <= |S| <= k_max and |twice-seen(S)| < |S|,
-    in (size, lex) order, as (S, twice-seen mask).
+    """First X-subset S with k_min <= |S| <= k_max and |twice-seen(S)| < |S|
+    or, with a leaf test, ``leaf_test(S, twice-seen mask)`` false, in
+    (size, lex) order, as (S, twice-seen mask).
 
-    The suffix-degree table is built after the k = 2 pass, so graphs that
-    fail on a pair never pay for it, and is shared by every larger k.
+    Without a leaf test the suffix-degree table is built after the first
+    pass, so graphs that fail on it never pay for it, and is shared by
+    every larger k.
     """
     words = max(1, -(-g.ny // 64))
     adj = _word_columns(g.adj_x, words)
     table = None
-    for k in range(2, k_max + 1):
-        hit = _scan_size(adj, k, table, budget)
+    for k in range(k_min, k_max + 1):
+        hit = _scan_size(adj, k, table, budget, leaf_test)
         if hit is not None:
             return hit
-        if table is None and k < k_max:
+        if table is None and leaf_test is None and k < k_max:
             table = _suffix_degree_table(adj)
     return None
 
@@ -381,7 +372,7 @@ def check_dhp(g: Bigraph, *, budget: int | WorkBudget | None = None) -> Verdict:
     """
     if g.nx < 2:
         raise DomainError(f"double Hall property needs |X| >= 2, got {g.nx}")
-    hit = _first_deficient(g, g.nx, as_budget(budget, SUBSET_BUDGET_DEFAULT, "subset"))
+    hit = _first_deficient(g, 2, g.nx, as_budget(budget, SUBSET_BUDGET_DEFAULT, "subset"))
     if hit is not None:
         return Verdict("dhp", False, {"S": list(hit[0])})
     return Verdict("dhp", True)
@@ -402,12 +393,12 @@ def check_snp(g: Bigraph, *, budget: int | WorkBudget | None = None) -> Verdict:
         sub, _, _ = induced_subgraph(g, VertexSet.xs(chosen), VertexSet(Y_SIDE, u2))
         return is_two_connected(sub)
 
-    for k in range(3, g.nx + 1):
-        hit = _first_violation(g, k, b, two_connected)
-        if hit is not None:
-            s, reason = hit
-            return Verdict("snp", False, {"S": list(s), "reason": reason})
-    return Verdict("snp", True)
+    hit = _first_deficient(g, 3, g.nx, b, two_connected)
+    if hit is None:
+        return Verdict("snp", True)
+    s, u2 = hit
+    reason = "cardinality" if u2.bit_count() < len(s) else "connectivity"
+    return Verdict("snp", False, {"S": list(s), "reason": reason})
 
 
 def check_supercyclic(g: Bigraph, *, budget: int | WorkBudget | None = None) -> Verdict:
@@ -429,11 +420,10 @@ def check_supercyclic(g: Bigraph, *, budget: int | WorkBudget | None = None) -> 
     def has_cycle(chosen: tuple[int, ...], u2: int) -> bool:
         return find_cycle_covering(g, VertexSet.xs(chosen), exact_x=True, budget=b) is not None
 
-    for k in range(3, g.nx + 1):
-        hit = _first_violation(g, k, b, has_cycle)
-        if hit is not None:
-            return Verdict("supercyclic", False, {"S": list(hit[0])})
-    return Verdict("supercyclic", True)
+    hit = _first_deficient(g, 3, g.nx, b, has_cycle)
+    if hit is None:
+        return Verdict("supercyclic", True)
+    return Verdict("supercyclic", False, {"S": list(hit[0])})
 
 
 def check_critical(g: Bigraph, *, budget: int | WorkBudget | None = None) -> Verdict:
@@ -579,7 +569,7 @@ def find_minimal_obstacle(
         raise DomainError("obstacles need |X| >= 2")
     if not (2 <= s_max <= g.nx):
         raise DomainError(f"s_max must be in 2..{g.nx}, got {s_max}")
-    hit = _first_deficient(g, s_max, as_budget(budget, SUBSET_BUDGET_DEFAULT, "subset"))
+    hit = _first_deficient(g, 2, s_max, as_budget(budget, SUBSET_BUDGET_DEFAULT, "subset"))
     if hit is None:
         return None
     chosen, lam2 = hit

@@ -300,11 +300,11 @@ def design_to_bigraph(spec: DesignSpec) -> Bigraph:
     return Bigraph(spec.v, len(spec.blocks), tuple(rows))
 
 
-def _check_product_size(nx: int, ny: int) -> None:
-    check_side_limit(nx, ny, "product")
+def _check_product_size(nx: int, ny: int, what: str = "product") -> None:
+    check_side_limit(nx, ny, what)
     if nx * ny > PRODUCT_CELL_LIMIT:
         raise ResourceLimitError(
-            f"product of {nx} x {ny} exceeds the limit of {PRODUCT_CELL_LIMIT} cells"
+            f"{what} of {nx} x {ny} exceeds the limit of {PRODUCT_CELL_LIMIT} cells"
         )
 
 
@@ -370,13 +370,15 @@ def pad_with_universal(g: Bigraph, target_n: int) -> Bigraph:
     tight S plus one universal vertex demands |S| + 1 witnesses but still
     sees only N(S) twice.  K(2,2) padded by one vertex is the smallest
     graph losing the property this way; generously-connected inputs such
-    as pair gadgets keep it."""
+    as pair gadgets keep it.  The padded graph is held to the product's
+    size caps."""
     if target_n < g.nx:
         raise DomainError(f"target {target_n} is smaller than |X| = {g.nx}")
     extra = target_n - g.nx
     if extra == 0:
         return g
     new_ny = g.ny + extra
+    _check_product_size(target_n, new_ny, "padding")
     full = (1 << new_ny) - 1
     rows = list(g.adj_x) + [full] * extra
     return Bigraph(target_n, new_ny, tuple(rows))

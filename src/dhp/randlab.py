@@ -412,6 +412,8 @@ def chernoff_degree_check(g: Bigraph, p: float) -> dict:
     n = max(g.nx, g.ny)
     if n < 2:
         raise DomainError("need at least 2 vertices per side")
+    if not (0.0 <= p <= 1.0):
+        raise DomainError(f"edge probability must be in [0, 1], got {p}")
     mean = n * p
     delta = 3.0 * (math.log(n) / n) ** 0.25
     maxdeg = g.max_degree()

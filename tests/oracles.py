@@ -57,17 +57,23 @@ def dhp_bruteforce(g: Bigraph) -> bool:
     return first_deficient_subset(g, 2) is None
 
 
-def prefix_scan_reference(g: Bigraph, k_max: int, lookahead: bool = False):
-    """The per-k depth-first prefix scan of ``check_dhp`` and
-    ``find_minimal_obstacle``, kept as the reference for verdict, witness
-    and unit count.
+def prefix_scan_reference(
+    g: Bigraph, k_max: int, lookahead: bool = False, leaf_test=None, k_min: int = 2
+):
+    """The per-k depth-first prefix scan of the checkers, kept as the
+    reference for verdict, witness and unit count.
 
-    Without ``lookahead`` it is the scan as it stood before the
-    suffix-degree lookahead; with it, the scan as it stood before the level
-    scan replaced it, with every layer of the suffix-degree table kept.
+    Without ``lookahead`` it is the scan of ``check_dhp`` and
+    ``find_minimal_obstacle`` as it stood before the suffix-degree
+    lookahead; with it, the scan as it stood before the level scan replaced
+    it, with every layer of the suffix-degree table kept.  With
+    ``leaf_test`` it is the scan of ``check_snp`` and ``check_supercyclic``
+    before they moved to the level scan: nothing is pruned, and a leaf S
+    fails when |twice-seen(S)| < |S| or, that count passing, when
+    ``leaf_test(S, twice-seen mask)`` is false.
     Unlike the rest of this module it uses the bitmask rows, so that its
     unit count (one per prefix visited) means what the library's does.
-    Returns (first deficient S or None, its twice-seen set, units spent).
+    Returns (first failing S or None, its twice-seen set, units spent).
     """
     n = g.nx
     adj = g.adj_x
@@ -89,10 +95,10 @@ def prefix_scan_reference(g: Bigraph, k_max: int, lookahead: bool = False):
             row = adj[i]
             nu2 = u2 | (u1 & row)
             if len(chosen) + 1 == k:
-                if nu2.bit_count() < k:
+                if nu2.bit_count() < k or (leaf_test and not leaf_test((*chosen, i), nu2)):
                     return (*chosen, i), nu2
                 continue
-            if nu2.bit_count() >= k:
+            if nu2.bit_count() >= k and leaf_test is None:
                 continue
             nu1 = u1 | row
             if ahead:
@@ -104,7 +110,7 @@ def prefix_scan_reference(g: Bigraph, k_max: int, lookahead: bool = False):
                 return hit
         return None
 
-    for k in range(2, k_max + 1):
+    for k in range(k_min, k_max + 1):
         hit = descend(k, (), 0, 0, 0, lookahead and k > 2)
         if hit is not None:
             s, mask = hit

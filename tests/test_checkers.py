@@ -41,6 +41,7 @@ from dhp import (
 )
 from dhp import checkers, cycles
 from dhp.checkers import LOOKAHEAD_TABLE_BITS
+from dhp.core import Y_SIDE, induced_subgraph, is_two_connected
 
 
 class TestDhp:
@@ -302,17 +303,21 @@ class TestLevelScan:
         for _ in range(300):
             g = _skewed_bigraph(rng)
             ref_s, _, ref_units = oracles.prefix_scan_reference(g, g.nx, lookahead=True)
-            for cap in {0, ref_units // 2, ref_units - 1, ref_units, rng.randrange(ref_units + 1)}:
-                b = WorkBudget(max(cap, 0), "subset")
-                try:
-                    v = check_dhp(g, budget=b)
-                except BudgetExceededError:
-                    # where the property holds, exactly when the scan would
-                    assert ref_s is not None or cap < ref_units
-                    continue
-                assert cap >= ref_units
-                assert v.witness == (None if ref_s is None else {"S": list(ref_s)})
-                assert cap - b.remaining == ref_units
+            scans = [(check_dhp, None if ref_s is None else {"S": list(ref_s)}, ref_units)]
+            if 3 <= g.nx <= 10:  # as in TestLeafTestScan, for the run time
+                scans.append((check_snp, *_snp_reference(g)))
+            for check, witness, units in scans:
+                for cap in {0, units // 2, units - 1, units, rng.randrange(units + 1)}:
+                    b = WorkBudget(max(cap, 0), "subset")
+                    try:
+                        v = check(g, budget=b)
+                    except BudgetExceededError:
+                        # where the property holds, exactly when the scan would
+                        assert witness is not None or cap < units
+                        continue
+                    assert cap >= units
+                    assert v.witness == witness
+                    assert cap - b.remaining == units
 
     def test_failing_scan_exhausts_a_whole_chunk_at_a_time(self) -> None:
         # the first deficient pair is 8th in depth-first order, but the
@@ -323,6 +328,64 @@ class TestLevelScan:
         b = WorkBudget(77, "subset")
         assert check_dhp(g, budget=b).witness == {"S": [0, 7]}
         assert b.remaining == 77 - 8
+
+
+def _snp_reference(g: Bigraph) -> tuple[dict | None, int]:
+    """check_snp's witness and units by the depth-first scan that tests
+    every leaf, with check_snp's 2-connectivity test."""
+
+    def two_connected(s: tuple[int, ...], u2: int) -> bool:
+        sub, _, _ = induced_subgraph(g, VertexSet.xs(s), VertexSet(Y_SIDE, u2))
+        return is_two_connected(sub)
+
+    ref_s, ref_t, units = oracles.prefix_scan_reference(g, g.nx, leaf_test=two_connected, k_min=3)
+    if ref_s is None:
+        return None, units
+    reason = "cardinality" if len(ref_t) < len(ref_s) else "connectivity"
+    return {"S": list(ref_s), "reason": reason}, units
+
+
+def _supercyclic_reference(g: Bigraph) -> tuple[dict | None, int]:
+    """check_supercyclic's witness and units by the depth-first scan, its
+    cycle searches spending from a budget of their own."""
+    limit = 10**8
+    nodes = WorkBudget(limit, "node")
+
+    def has_cycle(s: tuple[int, ...], u2: int) -> bool:
+        return cycles.find_cycle_covering(g, VertexSet.xs(s), exact_x=True, budget=nodes) is not None
+
+    ref_s, _, units = oracles.prefix_scan_reference(g, g.nx, leaf_test=has_cycle, k_min=3)
+    return (None if ref_s is None else {"S": list(ref_s)}), units + limit - nodes.remaining
+
+
+class TestLeafTestScan:
+    """check_snp and check_supercyclic on the level scan against the
+    depth-first scan they ran on before: verdict, witness and units."""
+
+    @pytest.mark.parametrize("chunk_words", [None, 3])
+    def test_matches_depth_first_scan(self, chunk_words, monkeypatch) -> None:
+        if chunk_words is not None:
+            monkeypatch.setattr(checkers, "LEVEL_CHUNK_WORDS", chunk_words)
+        rng = random.Random(11 if chunk_words is None else chunk_words)
+        limit = 10**8
+        outcomes = set()
+        left = 1000 if chunk_words is None else 200
+        while left:
+            # past ten X-vertices a holding graph tests four thousand leaves
+            # per check, which would add a minute to the run
+            g = _skewed_bigraph(rng)
+            if not 3 <= g.nx <= 10:
+                continue
+            left -= 1
+            b = WorkBudget(limit, "subset")
+            v = check_snp(g, budget=b)
+            assert (v.witness, limit - b.remaining) == _snp_reference(g)
+            outcomes.add(v.witness["reason"] if v.witness else "holds")
+            b = WorkBudget(limit, "node")
+            v = check_supercyclic(g, budget=b)
+            assert (v.witness, limit - b.remaining) == _supercyclic_reference(g)
+            outcomes.add("cycle-less" if v.witness else "supercyclic")
+        assert outcomes == {"holds", "cardinality", "connectivity", "cycle-less", "supercyclic"}
 
 
 class TestSnp:
@@ -529,6 +592,33 @@ class TestCriticalFamily:
             )
             deletions.append(oracles.snp_bruteforce(sub))
         assert v.holds == (not any(deletions))
+
+
+# Units spent by the checks that run the cycle engine as a leaf test, or
+# check_snp once per Y-vertex, per graph: biplane(2), pair_gadget(4),
+# pair_gadget(5).  Recorded from the depth-first scan the level scan
+# replaced; check_snp_minimal spends subset units, the others node units.
+PINNED_NODE_UNITS = [
+    (check_supercyclic, "node", (612, 29, 93)),
+    (check_critical, "node", (825, 42, 131)),
+    (check_saturated_critical, "node", (825, 42, 131)),
+    (check_snp_minimal, "subset", (1704, 26, 76)),
+]
+
+
+@pytest.mark.parametrize(
+    "check, label, pinned",
+    PINNED_NODE_UNITS,
+    ids=[case[0].__name__ for case in PINNED_NODE_UNITS],
+)
+def test_node_units_are_pinned(check, label, pinned) -> None:
+    limit = 10**6
+    spent = []
+    for g in (builtin_biplane(2), pair_gadget(4), pair_gadget(5)):
+        b = WorkBudget(limit, label)
+        check(g, budget=b)
+        spent.append(limit - b.remaining)
+    assert tuple(spent) == pinned
 
 
 class TestObstacles:

@@ -1,7 +1,8 @@
 """Which calls load numpy.  Importing the package and the CLI calls that
-never sample or scan with arrays (construct, fmt, the pure-Python checks)
-start without it; the level scan and sweeps load it, and a sweep loads it
-before its worker pool forks so the workers inherit its BLAS.
+never sample or scan with arrays (construct, fmt, the design check, the
+cycle solver) start without it; the subset-scan checks, which all run on
+the level scan, and sweeps load it, and a sweep loads it before its worker
+pool forks so the workers inherit its BLAS.
 
 Each test runs in a fresh interpreter, since this one has numpy loaded.
 """
@@ -59,25 +60,26 @@ def test_import_dhp_leaves_numpy_unloaded() -> None:
     assert got == {"numpy": False}
 
 
-def test_construct_fmt_and_check_snp_leave_numpy_unloaded(tmp_path) -> None:
+def test_construct_fmt_and_check_design_leave_numpy_unloaded(tmp_path) -> None:
     graph, out = tmp_path / "b2.txt", tmp_path / "out"
     got = run_fresh(
         CLI_CALLS,
         f"construct biplane --order 2 -o {graph}",
         f"construct product {graph} {graph} -o {out}",
         f"fmt -i {graph} --format json -o {out}",
-        f"check snp -i {graph} -o {out}",
+        f"check design -i {graph} -o {out}",
         f"solve cover-cycle -i {graph} -o {out}",
     )
     assert got == {"codes": [0, 0, 0, 0, 0], "numpy": False}
 
 
-def test_check_dhp_loads_numpy(tmp_path) -> None:
+@pytest.mark.parametrize("prop", ["dhp", "snp"])
+def test_level_scan_checks_load_numpy(prop: str, tmp_path) -> None:
     graph = tmp_path / "b2.txt"
     got = run_fresh(
         CLI_CALLS,
         f"construct biplane --order 2 -o {graph}",
-        f"check dhp -i {graph} -o {tmp_path / 'out'}",
+        f"check {prop} -i {graph} -o {tmp_path / 'out'}",
     )
     assert got == {"codes": [0, 0], "numpy": True}
 

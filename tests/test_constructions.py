@@ -277,6 +277,13 @@ class TestPadding:
         with pytest.raises(DomainError):
             pad_with_universal(pair_gadget(3), 2)
 
+    @pytest.mark.parametrize("target", [40_000, 10**7])
+    def test_oversized_target_rejected(self, target: int) -> None:
+        # past the product's cell cap, then past its side cap; before the
+        # caps a target of 10**7 ran for minutes
+        with pytest.raises(ResourceLimitError):
+            pad_with_universal(builtin_biplane(3), target)
+
     def test_padded_gadget_keeps_dhp(self) -> None:
         padded = pad_with_universal(pair_gadget(3), 8)
         assert padded.nx == 8

@@ -341,6 +341,11 @@ class TestChernoff:
         assert rep["max_degree"] == 0
         assert rep["ratio"] is None
 
+    @pytest.mark.parametrize("p", [-0.1, 1.5, 2.0, math.inf, math.nan])
+    def test_probability_outside_unit_interval_rejected(self, p: float) -> None:
+        with pytest.raises(DomainError):
+            chernoff_degree_check(Bigraph.complete(9, 9), p)
+
 
 class TestSweeps:
     def test_config_validation(self) -> None:
