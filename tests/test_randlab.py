@@ -563,6 +563,15 @@ class TestSweepOutputPinned:
             SweepConfig((100,), (-2.0, 0.0, 2.0), 10, master_seed=5, jobs=2, crn=True),
             "467848d17a9be078ef56991796fb616540af917a17f83aba3c666dfdce8673a0",
         ),
+        # recorded before the kernel visited a seed's offsets in increasing p
+        "bench_shape_n300": (
+            SweepConfig((300,), (-2.0, 0.0, 2.0), 5, master_seed=1),
+            "6db49365765d3aea28ea64d12cb8451b946c0785b9252c1cb475716e0e597315",
+        ),
+        "unsorted_repeat_jobs2_n60": (
+            SweepConfig((60,), (2.0, -2.0, 0.0, -2.0), 20, master_seed=9, jobs=2),
+            "32d23c8323c8ba0cc30d158b2e9ccd814b18fb05e5ba8cc37b8865e1a67ceff5",
+        ),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
