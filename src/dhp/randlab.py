@@ -21,9 +21,16 @@ A sweep trial keeps its sample only as the bool matrix it is drawn as: it
 reads the pair counts, the first size-3 obstacle and the maximum degree off
 that matrix and its pair-count product, and packs a ``Bigraph`` only for
 the exact measures.  Under common random numbers one task per seed draws
-the uniform grid once and thresholds it for every offset c.  A sweep starts
-at most min(jobs, tasks, usable cores) worker processes, and they run their
-BLAS single-threaded, so parallel workers do not oversubscribe the cores.
+the uniform grid once and thresholds it for every offset c, visiting the
+offsets in increasing p.  Its samples are then nested, so a pair's
+common-neighbour count only grows from one offset to the next: the first
+offset profiles every X-row, and each later one only the rows that were in
+a pair with at most two common neighbours at the offset before, since
+every bad pair (fewer than two) and every thin pair (exactly two) of a
+later sample is among them.  Above the threshold those are a few dozen
+rows of hundreds.  A sweep starts at most min(jobs, tasks, usable cores)
+worker processes, and they run their BLAS single-threaded, so parallel
+workers do not oversubscribe the cores.
 """
 
 from __future__ import annotations
@@ -97,14 +104,16 @@ def mix64(z: int) -> int:
 
 
 def _mix64_np(z: np.ndarray) -> np.ndarray:
+    """``mix64`` over a uint64 array, in place: the callers pass a fresh
+    array, and each xor-shift goes through one scratch array."""
     import numpy as np
 
-    z = z.copy()
-    z ^= z >> np.uint64(30)
+    tmp = np.empty_like(z)
+    z ^= np.right_shift(z, np.uint64(30), out=tmp)
     z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
+    z ^= np.right_shift(z, np.uint64(27), out=tmp)
     z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
+    z ^= np.right_shift(z, np.uint64(31), out=tmp)
     return z
 
 
@@ -161,9 +170,11 @@ def _unpack_graph(g: Bigraph) -> np.ndarray:
 
 def sample_bipartite(nx: int, ny: int, p: float, seed: int) -> Bigraph:
     """Random bigraph with independent edge probability p, deterministic in
-    (nx, ny, p, seed)."""
+    (nx, ny, p, seed); the seed is a 64-bit word, in [0, 2^64)."""
     if nx < 0 or ny < 0:
         raise DomainError("side sizes must be non-negative")
+    if not 0 <= seed <= MASK64:
+        raise DomainError(f"seed must be in [0, 2^64), got {seed}")
     if not (0.0 <= p <= 1.0):
         raise DomainError(f"edge probability must be in [0, 1], got {p}")
     _check_sample_size(nx, ny)
@@ -226,25 +237,30 @@ def _not_above_diagonal(n: int) -> np.ndarray:
     return mask
 
 
-def _pair_profile(mat: np.ndarray) -> tuple[int, int, np.ndarray]:
-    """Counts of X-pairs with zero and with one common neighbour in the bool
-    adjacency matrix ``mat``, plus the pair-count matrix: entry (a, b) with
-    a < b is the number of common neighbours, every other entry is -1.
-    Uses one matrix product; counts up to 2**24 stay exact in float32, so
-    the result does not depend on the BLAS."""
+def _pair_profile(mat: np.ndarray, tri: np.ndarray) -> tuple[int, int, np.ndarray]:
+    """Counts of X-pairs with zero and with one common neighbour among the
+    rows of the bool adjacency matrix ``mat``, plus the pair-count matrix:
+    entry (a, b) with a < b is the number of common neighbours, every other
+    entry is -1.  ``tri`` is the ``_not_above_diagonal`` mask at the row
+    count, or the leading square of a larger one.  Uses one matrix product;
+    counts up to 2**24 stay exact in float32, so the result does not depend
+    on the BLAS."""
     import numpy as np
 
     a_mat = mat.astype(np.float32)
     common = a_mat @ a_mat.T
-    common[_not_above_diagonal(len(mat))] = -1  # count each pair a < b once
+    common[tri] = -1  # count each pair a < b once
     n0 = int(np.count_nonzero(common == 0))
     n1 = int(np.count_nonzero(common == 1))
     return n0, n1, common
 
 
-def _scan_thin(mat: np.ndarray, common: np.ndarray) -> Obstacle | None:
+def _scan_thin(
+    mat: np.ndarray, common: np.ndarray, xs: Sequence[int]
+) -> Obstacle | None:
     """Size-3 minimal obstacle search over the pairs with two common
-    neighbours, given the adjacency matrix and its pair-count matrix.
+    neighbours, given the adjacency matrix rows of the X-vertices ``xs``
+    (increasing) and their pair-count matrix.
 
     A minimal obstacle (S, T) with |S| = 3 forces |T| = 2 with both
     T-vertices adjacent to all of S, which makes every pair inside S have
@@ -258,7 +274,8 @@ def _scan_thin(mat: np.ndarray, common: np.ndarray) -> Obstacle | None:
 
     thin = common == 2  # above the diagonal only, so thin[b, c] means c > b
     rows, cols = np.nonzero(thin)  # row-major, so lexicographic
-    step = max(1, (1 << 16) // max(1, len(mat)))  # pairs per block of 64 Ki cells
+    # pairs per block of 64 Ki cells: a block holds rows of mat and of mat.T
+    step = max(1, (1 << 16) // max(1, *mat.shape))
     for lo in range(0, len(rows), step):
         a, b = rows[lo : lo + step], cols[lo : lo + step]
         t1, t2 = np.nonzero(mat[a] & mat[b])[1].reshape(-1, 2).T
@@ -267,7 +284,7 @@ def _scan_thin(mat: np.ndarray, common: np.ndarray) -> Obstacle | None:
         if found.size:
             i = found[0]
             return Obstacle(
-                s=VertexSet.xs((int(a[i]), int(b[i]), int(third[i].argmax()))),
+                s=VertexSet.xs(int(xs[v]) for v in (a[i], b[i], third[i].argmax())),
                 t=VertexSet.ys((int(t1[i]), int(t2[i]))),
                 minimal=True,
             )
@@ -278,7 +295,7 @@ def count_bad_pairs(g: Bigraph) -> tuple[int, int]:
     """(n0, n1): the number of X-pairs with no common neighbour and with
     exactly one.  Either kind being positive already refutes the pair case
     of the double Hall property."""
-    n0, n1, _ = _pair_profile(_unpack_graph(g))
+    n0, n1, _ = _pair_profile(_unpack_graph(g), _not_above_diagonal(g.nx))
     return n0, n1
 
 
@@ -286,7 +303,8 @@ def scan_obstacles_size3(g: Bigraph) -> Obstacle | None:
     """First (lexicographic) X-triple S forming a minimal obstacle with its
     two-element super-neighbourhood, or None."""
     mat = _unpack_graph(g)
-    return _scan_thin(mat, _pair_profile(mat)[2])
+    common = _pair_profile(mat, _not_above_diagonal(g.nx))[2]
+    return _scan_thin(mat, common, range(g.nx))
 
 
 def surrogate_dhp(g: Bigraph) -> bool:
@@ -298,10 +316,10 @@ def surrogate_dhp(g: Bigraph) -> bool:
     with |S| >= 4 whose triples are all clean, so it over-approximates.
     """
     mat = _unpack_graph(g)
-    n0, n1, common = _pair_profile(mat)
+    n0, n1, common = _pair_profile(mat, _not_above_diagonal(g.nx))
     if n0 or n1:
         return False
-    return _scan_thin(mat, common) is None
+    return _scan_thin(mat, common, range(g.nx)) is None
 
 
 def check_hamiltonian(
@@ -464,6 +482,8 @@ class SweepConfig:
             _check_sample_size(n, n)
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if not 0 <= self.master_seed <= MASK64:
+            raise ConfigError(f"master seed must be in [0, 2^64), got {self.master_seed}")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
         unknown = [m for m in self.measures if m not in MEASURES]
@@ -521,21 +541,38 @@ class TrialRecord:
 
 def _run_seed(task: tuple) -> list[TrialRecord]:
     """The records of one seed at every (c, p) in the task, in that order:
-    (seed, n, ((c, p), ...), measures, exact_limit).  The seed's uniform
-    grid is drawn once and thresholded for each p; a trial reads its
-    statistics off that bool matrix and packs a ``Bigraph`` only for the
-    exact measures."""
+    (seed, n, ((c, p), ...), measures, exact_limit).
+
+    The seed's uniform grid is drawn once and thresholded for each p, in
+    increasing p, while a sorted set R of X-rows shrinks.  At each p the
+    maximum degree is read off the full bool matrix, but only the rows in R
+    are profiled; R then shrinks to the rows in some pair with at most two
+    common neighbours, and the thin-pair scan runs on that R x R block.
+    This is exact because raising p only adds edges: a pair with at most
+    two common neighbours at a larger p, and so the third vertex of a
+    size-3 obstacle there, had at most two at every smaller p.  A
+    ``Bigraph`` is packed only for the exact measures.
+    """
+    import numpy as np
+
     seed, n, cps, measures, exact_limit = task
     grid = _uniform_grid(seed, n, n)
-    records = []
-    for c, p in cps:
+    tri = _not_above_diagonal(n)
+    rows = np.arange(n)  # R: increasing, so lexicographic order is kept
+    records: list = [None] * len(cps)
+    for k in sorted(range(len(cps)), key=lambda k: cps[k][1]):
+        c, p = cps[k]
         mat = _threshold(grid, p)
-        n0, n1, common = _pair_profile(mat)
-        pair_ok = n0 == 0 and n1 == 0
         maxdeg = int(max(mat.sum(axis=0).max(), mat.sum(axis=1).max()))
+        sub = mat[rows]
+        n0, n1, common = _pair_profile(sub, tri[: len(rows), : len(rows)])
+        pair_ok = n0 == 0 and n1 == 0
+        near = (common >= 0) & (common <= 2)
+        keep = np.flatnonzero(near.any(axis=0) | near.any(axis=1))
+        rows = rows[keep]
         obstacle = surtag = exact = ham = ratio = None
         if "obstacle3" in measures:
-            obstacle = _scan_thin(mat, common)
+            obstacle = _scan_thin(sub[keep], common[np.ix_(keep, keep)], rows)
             surtag = pair_ok and obstacle is None
         if "exact" in measures or "hamiltonian" in measures:
             g = Bigraph.from_dense(mat)
@@ -545,22 +582,20 @@ def _run_seed(task: tuple) -> list[TrialRecord]:
                 ham = check_hamiltonian(g, limit=exact_limit) is not None
         if "maxdeg" in measures:
             ratio = maxdeg / math.sqrt(2 * n * math.log(n))
-        records.append(
-            TrialRecord(
-                seed=seed,
-                n=n,
-                c=c,
-                p=p,
-                n0=n0,
-                n1=n1,
-                pair_ok=pair_ok,
-                max_degree=maxdeg,
-                obstacle3=obstacle,
-                surrogate=surtag,
-                exact_dhp=exact,
-                hamiltonian=ham,
-                maxdeg_ratio=ratio,
-            )
+        records[k] = TrialRecord(
+            seed=seed,
+            n=n,
+            c=c,
+            p=p,
+            n0=n0,
+            n1=n1,
+            pair_ok=pair_ok,
+            max_degree=maxdeg,
+            obstacle3=obstacle,
+            surrogate=surtag,
+            exact_dhp=exact,
+            hamiltonian=ham,
+            maxdeg_ratio=ratio,
         )
     return records
 

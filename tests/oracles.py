@@ -2,7 +2,9 @@
 
 Everything in this module favours obviousness over speed: plain sets,
 exhaustive enumeration, no bitmask tricks.  The only thing shared with the
-code under test is the public ``Bigraph`` read API.
+code under test is the public ``Bigraph`` read API, except in
+``sweep_seed_reference``, which redoes a sweep kernel's records through the
+public per-sample functions.
 """
 
 from __future__ import annotations
@@ -393,6 +395,54 @@ def obstacle3_thin_scan_reference(g: Bigraph):
                 ):
                     return (a, b, c), (t1, t2)
     return None
+
+
+def sweep_seed_reference(task) -> list:
+    """The records of a sweep task (seed, n, ((c, p), ...), measures,
+    exact_limit), one offset at a time in task order, each from the full
+    sample through the public per-sample functions; nothing is carried
+    from one offset to the next."""
+    from dhp import (
+        check_dhp,
+        check_hamiltonian,
+        count_bad_pairs,
+        sample_gnnp,
+        scan_obstacles_size3,
+    )
+    from dhp.randlab import TrialRecord
+
+    seed, n, cps, measures, exact_limit = task
+    records = []
+    for c, p in cps:
+        g = sample_gnnp(n, p, seed)
+        n0, n1 = count_bad_pairs(g)
+        pair_ok = n0 == 0 and n1 == 0
+        maxdeg = g.max_degree()
+        obstacle = scan_obstacles_size3(g) if "obstacle3" in measures else None
+        records.append(
+            TrialRecord(
+                seed=seed,
+                n=n,
+                c=c,
+                p=p,
+                n0=n0,
+                n1=n1,
+                pair_ok=pair_ok,
+                max_degree=maxdeg,
+                obstacle3=obstacle,
+                surrogate=pair_ok and obstacle is None if "obstacle3" in measures else None,
+                exact_dhp=check_dhp(g).holds if "exact" in measures else None,
+                hamiltonian=(
+                    check_hamiltonian(g, limit=exact_limit) is not None
+                    if "hamiltonian" in measures
+                    else None
+                ),
+                maxdeg_ratio=(
+                    maxdeg / math.sqrt(2 * n * math.log(n)) if "maxdeg" in measures else None
+                ),
+            )
+        )
+    return records
 
 
 def is_obstacle_bruteforce(g: Bigraph, s: set[int], t: set[int]) -> bool:

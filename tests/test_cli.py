@@ -504,6 +504,16 @@ class TestRandom:
         assert code == 2 and out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_exits_two(self, seed, capsys) -> None:
+        code, out, err = run_cli(
+            ["random", "sweep", "--n-list", "10", "--c-list", "0", "--trials", "2",
+             "--seed", seed],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert "seed" in err
+
     def test_exact_measure_size_guard(self, capsys) -> None:
         code, _, err = run_cli(
             [

@@ -76,6 +76,14 @@ class TestSampling:
         edges = [(i, j) for i in range(nx) for j in range(ny) if want[i][j] < thr]
         assert sample_bipartite(nx, ny, 0.37, seed) == Bigraph.from_edges(nx, ny, edges)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 3])
+    def test_seed_outside_64_bits_rejected(self, seed: int) -> None:
+        # such seeds used to alias the in-range seed with the same low 64 bits
+        with pytest.raises(DomainError, match="seed"):
+            sample_bipartite(20, 20, 0.5, seed)
+        with pytest.raises(ConfigError, match="seed"):
+            SweepConfig((10,), (0.0,), 5, master_seed=seed).validate()
+
     def test_rejects_bad_arguments(self) -> None:
         with pytest.raises(DomainError):
             sample_bipartite(-1, 3, 0.5, seed=0)
@@ -505,6 +513,66 @@ class TestSweeps:
         for rec in cell.records:
             g = sample_gnnp(rec.n, rec.p, rec.seed)
             assert rec.exact_dhp == check_dhp(g).holds
+
+
+class TestNestedKernel:
+    """A sweep task visits its offsets in increasing p and profiles, after
+    the first, only the rows still in a pair with at most two common
+    neighbours; the records must be those of the full sample at each p."""
+
+    @staticmethod
+    def _count_profiled_rows(monkeypatch) -> list[int]:
+        sizes = []
+        profile = randlab._pair_profile
+
+        def counting(mat, tri):
+            sizes.append(len(mat))
+            return profile(mat, tri)
+
+        monkeypatch.setattr(randlab, "_pair_profile", counting)
+        return sizes
+
+    def test_matches_per_offset_reference(self, monkeypatch) -> None:
+        sizes = self._count_profiled_rows(monkeypatch)
+        rng = random.Random(20)
+        # +-1000 clamp p to 0 and to 1; at p = 1 no pair has <= 2 common
+        # neighbours, so a repeated p = 1 profiles no rows at all
+        offsets = (-1000.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 1000.0)
+        fixed = [(2.0, -2.0, 0.0, -2.0), (1000.0, -2.0, 1000.0), (0.0,), (-1000.0,)]
+        tasks = shrunk = emptied = 0
+        for n in (3, 4, 7, 30, 100, 300):
+            for t in range(50):
+                if t < len(fixed):
+                    cs = fixed[t]
+                else:
+                    cs = tuple(rng.choice(offsets) for _ in range(rng.randint(1, 5)))
+                measures = ("pair", "obstacle3", "maxdeg")
+                if t % 5 == 1:
+                    measures = ("pair", "maxdeg")
+                elif t % 5 == 2 and n <= 7:
+                    measures = ("pair", "obstacle3", "exact", "hamiltonian")
+                cps = tuple((c, threshold_p(n, c).p) for c in cs)
+                task = (rng.getrandbits(64), n, cps, measures, 16)
+                want = oracles.sweep_seed_reference(task)
+                start = len(sizes)
+                assert randlab._run_seed(task) == want, task
+                first, *later = sizes[start:]
+                assert first == n and len(later) == len(cps) - 1
+                shrunk += any(m < n for m in later)
+                emptied += 0 in later
+                tasks += 1
+        assert tasks >= 300 and shrunk > 100 and emptied >= 6
+
+    def test_one_full_profile_per_seed(self, monkeypatch) -> None:
+        # at the bench shape only the first offset of a seed profiles all
+        # n rows; three full products per seed would fail here
+        sizes = self._count_profiled_rows(monkeypatch)
+        trials, n = 4, 300
+        run_sweep(SweepConfig((n,), (2.0, -2.0, 0.0), trials, master_seed=3))
+        assert len(sizes) == 3 * trials
+        for t in range(trials):
+            first, *later = sizes[3 * t : 3 * t + 3]
+            assert first == n and all(m < n for m in later)
 
 
 class TestSampleSizeCap:
