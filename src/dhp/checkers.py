@@ -37,8 +37,9 @@ from .core import (
     bit_list,
     bits,
     induced_subgraph,
-    is_two_connected,
+    mask_of,
     neighborhood_at_least,
+    two_connected_on,
 )
 from .errors import ContractViolationError, DomainError, GraphInputError
 
@@ -390,8 +391,7 @@ def check_snp(g: Bigraph, *, budget: int | WorkBudget | None = None) -> Verdict:
     b = as_budget(budget, SUBSET_BUDGET_DEFAULT, "subset")
 
     def two_connected(chosen: tuple[int, ...], u2: int) -> bool:
-        sub, _, _ = induced_subgraph(g, VertexSet.xs(chosen), VertexSet(Y_SIDE, u2))
-        return is_two_connected(sub)
+        return two_connected_on(g, mask_of(chosen), u2)
 
     hit = _first_deficient(g, 3, g.nx, b, two_connected)
     if hit is None:

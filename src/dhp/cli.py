@@ -59,7 +59,7 @@ from .cycles import (
 )
 from .errors import BudgetExceededError, ConfigError, ContractViolationError, DhpError, DomainError
 from .formats import load_bigraph, serialize_bigraph, bigraph_to_json_obj
-from .randlab import EXACT_MEASURE_LIMIT, SweepConfig, check_hamiltonian, run_sweep
+from .randlab import EXACT_MEASURE_LIMIT, SweepConfig, SweepReport, check_hamiltonian, run_sweep
 
 
 def _read_text(path: str) -> str:
@@ -85,29 +85,6 @@ def _write_text(path: str, text: str) -> None:
         raise ConfigError(f"cannot write {path}: {exc.strerror}")
 
 
-def _config_of(args: argparse.Namespace) -> dict:
-    cfg = {k: v for k, v in vars(args).items() if k != "func"}
-    cfg["command"] = args.func.__name__.removeprefix("cmd_")
-    return cfg
-
-
-def _dump_json(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def _emit_graph(args: argparse.Namespace, g: Bigraph) -> int:
-    cfg = _config_of(args)
-    fmt = args.format if args.format != "auto" else "edge-list"
-    if fmt == "json":
-        obj = bigraph_to_json_obj(g)
-        obj["config"] = cfg
-        _write_text(args.output, _dump_json(obj))
-    else:
-        header = "# config: " + json.dumps(cfg, sort_keys=True) + "\n"
-        _write_text(args.output, header + serialize_bigraph(g))
-    return 0
-
-
 def _load_graph(args: argparse.Namespace, path: str | None = None) -> Bigraph:
     text = _read_text(path if path is not None else args.input)
     return load_bigraph(text, strict=args.strict)
@@ -125,7 +102,69 @@ def _parse_xs(spec: str, g: Bigraph) -> VertexSet:
     return VertexSet.xs(idx)
 
 
-# -- subcommands ---------------------------------------------------------------
+# -- runners: run a leaf's handler and write what it returns --------------------
+
+
+def _write_output(args: argparse.Namespace, result: dict | str, code: int = 0) -> int:
+    """Write a JSON result as one line with the config echo under "config",
+    or a text result after a ``# config: ...`` comment line; return ``code``."""
+    config = {k: v for k, v in vars(args).items() if k != "leaf"}
+    if isinstance(result, str):
+        text = "# config: " + json.dumps(config, sort_keys=True) + "\n" + result
+    else:
+        out = {"config": config, **result}
+        text = json.dumps(out, sort_keys=True, separators=(",", ":")) + "\n"
+    _write_text(args.output, text)
+    return code
+
+
+def _exhausted(exc: BudgetExceededError) -> dict:
+    """The tail of an undecided run's report; its result keys are null."""
+    return {"witness": None, "budget_exhausted": True, "message": str(exc)}
+
+
+def _write_verdict(args: argparse.Namespace, decide) -> int:
+    try:
+        verdict = decide(_load_graph(args), args)
+    except BudgetExceededError as exc:
+        return _write_output(args, {"property": args.property, "holds": None, **_exhausted(exc)}, 3)
+    return _write_output(args, verdict.to_json_obj(), 0 if verdict.holds else 1)
+
+
+def _write_witness(args: argparse.Namespace, search) -> int:
+    diagnostics: dict = {}
+    try:
+        witness = search(_load_graph(args), args, diagnostics)
+    except BudgetExceededError as exc:
+        return _write_output(args, {"result": None, **_exhausted(exc)}, 3)
+    if isinstance(witness, list):  # a disjoint cycle cover
+        witness = {"cycles": [c.to_json_obj()["cycle"] for c in witness]}
+    elif witness is not None:
+        witness = witness.to_json_obj()
+    found = witness is not None
+    out = {"result": "found" if found else "none", "witness": witness, "budget_exhausted": False}
+    if diagnostics:
+        out["diagnostics"] = diagnostics
+    return _write_output(args, out, 0 if found else 1)
+
+
+def _emit_graph(args: argparse.Namespace, build) -> int:
+    g = build(args)
+    result = bigraph_to_json_obj(g) if args.format == "json" else serialize_bigraph(g)
+    return _write_output(args, result)
+
+
+def _write_report(args: argparse.Namespace, sweep) -> int:
+    report = sweep(args)
+    if args.output.endswith(".json") or args.report_format == "json":
+        rep_obj = report.to_json_obj(include_records=args.records)
+        return _write_output(args, {"sweep_config": rep_obj["config"], "cells": rep_obj["cells"]})
+    return _write_output(args, report.to_csv())
+
+
+# -- handlers: what a leaf computes --------------------------------------------
+# They name library functions as module globals, looked up when the leaf runs,
+# so a test can patch them here.
 
 
 def _check_design(g: Bigraph, args: argparse.Namespace) -> Verdict:
@@ -140,108 +179,10 @@ def _check_degree_bound(g: Bigraph, args: argparse.Namespace) -> Verdict:
     return Verdict("degree-bound", report.within_bound, report.to_json_obj())
 
 
-_SUBSETS = ("budget-subsets",)
-_NODES = ("budget-nodes",)
-
-# property -> (the flags its handler reads beyond -i -o --strict, handler)
-_CHECKS = {
-    "dhp": (_SUBSETS, lambda g, args: check_dhp(g, budget=args.budget_subsets)),
-    "snp": (_SUBSETS, lambda g, args: check_snp(g, budget=args.budget_subsets)),
-    "supercyclic": (_NODES, lambda g, args: check_supercyclic(g, budget=args.budget_nodes)),
-    "critical": (_NODES, lambda g, args: check_critical(g, budget=args.budget_nodes)),
-    "saturated-critical": (
-        _NODES,
-        lambda g, args: check_saturated_critical(g, budget=args.budget_nodes),
-    ),
-    "snp-minimal": (_SUBSETS, lambda g, args: check_snp_minimal(g, budget=args.budget_subsets)),
-    "design": ((), _check_design),
-    "degree-bound": ((), _check_degree_bound),
-}
-
-
-def _json_or_none(cyc) -> dict | None:
-    return None if cyc is None else cyc.to_json_obj()
-
-
-def _solve_cover_cycle(g: Bigraph, args: argparse.Namespace, diagnostics: dict) -> dict | None:
-    xs = _parse_xs(args.xs, g)
-    return _json_or_none(
-        find_cycle_covering(g, xs, exact_x=not args.superset, budget=args.budget_nodes)
-    )
-
-
-def _solve_cycle_cover(g: Bigraph, args: argparse.Namespace, diagnostics: dict) -> dict | None:
-    cycles = find_disjoint_cycle_cover(g, budget=args.budget_nodes)
-    return None if cycles is None else {"cycles": [c.to_json_obj()["cycle"] for c in cycles]}
-
-
-def _solve_degree_split(g: Bigraph, args: argparse.Namespace, diagnostics: dict) -> dict | None:
-    return _json_or_none(solve_degree_split(g, budget=args.budget_nodes, diagnostics=diagnostics))
-
-
-def _solve_high_degree(g: Bigraph, args: argparse.Namespace, diagnostics: dict) -> dict | None:
+def _split_point(args: argparse.Namespace) -> int:
     if args.k is None:
         raise DomainError("solve high-degree requires --k")
-    return _json_or_none(
-        solve_high_degree(g, args.k, budget=args.budget_nodes, diagnostics=diagnostics)
-    )
-
-
-def _solve_hamiltonian(g: Bigraph, args: argparse.Namespace, diagnostics: dict) -> dict | None:
-    return _json_or_none(check_hamiltonian(g, limit=args.limit, budget=args.budget_nodes))
-
-
-# mode -> (the flags its handler reads beyond -i -o --strict --budget-nodes, handler)
-_SOLVERS = {
-    "cover-cycle": (("xs", "superset"), _solve_cover_cycle),
-    "cycle-cover": ((), _solve_cycle_cover),
-    "degree-split": ((), _solve_degree_split),
-    "high-degree": (("k",), _solve_high_degree),
-    "hamiltonian": (("limit",), _solve_hamiltonian),
-}
-
-
-def _write_exhausted(args: argparse.Namespace, head: dict, exc: BudgetExceededError) -> int:
-    """Report an undecided run: the result keys in ``head`` are null."""
-    out = {
-        "config": _config_of(args),
-        **head,
-        "witness": None,
-        "budget_exhausted": True,
-        "message": str(exc),
-    }
-    _write_text(args.output, _dump_json(out))
-    return 3
-
-
-def cmd_check(args: argparse.Namespace) -> int:
-    g = _load_graph(args)
-    try:
-        verdict = _CHECKS[args.property][1](g, args)
-    except BudgetExceededError as exc:
-        return _write_exhausted(args, {"property": args.property, "holds": None}, exc)
-    out = {"config": _config_of(args), **verdict.to_json_obj()}
-    _write_text(args.output, _dump_json(out))
-    return 0 if verdict.holds else 1
-
-
-def cmd_solve(args: argparse.Namespace) -> int:
-    g = _load_graph(args)
-    diagnostics: dict = {}
-    try:
-        witness = _SOLVERS[args.mode][1](g, args, diagnostics)
-    except BudgetExceededError as exc:
-        return _write_exhausted(args, {"result": None}, exc)
-    out = {
-        "config": _config_of(args),
-        "result": "found" if witness is not None else "none",
-        "witness": witness,
-        "budget_exhausted": False,
-    }
-    if diagnostics:
-        out["diagnostics"] = diagnostics
-    _write_text(args.output, _dump_json(out))
-    return 0 if witness is not None else 1
+    return args.k
 
 
 def _build_biplane(args: argparse.Namespace) -> Bigraph:
@@ -258,22 +199,7 @@ def _build_power(args: argparse.Namespace) -> Bigraph:
     return g
 
 
-# generator -> build(args)
-_CONSTRUCTS = {
-    "pair-gadget": lambda args: pair_gadget(args.n),
-    "biplane": _build_biplane,
-    "product": lambda args: bipartite_product(
-        _load_graph(args, args.left), _load_graph(args, args.right)
-    ),
-    "power": _build_power,
-}
-
-
-def cmd_construct(args: argparse.Namespace) -> int:
-    return _emit_graph(args, _CONSTRUCTS[args.generator](args))
-
-
-def cmd_random(args: argparse.Namespace) -> int:
+def _sweep(args: argparse.Namespace) -> SweepReport:
     config = SweepConfig(
         n_list=tuple(args.n_list),
         c_list=tuple(args.c_list),
@@ -283,80 +209,178 @@ def cmd_random(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         crn=not args.no_crn,
     )
-    report = run_sweep(config)
-    if args.output.endswith(".json") or args.report_format == "json":
-        rep_obj = report.to_json_obj(include_records=args.records)
-        payload = {
-            "config": _config_of(args),
-            "sweep_config": rep_obj["config"],
-            "cells": rep_obj["cells"],
-        }
-        _write_text(args.output, _dump_json(payload))
-    else:
-        header = (
-            "# config: " + json.dumps(_config_of(args), sort_keys=True) + "\n"
-        )
-        _write_text(args.output, header + report.to_csv())
-    return 0
+    return run_sweep(config)
 
 
-def cmd_fmt(args: argparse.Namespace) -> int:
-    g = _load_graph(args)
-    return _emit_graph(args, g)
+# -- the command table: every leaf's flags and handler, declared once ----------
 
 
+def _flag(*names: str, **options) -> tuple[tuple[str, ...], dict]:
+    return names, options
+
+
+# flag -> (argument names, add_argument options)
+_FLAGS = {
+    "input": _flag("-i", "--input", default="-", help="input file (default stdin)"),
+    "output": _flag("-o", "--output", default="-", help="output file (default stdout)"),
+    "format": _flag(
+        "--format",
+        choices=("auto", "edge-list", "json"),
+        default="auto",
+        help="encoding for graph output (default edge-list); "
+        "input format is always auto-detected",
+    ),
+    "seed": _flag("--seed", type=int, default=0, help="master seed"),
+    "budget-subsets": _flag(
+        "--budget-subsets",
+        type=int,
+        default=SUBSET_BUDGET_DEFAULT,
+        help="cap on subsets visited by property checkers",
+    ),
+    "budget-nodes": _flag(
+        "--budget-nodes",
+        type=int,
+        default=NODE_BUDGET_DEFAULT,
+        help="cap on search nodes visited by solvers",
+    ),
+    "jobs": _flag("--jobs", type=int, default=1, help="worker processes for sweeps"),
+    "strict": _flag(
+        "--strict", action="store_true", help="reject duplicate edges when parsing edge lists"
+    ),
+    "xs": _flag("--xs", default="all", help="target X-set: 'all' or comma-separated indices"),
+    "superset": _flag(
+        "--superset", action="store_true", help="allow extra X-vertices on the cycle"
+    ),
+    "k": _flag("--k", type=int, default=None, help="the degree split point"),
+    "limit": _flag("--limit", type=int, default=EXACT_MEASURE_LIMIT, help="exact search size cap"),
+    "n": _flag("--n", type=int, required=True),
+    "order": _flag("--order", type=int, default=None),
+    "import": _flag("--import", dest="import_file", default=None, metavar="FILE"),
+    "left": _flag("left"),
+    "right": _flag("right"),
+    "graph": _flag("graph"),
+    "power-k": _flag("--k", type=int, required=True),
+    "n-list": _flag("--n-list", type=int, nargs="+", required=True, metavar="N"),
+    "c-list": _flag("--c-list", type=float, nargs="+", required=True, metavar="C"),
+    "trials": _flag("--trials", type=int, required=True),
+    "measure": _flag(
+        "--measure",
+        default="pair,obstacle3,maxdeg",
+        help="comma-separated: pair,obstacle3,exact,hamiltonian,maxdeg",
+    ),
+    "report-output": _flag(
+        "-o", "--output", "--out",
+        default="-",
+        help="report path (default stdout); .json extension selects JSON, otherwise CSV",
+    ),
+    "report-format": _flag(
+        "--report-format",
+        choices=("csv", "json"),
+        default="csv",
+        help="report format when the output path does not decide",
+    ),
+    "records": _flag(
+        "--records", action="store_true", help="include per-trial records in JSON reports"
+    ),
+    "no-crn": _flag(
+        "--no-crn",
+        action="store_true",
+        help="derive independent seeds per c instead of common random numbers",
+    ),
+}
+
+_READ = ("input", "output", "strict")
+_SUBSETS = _READ + ("budget-subsets",)
+_NODES = _READ + ("budget-nodes",)
+
+# subcommand -> (help, dest naming its leaf, runner, {leaf: (flags, handler)}).
+# main calls runner(args, handler).  fmt is a leaf with no group (dest None).
+_COMMANDS = {
+    "check": (
+        "decide a property and print a verdict",
+        "property",
+        _write_verdict,
+        {
+            "dhp": (_SUBSETS, lambda g, a: check_dhp(g, budget=a.budget_subsets)),
+            "snp": (_SUBSETS, lambda g, a: check_snp(g, budget=a.budget_subsets)),
+            "supercyclic": (_NODES, lambda g, a: check_supercyclic(g, budget=a.budget_nodes)),
+            "critical": (_NODES, lambda g, a: check_critical(g, budget=a.budget_nodes)),
+            "saturated-critical": (
+                _NODES,
+                lambda g, a: check_saturated_critical(g, budget=a.budget_nodes),
+            ),
+            "snp-minimal": (_SUBSETS, lambda g, a: check_snp_minimal(g, budget=a.budget_subsets)),
+            "design": (_READ, _check_design),
+            "degree-bound": (_READ, _check_degree_bound),
+        },
+    ),
+    "solve": (
+        "search for a covering cycle witness",
+        "mode",
+        _write_witness,
+        {
+            "cover-cycle": (
+                _NODES + ("xs", "superset"),
+                lambda g, a, d: find_cycle_covering(
+                    g, _parse_xs(a.xs, g), exact_x=not a.superset, budget=a.budget_nodes
+                ),
+            ),
+            "cycle-cover": (
+                _NODES,
+                lambda g, a, d: find_disjoint_cycle_cover(g, budget=a.budget_nodes),
+            ),
+            "degree-split": (
+                _NODES,
+                lambda g, a, d: solve_degree_split(g, budget=a.budget_nodes, diagnostics=d),
+            ),
+            "high-degree": (
+                _NODES + ("k",),
+                lambda g, a, d: solve_high_degree(
+                    g, _split_point(a), budget=a.budget_nodes, diagnostics=d
+                ),
+            ),
+            "hamiltonian": (
+                _NODES + ("limit",),
+                lambda g, a, d: check_hamiltonian(g, limit=a.limit, budget=a.budget_nodes),
+            ),
+        },
+    ),
+    "construct": (
+        "generate a structured graph",
+        "generator",
+        _emit_graph,
+        {
+            "pair-gadget": (("output", "format", "n"), lambda a: pair_gadget(a.n)),
+            "biplane": (("output", "format", "order", "import"), _build_biplane),
+            "product": (
+                ("output", "format", "strict", "left", "right"),
+                lambda a: bipartite_product(_load_graph(a, a.left), _load_graph(a, a.right)),
+            ),
+            "power": (("output", "format", "strict", "graph", "power-k"), _build_power),
+        },
+    ),
+    "random": (
+        "seeded random-graph experiments",
+        "experiment",
+        _write_report,
+        {
+            "sweep": (
+                ("seed", "jobs", "n-list", "c-list", "trials", "measure", "report-output",
+                 "report-format", "records", "no-crn"),
+                _sweep,
+            ),
+        },
+    ),
+    "fmt": (
+        "parse and canonically reserialize a graph",
+        None,
+        _emit_graph,
+        {"fmt": (("input", "output", "format", "strict"), _load_graph)},
+    ),
+}
 
 
 # -- parser --------------------------------------------------------------------
-
-_FLAGS = {
-    "input": (("-i", "--input"), dict(default="-", help="input file (default stdin)")),
-    "output": (("-o", "--output"), dict(default="-", help="output file (default stdout)")),
-    "format": (
-        ("--format",),
-        dict(
-            choices=("auto", "edge-list", "json"),
-            default="auto",
-            help="encoding for graph output (default edge-list); "
-            "input format is always auto-detected",
-        ),
-    ),
-    "seed": (("--seed",), dict(type=int, default=0, help="master seed")),
-    "budget-subsets": (
-        ("--budget-subsets",),
-        dict(
-            type=int,
-            default=SUBSET_BUDGET_DEFAULT,
-            help="cap on subsets visited by property checkers",
-        ),
-    ),
-    "budget-nodes": (
-        ("--budget-nodes",),
-        dict(
-            type=int,
-            default=NODE_BUDGET_DEFAULT,
-            help="cap on search nodes visited by solvers",
-        ),
-    ),
-    "jobs": (("--jobs",), dict(type=int, default=1, help="worker processes for sweeps")),
-    "strict": (
-        ("--strict",),
-        dict(action="store_true", help="reject duplicate edges when parsing edge lists"),
-    ),
-    "xs": (
-        ("--xs",),
-        dict(default="all", help="target X-set: 'all' or comma-separated indices"),
-    ),
-    "superset": (
-        ("--superset",),
-        dict(action="store_true", help="allow extra X-vertices on the cycle"),
-    ),
-    "k": (("--k",), dict(type=int, default=None, help="the degree split point")),
-    "limit": (
-        ("--limit",),
-        dict(type=int, default=EXACT_MEASURE_LIMIT, help="exact search size cap"),
-    ),
-}
 
 
 def _leaf_parser(sub, name: str, flags: tuple[str, ...], **kwargs) -> argparse.ArgumentParser:
@@ -375,102 +399,28 @@ def _build_parser() -> argparse.ArgumentParser:
         "constructions, and random experiments.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p_check = sub.add_parser("check", help="decide a property and print a verdict")
-    check_sub = p_check.add_subparsers(dest="property", required=True)
-    for name, (flags, _) in _CHECKS.items():
-        leaf = _leaf_parser(check_sub, name, ("input", "output", "strict") + flags)
-        leaf.set_defaults(func=cmd_check)
-
-    p_solve = sub.add_parser("solve", help="search for a covering cycle witness")
-    solve_sub = p_solve.add_subparsers(dest="mode", required=True)
-    for name, (flags, _) in _SOLVERS.items():
-        leaf = _leaf_parser(solve_sub, name, ("input", "output", "strict") + _NODES + flags)
-        leaf.set_defaults(func=cmd_solve)
-
-    p_con = sub.add_parser("construct", help="generate a structured graph")
-    con_sub = p_con.add_subparsers(dest="generator", required=True)
-    pg = _leaf_parser(con_sub, "pair-gadget", ("output", "format"))
-    pg.add_argument("--n", type=int, required=True)
-    pg.set_defaults(func=cmd_construct)
-    bp = _leaf_parser(con_sub, "biplane", ("output", "format"))
-    bp.add_argument("--order", type=int, default=None)
-    bp.add_argument("--import", dest="import_file", default=None, metavar="FILE")
-    bp.set_defaults(func=cmd_construct)
-    pr = _leaf_parser(con_sub, "product", ("output", "format", "strict"))
-    pr.add_argument("left")
-    pr.add_argument("right")
-    pr.set_defaults(func=cmd_construct)
-    pw = _leaf_parser(con_sub, "power", ("output", "format", "strict"))
-    pw.add_argument("graph")
-    pw.add_argument("--k", type=int, required=True)
-    pw.set_defaults(func=cmd_construct)
-
-    p_rand = sub.add_parser("random", help="seeded random-graph experiments")
-    rand_sub = p_rand.add_subparsers(dest="experiment", required=True)
-    sw = _leaf_parser(rand_sub, "sweep", ("seed", "jobs"))
-    sw.add_argument(
-        "--n-list", type=int, nargs="+", required=True, metavar="N"
-    )
-    sw.add_argument(
-        "--c-list", type=float, nargs="+", required=True, metavar="C"
-    )
-    sw.add_argument("--trials", type=int, required=True)
-    sw.add_argument(
-        "--measure",
-        default="pair,obstacle3,maxdeg",
-        help="comma-separated: pair,obstacle3,exact,hamiltonian,maxdeg",
-    )
-    sw.add_argument(
-        "-o",
-        "--output",
-        "--out",
-        default="-",
-        help="report path (default stdout); .json extension selects JSON, otherwise CSV",
-    )
-    sw.add_argument(
-        "--report-format",
-        choices=("csv", "json"),
-        default="csv",
-        help="report format when the output path does not decide",
-    )
-    sw.add_argument(
-        "--records",
-        action="store_true",
-        help="include per-trial records in JSON reports",
-    )
-    sw.add_argument(
-        "--no-crn",
-        action="store_true",
-        help="derive independent seeds per c instead of common random numbers",
-    )
-    sw.set_defaults(func=cmd_random)
-
-    p_fmt = _leaf_parser(
-        sub,
-        "fmt",
-        ("input", "output", "format", "strict"),
-        help="parse and canonically reserialize a graph",
-    )
-    p_fmt.set_defaults(func=cmd_fmt)
-
+    for command, (help_text, dest, runner, leaves) in _COMMANDS.items():
+        group, kwargs = sub, {"help": help_text}
+        if dest is not None:
+            group = sub.add_parser(command, **kwargs).add_subparsers(dest=dest, required=True)
+            kwargs = {}
+        for name, (flags, handler) in leaves.items():
+            leaf = _leaf_parser(group, name, flags, **kwargs)
+            leaf.set_defaults(command=command, leaf=(runner, handler))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    runner, handler = args.leaf
     try:
-        return args.func(args)
+        return runner(args, handler)
     except ContractViolationError as exc:
         print(f"internal contract violated: {exc}", file=sys.stderr)
         return 4
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except DhpError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, BudgetExceededError) else 2
 
 
 if __name__ == "__main__":

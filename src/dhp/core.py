@@ -384,25 +384,35 @@ def is_two_connected(g: Bigraph) -> bool:
     Isolated vertices count, so a graph with an untouched Y-vertex is not
     even connected.
     """
-    n = g.nx + g.ny
+    return two_connected_on(g, (1 << g.nx) - 1, (1 << g.ny) - 1)
+
+
+def two_connected_on(g: Bigraph, xmask: int, ymask: int) -> bool:
+    """``is_two_connected`` of the subgraph of ``g`` induced on the X-vertices
+    in ``xmask`` and the Y-vertices in ``ymask``, read off ``g``'s rows
+    without building that subgraph."""
+    n = xmask.bit_count() + ymask.bit_count()
     if n < 3:
         return False
+    nx, adj_x, adj_y = g.nx, g.adj_x, g.adj_y
 
+    # Vertex v < nx is X-vertex v, and v >= nx is Y-vertex v - nx.
     def neighbours(v: int) -> Iterator[int]:
-        if v < g.nx:
-            for j in bits(g.adj_x[v]):
-                yield g.nx + j
+        if v < nx:
+            for j in bits(adj_x[v] & ymask):
+                yield nx + j
         else:
-            yield from bits(g.adj_y[v - g.nx])
+            yield from bits(adj_y[v - nx] & xmask)
 
     # Iterative Tarjan lowpoint scan; recursion would overflow on long paths.
-    disc = [-1] * n
-    low = [0] * n
-    parent = [-1] * n
+    root = (xmask & -xmask).bit_length() - 1 if xmask else nx + (ymask & -ymask).bit_length() - 1
+    disc = [-1] * (nx + g.ny)
+    low = disc[:]
+    parent = disc[:]
     timer = 0
     root_children = 0
-    stack: list[tuple[int, Iterator[int]]] = [(0, neighbours(0))]
-    disc[0] = low[0] = timer
+    stack: list[tuple[int, Iterator[int]]] = [(root, neighbours(root))]
+    disc[root] = low[root] = timer
     timer += 1
     while stack:
         v, it = stack[-1]
@@ -410,7 +420,7 @@ def is_two_connected(g: Bigraph) -> bool:
         for w in it:
             if disc[w] == -1:
                 parent[w] = v
-                if v == 0:
+                if v == root:
                     root_children += 1
                 disc[w] = low[w] = timer
                 timer += 1
@@ -426,7 +436,7 @@ def is_two_connected(g: Bigraph) -> bool:
                 p = stack[-1][0]
                 if low[v] < low[p]:
                     low[p] = low[v]
-                if p != 0 and low[v] >= disc[p]:
+                if p != root and low[v] >= disc[p]:
                     return False  # p is a cut vertex
     if timer != n:
         return False  # disconnected

@@ -123,6 +123,10 @@ def parse_bigraph_json(text: str) -> Bigraph:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, f"invalid JSON: {exc.msg}") from None
+    except RecursionError:
+        raise ParseError(1, "invalid JSON: nested too deeply") from None
+    except ValueError as exc:  # an integer longer than sys.get_int_max_str_digits()
+        raise ParseError(1, f"invalid JSON: {exc}") from None
     return bigraph_from_json_obj(obj)
 
 

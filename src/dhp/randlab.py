@@ -563,7 +563,8 @@ def _run_seed(task: tuple) -> list[TrialRecord]:
     for k in sorted(range(len(cps)), key=lambda k: cps[k][1]):
         c, p = cps[k]
         mat = _threshold(grid, p)
-        maxdeg = int(max(mat.sum(axis=0).max(), mat.sum(axis=1).max()))
+        u8 = mat.view(np.uint8)  # its int32 sums take half the time of the bool matrix's
+        maxdeg = int(max(u8.sum(0, dtype=np.int32).max(), u8.sum(1, dtype=np.int32).max()))
         sub = mat[rows]
         n0, n1, common = _pair_profile(sub, tri[: len(rows), : len(rows)])
         pair_ok = n0 == 0 and n1 == 0

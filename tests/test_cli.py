@@ -3,8 +3,12 @@ config echoes, and piping between subcommands."""
 
 from __future__ import annotations
 
+import argparse
+import hashlib
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +21,7 @@ from dhp import (
     load_bigraph,
     serialize_bigraph,
 )
-from dhp.cli import main
+from dhp.cli import _build_parser, main
 
 
 def run_cli(argv: list[str], capsys) -> tuple[int, str, str]:
@@ -96,6 +100,18 @@ class TestCheck:
         code, _, err = run_cli(["check", "dhp", "-i", str(path)], capsys)
         assert code == 2
         assert "line 2" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"a":' * 200000, '{"nx": ' + "9" * 5000 + ', "ny": 1, "edges": []}'],
+        ids=["deep-nesting", "long-integer"],
+    )
+    def test_undecodable_json_exits_two(self, text, tmp_path, capsys) -> None:
+        path = tmp_path / "graph.json"
+        path.write_text(text)
+        code, out, err = run_cli(["fmt", "-i", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 1: invalid JSON")
 
     def test_missing_file_exits_two(self, capsys) -> None:
         code, _, err = run_cli(["check", "dhp", "-i", "/no/such/file"], capsys)
@@ -650,3 +666,180 @@ class TestFlags:
         code, _, err = run_cli(["check", "dhp", "-i", path], capsys)
         assert code == 4
         assert "internal contract violated" in err
+
+
+def _parsers(parser: argparse.ArgumentParser, path: tuple[str, ...] = ()):
+    """Every parser reachable from ``parser``, with its subcommand words."""
+    yield " ".join(path), parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _parsers(sub, path + (name,))
+
+
+def _arguments(parser: argparse.ArgumentParser) -> list[list[str]]:
+    """A parser's own arguments in order: option strings, or the
+    positional's name."""
+    return [
+        list(a.option_strings) or [a.dest]
+        for a in parser._actions
+        if not isinstance(a, argparse._SubParsersAction)
+    ]
+
+
+_IO = [["-h", "--help"], ["-i", "--input"], ["-o", "--output"], ["--strict"]]
+_GRAPH_OUT = [["-h", "--help"], ["-o", "--output"], ["--format"]]
+
+# Each parser's arguments, and the sha256 prefix of its --help text at
+# COLUMNS=80, recorded before the parser was built from one table.
+CLI_SURFACE = {
+    "": ([["-h", "--help"]], "6e02e69161641fe2"),
+    "check": ([["-h", "--help"]], "4a658902e0b94f49"),
+    "check dhp": (_IO + [["--budget-subsets"]], "031ef0ee38b9979d"),
+    "check snp": (_IO + [["--budget-subsets"]], "10970dc836c93763"),
+    "check supercyclic": (_IO + [["--budget-nodes"]], "bf2f30677fb6c1a2"),
+    "check critical": (_IO + [["--budget-nodes"]], "8115cc71320a4d10"),
+    "check saturated-critical": (_IO + [["--budget-nodes"]], "db8ff648be5250ab"),
+    "check snp-minimal": (_IO + [["--budget-subsets"]], "60d818074fdb63fc"),
+    "check design": (_IO, "b17c0d3dee7c565b"),
+    "check degree-bound": (_IO, "42745ae5427acc30"),
+    "solve": ([["-h", "--help"]], "87b78530158ab514"),
+    "solve cover-cycle": (
+        _IO + [["--budget-nodes"], ["--xs"], ["--superset"]],
+        "e9571a4ee968d37e",
+    ),
+    "solve cycle-cover": (_IO + [["--budget-nodes"]], "0c66511e4f403d66"),
+    "solve degree-split": (_IO + [["--budget-nodes"]], "1b6317fe76c3a8aa"),
+    "solve high-degree": (_IO + [["--budget-nodes"], ["--k"]], "7d827d22a0790e3a"),
+    "solve hamiltonian": (_IO + [["--budget-nodes"], ["--limit"]], "412c1eef7fb75b35"),
+    "construct": ([["-h", "--help"]], "4400fbb65cfa1cbc"),
+    "construct pair-gadget": (_GRAPH_OUT + [["--n"]], "2f00ac7c57c391e1"),
+    "construct biplane": (_GRAPH_OUT + [["--order"], ["--import"]], "e5071f0e0508cb9b"),
+    "construct product": (
+        _GRAPH_OUT + [["--strict"], ["left"], ["right"]],
+        "d3ffaca353cfced3",
+    ),
+    "construct power": (
+        _GRAPH_OUT + [["--strict"], ["graph"], ["--k"]],
+        "676df995c5b4f691",
+    ),
+    "random": ([["-h", "--help"]], "a4b29cfb3957319a"),
+    "random sweep": (
+        [["-h", "--help"], ["--seed"], ["--jobs"], ["--n-list"], ["--c-list"], ["--trials"],
+         ["--measure"], ["-o", "--output", "--out"], ["--report-format"], ["--records"],
+         ["--no-crn"]],
+        "b8b285aafd1cbd77",
+    ),
+    "fmt": (
+        [["-h", "--help"], ["-i", "--input"], ["-o", "--output"], ["--format"], ["--strict"]],
+        "15b133f986456753",
+    ),
+}
+
+
+def _sha16(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+class TestSurfacePinned:
+    """The parsers, help texts and outputs of every leaf, pinned so that a
+    change to how the CLI is declared cannot change what it does."""
+
+    def test_every_parser_and_help_text(self, monkeypatch) -> None:
+        monkeypatch.setenv("COLUMNS", "80")
+        surface = {
+            path: (_arguments(p), _sha16(p.format_help()))
+            for path, p in _parsers(_build_parser())
+        }
+        assert list(surface) == list(CLI_SURFACE)
+        assert surface == CLI_SURFACE
+
+    @pytest.mark.parametrize(
+        "argv, code, digest",
+        [
+            (["check", "dhp", "-i", "b2.txt"], 0, "1d630d3ac143bbcd"),
+            (["check", "snp", "-i", "b2.txt"], 0, "bdb0b7eadee85bab"),
+            (["check", "supercyclic", "-i", "b2.txt"], 0, "a39c6b1cb886f4b0"),
+            (["check", "critical", "-i", "b2.txt"], 1, "dce07103d8327c04"),
+            (["check", "saturated-critical", "-i", "b2.txt"], 1, "9d8dcd14a5eec87b"),
+            (["check", "snp-minimal", "-i", "b2.txt"], 0, "58f9c4489258c922"),
+            (["check", "design", "-i", "b2.txt"], 0, "02733184263f2cd3"),
+            (["check", "degree-bound", "-i", "b2.txt"], 0, "9ddd25634acf173b"),
+            (["check", "dhp", "-i", "b2.txt", "--budget-subsets", "3"], 3, "67353f102f906409"),
+            (["check", "snp", "-i", "bad.txt"], 2, "44492b8963569632"),
+            (
+                ["solve", "cover-cycle", "-i", "b2.txt", "--xs", "0,2", "--superset"],
+                0,
+                "4b61b872ffc113ca",
+            ),
+            (["solve", "cycle-cover", "-i", "b2.txt"], 0, "d37230412e7fae45"),
+            (["solve", "degree-split", "-i", "gadget.txt"], 0, "5329ca4b36a5f4d9"),
+            (["solve", "high-degree", "-i", "k9.txt", "--k", "2"], 0, "94efe8180eccd001"),
+            (["solve", "high-degree", "-i", "b2.txt"], 2, "e4d1c8fc1309ff2d"),
+            (["solve", "hamiltonian", "-i", "b2.txt", "--limit", "8"], 0, "423cc9ef8c997ffe"),
+            (
+                ["solve", "cycle-cover", "-i", "b2.txt", "--budget-nodes", "1"],
+                3,
+                "3d0496dbada50070",
+            ),
+            (["construct", "pair-gadget", "--n", "3"], 0, "cee0758a2ea8c384"),
+            (["construct", "biplane", "--order", "2", "--format", "json"], 0, "0a4145b536051576"),
+            (["construct", "biplane"], 2, "17808ef592f94455"),
+            (["construct", "product", "b2.txt", "gadget.txt"], 0, "67cc7128d960a8af"),
+            (["construct", "power", "b2.txt", "--k", "2"], 0, "889e6d998afe613b"),
+            (
+                ["random", "sweep", "--n-list", "10", "--c-list", "0", "--trials", "2"],
+                0,
+                "9a54424ee7d36f3a",
+            ),
+            (
+                ["random", "sweep", "--n-list", "8", "12", "--c-list", "-1", "1", "--trials", "3",
+                 "--seed", "5", "--measure", "pair,maxdeg", "--report-format", "json",
+                 "--records", "--no-crn"],
+                0,
+                "b05911fd78af9b3c",
+            ),
+            (["fmt", "-i", "b2.txt", "--format", "json"], 0, "c24236b2a84c6861"),
+            (["fmt", "-i", "gadget.txt"], 0, "6766faa28eb09e83"),
+        ],
+    )
+    def test_output_bytes_and_exit_code(
+        self, argv, code, digest, tmp_path, capsys, monkeypatch
+    ) -> None:
+        from dhp import pair_gadget
+
+        monkeypatch.chdir(tmp_path)
+        write_graph(tmp_path, "b2.txt", builtin_biplane(2))
+        write_graph(tmp_path, "gadget.txt", pair_gadget(4))
+        write_graph(tmp_path, "k9.txt", Bigraph.complete(9, 9))
+        (tmp_path / "bad.txt").write_text("bigraph 2\n")
+        got, out, err = run_cli(argv, capsys)
+        assert (got, _sha16(f"{out}\0{err}")) == (code, digest)
+
+
+def _readme_flag_rows() -> dict[str, list[str]]:
+    """The README's "Command line" table: leaf -> the arguments in the
+    first code span of its row."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        if not line.startswith("| `"):
+            continue
+        leaves, flags = line.strip("|").split("|")[:2]
+        for leaf in re.findall(r"`([^`]+)`", leaves):
+            rows[leaf] = re.findall(r"`([^`]+)`", flags)[0].split()
+    return rows
+
+
+def test_readme_flag_table_matches_every_leaf() -> None:
+    leaves = {
+        path: [
+            a.option_strings[0] if a.option_strings else f"<{a.dest}>"
+            for a in p._actions
+            if a.dest != "help"
+        ]
+        for path, p in _parsers(_build_parser())
+        if not any(isinstance(a, argparse._SubParsersAction) for a in p._actions)
+    }
+    assert _readme_flag_rows() == leaves

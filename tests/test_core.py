@@ -32,6 +32,7 @@ from dhp import (
     neighborhood_at_least,
     pair_gadget,
 )
+from dhp.core import bits, two_connected_on
 
 
 class TestVertexSet:
@@ -218,6 +219,18 @@ class TestTwoConnected:
             g, set(range(g.nx)), set(range(g.ny))
         )
         assert is_two_connected(g) == expect
+
+    def test_masks_match_deletion_oracle(self) -> None:
+        # the induced subgraph is read off the parent's rows, never built
+        rng = random.Random(20261018)
+        for _ in range(3000):
+            nx, ny = rng.randint(0, 6), rng.randint(0, 6)
+            edges = [(i, j) for i in range(nx) for j in range(ny) if rng.random() < 0.85]
+            g = Bigraph.from_edges(nx, ny, edges)
+            xmask = sum(1 << i for i in range(nx) if rng.random() < 0.8)
+            ymask = sum(1 << j for j in range(ny) if rng.random() < 0.8)
+            expect = oracles.two_connected_bruteforce(g, set(bits(xmask)), set(bits(ymask)))
+            assert two_connected_on(g, xmask, ymask) == expect, (g, xmask, ymask)
 
 
 class TestCycleWitness:

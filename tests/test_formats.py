@@ -97,6 +97,23 @@ def test_json_errors() -> None:
         assert phrase in exc.value.message, text
 
 
+# JSON that the decoder itself cannot take: nesting past the recursion
+# limit, and an integer past the int-string digit limit
+UNDECODABLE_JSON = [
+    ('{"a":' * 200000, "nested too deeply"),
+    ('{"nx": ' + "9" * 5000 + ', "ny": 1, "edges": []}', "digits"),
+]
+
+
+@pytest.mark.parametrize("text, phrase", UNDECODABLE_JSON, ids=["deep-nesting", "long-integer"])
+def test_undecodable_json_is_a_parse_error(text: str, phrase: str) -> None:
+    for parse in (parse_bigraph_json, load_bigraph):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert exc.value.line == 1
+        assert "invalid JSON" in exc.value.message and phrase in exc.value.message
+
+
 @pytest.mark.parametrize(
     "text",
     [
