@@ -3,6 +3,8 @@ constructive covering-cycle solvers."""
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -108,6 +110,22 @@ class TestMatching:
         if bad is not None:
             union = set().union(*(sets[i] for i in bad))
             assert len(union) < len(bad)
+
+
+    def test_outputs_pinned(self) -> None:
+        """sha256 of both results on 300 seeded row lists, recorded while
+        the matching ran on ``MatchingInstance``'s ranked right side."""
+        rng = random.Random(1415)
+        out = []
+        for _ in range(300):
+            sets = [
+                set(rng.sample(range(8), rng.randrange(0, 5)))
+                for _ in range(rng.randrange(1, 8))
+            ]
+            inst = self._instance(sets)
+            out.append([sorted(max_matching(inst).items()), hall_violator(inst)])
+        blob = json.dumps(out).encode()
+        assert hashlib.sha256(blob).hexdigest() == "25fd548c732c97067dc97a3d707161e11d4951a162248f860107d83bac6fafca"
 
 
 class TestFindCycleCovering:
@@ -541,6 +559,29 @@ class TestDegreeSplitSolver:
             if cyc is not None:
                 cyc.validate(g)
                 assert cyc.x_set() == g.full_x()
+
+    def test_junction_matching_outputs_pinned(self, monkeypatch) -> None:
+        """sha256 of the cycles and node counts on 60 seeded instances,
+        recorded while the junction matching ran on ``MatchingInstance``;
+        most of them need two or more paths, so the matching runs."""
+        from dhp import cycles
+
+        matchings = []
+        real = cycles.max_matching
+
+        def counted(*args):
+            matchings.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(cycles, "max_matching", counted)
+        out = []
+        for g in genutil.degree_class_instances(1414, 60):
+            b = WorkBudget(10**6, "node")
+            cyc = solve_degree_split(g, budget=b)
+            out.append([None if cyc is None else [cyc.xs, cyc.ys], 10**6 - b.remaining])
+        assert len(matchings) >= 50
+        blob = json.dumps(out).encode()
+        assert hashlib.sha256(blob).hexdigest() == "0b2cec48a886e723666989d63a40d1a64a2992970519ffbd3674430165de6b60"
 
     def test_degree_class_enforced(self) -> None:
         # a Y-vertex of degree 3 in a 6-X graph sits in no allowed class
