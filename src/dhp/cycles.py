@@ -24,8 +24,7 @@ from __future__ import annotations
 import itertools
 import logging
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Iterator
 
 from .budget import NODE_BUDGET_DEFAULT, WorkBudget, as_budget
 from .checkers import check_dhp
@@ -53,7 +52,6 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "CYCLE_TARGET_LIMIT",
-    "MatchingInstance",
     "max_matching",
     "hall_violator",
     "find_cycle_covering",
@@ -95,90 +93,66 @@ def _verified_budget(g: Bigraph, budget: int | WorkBudget | None) -> WorkBudget:
 # -- bipartite matching -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MatchingInstance:
-    """A small bipartite matching problem: abstract left vertices against a
-    chosen subset of Y, with adjacency rows as masks over the right side."""
-
-    left_labels: tuple[Any, ...]
-    right_ys: tuple[int, ...]
-    adj: tuple[int, ...]
-
-    @classmethod
-    def for_pairs(
-        cls, g: Bigraph, pairs: list[tuple[int, int]], y_indices: list[int]
-    ) -> "MatchingInstance":
-        """Left vertices are X-pairs; a pair is adjacent to y when y is a
-        common neighbour of both pair members."""
-        ys = tuple(sorted(y_indices))
-        rows = []
-        for a, b in pairs:
-            common = g.adj_x[a] & g.adj_x[b]
-            row = 0
-            for p, y in enumerate(ys):
-                if (common >> y) & 1:
-                    row |= 1 << p
-            rows.append(row)
-        return cls(tuple(tuple(p) for p in pairs), ys, tuple(rows))
-
-    @property
-    def n_left(self) -> int:
-        return len(self.adj)
-
-
 def _augment(
-    adj: list[int] | tuple[int, ...],
+    avail: list[int],
+    y_slot: list[int],
     s: int,
-    left_right: list[int | None],
-    right_left: dict[int, int],
-    visited: list[int],
+    seen: list[int],
+    undo: list[tuple[int, int]],
 ) -> bool:
-    """Kuhn's augmenting-path step: match left vertex ``s`` to a right
-    vertex of ``adj[s]`` outside the mask ``visited[0]``, re-matching the
-    earlier holders recursively.  Candidates are tried in increasing order."""
-    for r in bits(adj[s] & ~visited[0]):
-        visited[0] |= 1 << r
-        holder = right_left.get(r)
-        if holder is None or _augment(adj, holder, left_right, right_left, visited):
-            right_left[r] = s
-            left_right[s] = r
+    """Kuhn's augmenting-path step: give slot ``s`` a Y-vertex of the mask
+    ``avail[s]`` outside the mask ``seen[0]``, re-matching the earlier
+    holders recursively.  ``y_slot[y]`` is the slot holding y, or -1 when y
+    is free; every change is logged in ``undo`` as (y, previous holder).
+    Candidates are tried by increasing Y index."""
+    c = avail[s] & ~seen[0]
+    while c:
+        low = c & -c
+        c ^= low
+        seen[0] |= low
+        y = low.bit_length() - 1
+        holder = y_slot[y]
+        if holder < 0 or _augment(avail, y_slot, holder, seen, undo):
+            undo.append((y, holder))
+            y_slot[y] = s
             return True
     return False
 
 
-def _kuhn(inst: MatchingInstance) -> tuple[list[int | None], dict[int, int]]:
-    left_right: list[int | None] = [None] * inst.n_left
-    right_left: dict[int, int] = {}
-    for s in range(inst.n_left):
-        _augment(inst.adj, s, left_right, right_left, [0])
-    return left_right, right_left
+def _matched(rows: list[int]) -> list[int]:
+    """``y_slot`` of a maximum matching of the left vertices, whose
+    Y-neighbourhoods are the masks ``rows``, found by Kuhn's algorithm."""
+    y_slot = [-1] * max(rows, default=0).bit_length()
+    for s in range(len(rows)):
+        _augment(rows, y_slot, s, [0], [])
+    return y_slot
 
 
-def max_matching(inst: MatchingInstance) -> dict[int, int]:
-    """Maximum matching as {left index: matched Y index}."""
-    left_right, _ = _kuhn(inst)
-    return {
-        s: inst.right_ys[r] for s, r in enumerate(left_right) if r is not None
-    }
+def max_matching(rows: list[int]) -> dict[int, int]:
+    """Maximum matching of left vertices with Y-neighbourhood masks
+    ``rows``, as {left index: matched Y index}."""
+    return dict(sorted((s, y) for y, s in enumerate(_matched(rows)) if s >= 0))
 
 
-def hall_violator(inst: MatchingInstance) -> tuple[int, ...] | None:
-    """A set of left indices S with fewer than |S| joint right neighbours,
-    extracted from the alternating-reachability structure of a maximum
-    matching.  None when the matching saturates the left side."""
-    left_right, right_left = _kuhn(inst)
-    exposed = [s for s, r in enumerate(left_right) if r is None]
+def hall_violator(rows: list[int]) -> tuple[int, ...] | None:
+    """A set of left indices S with fewer than |S| joint Y-neighbours, the
+    left vertices reachable by alternating paths from those a maximum
+    matching leaves exposed.  None when the matching saturates the left
+    side."""
+    y_slot = _matched(rows)
+    matched = set(y_slot)
+    exposed = [s for s in range(len(rows)) if s not in matched]
     if not exposed:
         return None
     reach_left = set(exposed)
     frontier = list(exposed)
-    seen_right = 0
+    seen_y = 0
     while frontier:
         s = frontier.pop()
-        for r in bits(inst.adj[s] & ~seen_right):
-            seen_right |= 1 << r
-            t = right_left.get(r)
-            if t is not None and t not in reach_left:
+        for y in bits(rows[s] & ~seen_y):
+            seen_y |= 1 << y
+            t = y_slot[y]
+            if t >= 0 and t not in reach_left:
                 reach_left.add(t)
                 frontier.append(t)
     return tuple(sorted(reach_left))
@@ -197,7 +171,7 @@ def _search_exact_cycle(
     tried in increasing index order, and the anchor's successor is kept
     smaller than its predecessor so each cycle is visited in one direction
     only.  Each node spends one unit; each pair takes its Y-vertex by
-    Kuhn's step as ``_augment`` would, and backtracking pops an undo log.
+    ``_augment``, and backtracking pops the undo log that step writes.
     """
     m = len(targets)
     if m > CYCLE_TARGET_LIMIT:
@@ -213,27 +187,12 @@ def _search_exact_cycle(
     # the search runs on positions in ``targets``; slot i joins order[i] to its successor
     common = [[adj[a] & adj[b] for b in targets] for a in targets]
     meets = [mask_of(j for j, c in enumerate(row) if c) for row in common]
-    unused, order, avail, seen = (1 << m) - 2, [0], [0] * m, 0
-    y_slot = [-1] * g.ny  # slot matched to each Y-vertex, -1 when free
-    undo: list[tuple[int, int]] = []  # (y, previous y_slot[y])
-
-    def augment(s: int) -> bool:
-        nonlocal seen
-        c = avail[s] & ~seen
-        while c:
-            low = c & -c
-            c ^= low
-            seen |= low
-            y = low.bit_length() - 1
-            holder = y_slot[y]
-            if holder < 0 or augment(holder):
-                undo.append((y, holder))
-                y_slot[y] = s
-                return True
-        return False
+    unused, order, avail, seen = (1 << m) - 2, [0], [0] * m, [0]
+    y_slot = [-1] * g.ny
+    undo: list[tuple[int, int]] = []
 
     def extend(depth: int, last: int) -> bool:
-        nonlocal unused, seen
+        nonlocal unused
         budget.spend()
         c = (unused or 1) & meets[last]  # with every target placed, close at the anchor
         row = common[last]
@@ -244,9 +203,9 @@ def _search_exact_cycle(
             c ^= low
             j = low.bit_length() - 1
             avail[depth - 1] = row[j]
-            seen = 0
+            seen[0] = 0
             mark = len(undo)
-            if augment(depth - 1):
+            if _augment(avail, y_slot, depth - 1, seen, undo):
                 if depth == m:
                     return True
                 unused ^= low
@@ -902,10 +861,10 @@ def solve_degree_split(
                 break
 
     junctions = [(right(t), left((t + 1) % m)) for t in range(m)]
-    inst = MatchingInstance.for_pairs(g, junctions, bit_list(yl_mask))
-    assignment = max_matching(inst)
+    rows = [g.adj_x[a] & g.adj_x[c] & yl_mask for a, c in junctions]
+    assignment = max_matching(rows)
     if len(assignment) < m:
-        violator = hall_violator(inst)
+        violator = hall_violator(rows)
         if diagnostics is not None:
             diagnostics["stage"] = "hall-matching"
             diagnostics["violating_junctions"] = [

@@ -127,7 +127,9 @@ def exact_cycle_search_reference(g: Bigraph, targets: list[int], budget):
 
     Like ``prefix_scan_reference`` it is the library's algorithm, not a
     brute force: it shares the matching step ``cycles._augment`` and the
-    output check ``cycles._checked`` with the code under test.
+    output check ``cycles._checked`` with the code under test.  It undoes
+    a failed step by restoring a snapshot and discards the step's undo
+    log, so the search's own use of that log is checked against it.
     """
     from dhp.core import CycleWitness, is_two_connected
     from dhp.cycles import _augment, _checked
@@ -146,14 +148,11 @@ def exact_cycle_search_reference(g: Bigraph, targets: list[int], budget):
     order = [targets[0]]
     rest = targets[1:]
     used = [False] * len(rest)
-    slot_y: list[int | None] = [None] * m
-    y_slot: dict[int, int] = {}
+    y_slot = [-1] * g.ny
     avail: list[int] = [0] * m
 
-    def restore(snapshot: tuple[list[int | None], dict[int, int]]) -> None:
-        slot_y[:] = snapshot[0]
-        y_slot.clear()
-        y_slot.update(snapshot[1])
+    def restore(snapshot: list[int]) -> None:
+        y_slot[:] = snapshot
 
     result: list[CycleWitness] = []
 
@@ -163,9 +162,13 @@ def exact_cycle_search_reference(g: Bigraph, targets: list[int], budget):
             mask = adj[order[-1]] & adj[order[0]]
             if mask == 0:
                 return False
-            snapshot = (slot_y[:], dict(y_slot))
+            snapshot = y_slot[:]
             avail[m - 1] = mask
-            if _augment(avail, m - 1, slot_y, y_slot, [0]):
+            if _augment(avail, y_slot, m - 1, [0], []):
+                slot_y = [0] * m
+                for y, s in enumerate(y_slot):
+                    if s >= 0:
+                        slot_y[s] = y
                 result.append(CycleWitness(tuple(order), tuple(slot_y)))
                 return True
             restore(snapshot)
@@ -179,9 +182,9 @@ def exact_cycle_search_reference(g: Bigraph, targets: list[int], budget):
             mask = adj[order[-1]] & adj[cand]
             if mask == 0:
                 continue
-            snapshot = (slot_y[:], dict(y_slot))
+            snapshot = y_slot[:]
             avail[depth - 1] = mask
-            if _augment(avail, depth - 1, slot_y, y_slot, [0]):
+            if _augment(avail, y_slot, depth - 1, [0], []):
                 used[idx] = True
                 order.append(cand)
                 if extend(depth + 1):

@@ -23,7 +23,6 @@ from dhp import (
     BudgetExceededError,
     DomainError,
     GraphInputError,
-    MatchingInstance,
     PathWitness,
     ResourceLimitError,
     VertexSet,
@@ -67,17 +66,8 @@ def _dhp_units(g: Bigraph) -> int:
 
 
 class TestMatching:
-    def _instance(self, sets: list[set[int]]) -> MatchingInstance:
-        rights = sorted(set().union(*sets)) if sets else []
-        pos = {y: p for p, y in enumerate(rights)}
-        adj = tuple(
-            sum(1 << pos[y] for y in s) for s in sets
-        )
-        return MatchingInstance(
-            left_labels=tuple(range(len(sets))),
-            right_ys=tuple(rights),
-            adj=adj,
-        )
+    def _instance(self, sets: list[set[int]]) -> list[int]:
+        return [sum(1 << y for y in s) for s in sets]
 
     @given(
         st.lists(
