@@ -50,14 +50,21 @@ from .constructions import (
     pair_gadget,
     verify_design,
 )
-from .core import Bigraph, VertexSet
+from .core import Bigraph, VertexSet, int_error_message
 from .cycles import (
     find_cycle_covering,
     find_disjoint_cycle_cover,
     solve_degree_split,
     solve_high_degree,
 )
-from .errors import BudgetExceededError, ConfigError, ContractViolationError, DhpError, DomainError
+from .errors import (
+    BudgetExceededError,
+    ConfigError,
+    ContractViolationError,
+    DhpError,
+    DomainError,
+    GraphInputError,
+)
 from .formats import load_bigraph, serialize_bigraph, bigraph_to_json_obj
 from .randlab import EXACT_MEASURE_LIMIT, SweepConfig, SweepReport, check_hamiltonian, run_sweep
 
@@ -93,12 +100,16 @@ def _load_graph(args: argparse.Namespace, path: str | None = None) -> Bigraph:
 def _parse_xs(spec: str, g: Bigraph) -> VertexSet:
     if spec == "all":
         return g.full_x()
+    tokens = [tok for tok in spec.split(",") if tok.strip() != ""]
     try:
-        idx = [int(tok) for tok in spec.split(",") if tok.strip() != ""]
+        idx = [int(tok) for tok in tokens]
     except ValueError:
-        raise DomainError(f"--xs expects 'all' or comma-separated indices, got {spec!r}")
+        what = f"--xs expects 'all' or comma-separated indices, got {spec!r}"
+        raise DomainError(int_error_message(tokens, what))
     if not idx:
         raise DomainError("--xs names no vertices")
+    if max(idx) >= g.nx:  # before VertexSet.xs allocates a mask that wide
+        raise GraphInputError("xs mentions vertices outside X")
     return VertexSet.xs(idx)
 
 

@@ -19,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .core import Bigraph, bipartite_complement, bit_list, check_side_limit
+from .core import Bigraph, bipartite_complement, bit_list, check_side_limit, int_error_message
 from .errors import (
     ConstructionError,
     DesignImportError,
@@ -262,7 +262,7 @@ def import_design(text: str) -> DesignSpec:
     try:
         v, k, lam = int(parts[1]), int(parts[2]), int(parts[3])
     except ValueError:
-        raise ParseError(lineno, "v, k, lambda must be integers")
+        raise ParseError(lineno, int_error_message(parts[1:], "v, k, lambda must be integers"))
     body_lines = lines[1:]
     if len(body_lines) != v:
         raise ParseError(
@@ -273,7 +273,8 @@ def import_design(text: str) -> DesignSpec:
         try:
             pts = tuple(sorted(int(tok) for tok in body.split()))
         except ValueError:
-            raise ParseError(lineno, f"non-integer point in block: {body!r}")
+            what = int_error_message(body.split(), f"non-integer point in block: {body!r}")
+            raise ParseError(lineno, what)
         if len(pts) != k:
             raise ParseError(lineno, f"block has {len(pts)} points, expected {k}")
         blocks.append(pts)
@@ -338,6 +339,8 @@ def iterated_product(g: Bigraph, k: int) -> Bigraph:
     of every power is checked before the first one is built."""
     if k < 1:
         raise DomainError(f"iterated product needs k >= 1, got {k}")
+    if g.nx <= 1 and g.ny <= 1:
+        return g  # its own power, however large k is
     for j in range(2, k + 1):
         _check_product_size(g.nx**j, g.ny**j)
     out = g

@@ -13,6 +13,8 @@ without defensive copies.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Literal
 
@@ -48,6 +50,28 @@ SIDE_LIMIT = 1 << 20
 def check_side_limit(nx: int, ny: int, what: str) -> None:
     if nx > SIDE_LIMIT or ny > SIDE_LIMIT:
         raise ResourceLimitError(f"{what} side {max(nx, ny)} exceeds limit {SIDE_LIMIT}")
+
+
+_INT_LITERAL = re.compile(r"[+-]?\d+(?:_\d+)*")
+
+
+def int_error_message(tokens: Iterable[str], what: str) -> str:
+    """The message for ``tokens`` after int() rejected one of them: ``what``,
+    unless the first token it rejects is an integer longer than
+    sys.get_int_max_str_digits(), for which int() raises the same
+    ValueError as for a token that is not an integer at all."""
+    for tok in tokens:
+        try:
+            int(tok)
+        except ValueError:
+            if _INT_LITERAL.fullmatch(tok.strip()):
+                digits = sum(ch.isdecimal() for ch in tok)
+                return (
+                    f"integer of {digits} digits exceeds the limit of "
+                    f"{sys.get_int_max_str_digits()} digits (sys.get_int_max_str_digits())"
+                )
+            break
+    return what
 
 
 def mask_of(indices: Iterable[int]) -> int:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .core import Bigraph, check_side_limit
+from .core import Bigraph, check_side_limit, int_error_message
 from .errors import ParseError
 
 __all__ = [
@@ -49,7 +49,8 @@ def parse_bigraph(text: str, strict: bool = False) -> Bigraph:
             try:
                 nx, ny = int(tokens[1]), int(tokens[2])
             except ValueError:
-                raise ParseError(lineno, "header sizes must be integers") from None
+                what = int_error_message(tokens[1:], "header sizes must be integers")
+                raise ParseError(lineno, what) from None
             if nx < 0 or ny < 0:
                 raise ParseError(lineno, "vertex counts must be non-negative")
             check_side_limit(nx, ny, "graph")
@@ -60,7 +61,8 @@ def parse_bigraph(text: str, strict: bool = False) -> Bigraph:
         try:
             i, j = int(tokens[0]), int(tokens[1])
         except ValueError:
-            raise ParseError(lineno, "edge endpoints must be integers") from None
+            what = int_error_message(tokens, "edge endpoints must be integers")
+            raise ParseError(lineno, what) from None
         nx, ny = header
         if not (0 <= i < nx):
             raise ParseError(lineno, f"X-index {i} out of range 0..{nx - 1}")

@@ -76,6 +76,7 @@ __all__ = [
     "run_sweep",
     "EXACT_MEASURE_LIMIT",
     "MAX_SAMPLE_CELLS",
+    "MAX_SWEEP_RECORDS",
 ]
 
 MASK64 = (1 << 64) - 1
@@ -87,6 +88,12 @@ EXACT_MEASURE_LIMIT = 16
 # profile adds about 20 bytes per X-pair, so a trial at the cap stays near
 # half a GiB; larger requests raise ResourceLimitError instead of an OOM.
 MAX_SAMPLE_CELLS = 1 << 24
+
+# Cap on cells x trials, the records of one sweep.  run_sweep builds every
+# task before it draws a sample and keeps every record, about 520 bytes per
+# trial at peak (n = 3, tracemalloc), so a sweep at the cap stays near half
+# a GiB; larger requests raise ResourceLimitError before any task is built.
+MAX_SWEEP_RECORDS = 1 << 20
 
 _LOG_MAX_FLOAT = math.log(sys.float_info.max)
 
@@ -482,6 +489,11 @@ class SweepConfig:
             _check_sample_size(n, n)
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        records = len(self.n_list) * len(self.c_list) * self.trials
+        if records > MAX_SWEEP_RECORDS:
+            raise ResourceLimitError(
+                f"{records} trial records exceed the sweep cap of {MAX_SWEEP_RECORDS}"
+            )
         if not 0 <= self.master_seed <= MASK64:
             raise ConfigError(f"master seed must be in [0, 2^64), got {self.master_seed}")
         if self.jobs < 1:

@@ -8,6 +8,7 @@ import hashlib
 import io
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,9 @@ from dhp import (
     serialize_bigraph,
 )
 from dhp.cli import _build_parser, main
+
+
+LONG = "9" * 5000  # past the default int-string digit limit of 4300
 
 
 def run_cli(argv: list[str], capsys) -> tuple[int, str, str]:
@@ -112,6 +116,28 @@ class TestCheck:
         code, out, err = run_cli(["fmt", "-i", str(path)], capsys)
         assert (code, out) == (2, "")
         assert err.startswith("error: line 1: invalid JSON")
+
+    @pytest.mark.parametrize(
+        "text, argv",
+        [
+            (f"bigraph 2 {LONG}\n", ["fmt", "-i"]),
+            (f"bigraph 2 2\n0 {LONG}\n", ["fmt", "-i"]),
+            (f"design {LONG} 4 2\n", ["construct", "biplane", "--import"]),
+            (f"design 1 1 2\n{LONG}\n", ["construct", "biplane", "--import"]),
+            ("bigraph 2 2\n0 0\n", ["solve", "cover-cycle", "--xs", f"0,{LONG}", "-i"]),
+        ],
+        ids=["graph-header", "graph-edge", "design-header", "design-block", "xs"],
+    )
+    def test_over_long_integer_names_the_digit_limit(self, text, argv, tmp_path, capsys) -> None:
+        # int() raises the same ValueError past sys.get_int_max_str_digits()
+        # as for a token that is not an integer
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        code, out, err = run_cli(argv + [str(path)], capsys)
+        assert (code, out) == (2, "")
+        limit = sys.get_int_max_str_digits()
+        assert f"integer of 5000 digits exceeds the limit of {limit} digits" in err
+        assert "must be integers" not in err and LONG not in err
 
     def test_missing_file_exits_two(self, capsys) -> None:
         code, _, err = run_cli(["check", "dhp", "-i", "/no/such/file"], capsys)
@@ -227,6 +253,13 @@ class TestSolve:
         )
         assert code == 2
         assert "--xs" in err
+
+    def test_xs_outside_x_is_rejected_before_building_its_mask(self, cube_file, capsys) -> None:
+        # 1 << 10**18 raised MemoryError: a traceback and exit 1, "no witness"
+        argv = ["solve", "cover-cycle", "-i", cube_file, "--xs", f"0,{10**18}"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert "xs mentions vertices outside X" in err
 
     def test_cycle_cover_lists_cycles(self, tmp_path, capsys) -> None:
         g = Bigraph.from_edges(

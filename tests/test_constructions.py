@@ -242,6 +242,12 @@ class TestProduct:
         with pytest.raises(DomainError):
             iterated_product(cube, 0)
 
+    def test_power_of_a_graph_with_sides_at_most_one_is_itself(self) -> None:
+        # such a graph is its own product, so k = 10**12 would run 10**12 steps
+        for g in (Bigraph.from_edges(1, 1, [(0, 0)]), Bigraph.empty(1, 1), Bigraph.empty(0, 1)):
+            assert iterated_product(g, 10**12) == g
+            assert bipartite_product(g, g) == g
+
     def test_growth_report(self) -> None:
         sq = iterated_product(builtin_biplane(1), 2)
         rep = growth_report(sq)

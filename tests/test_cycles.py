@@ -101,7 +101,6 @@ class TestMatching:
             union = set().union(*(sets[i] for i in bad))
             assert len(union) < len(bad)
 
-
     def test_outputs_pinned(self) -> None:
         """sha256 of both results on 300 seeded row lists, recorded while
         the matching ran on ``MatchingInstance``'s ranked right side."""

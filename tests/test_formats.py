@@ -97,6 +97,14 @@ def test_json_errors() -> None:
         assert phrase in exc.value.message, text
 
 
+def test_over_long_non_integer_keeps_the_type_message() -> None:
+    # only a token int() would take under a larger limit names the limit
+    for text in (f"bigraph 2 {'9' * 5000}x\n", f"bigraph 2 2\n0 x{'9' * 5000}\n"):
+        with pytest.raises(ParseError) as exc:
+            parse_bigraph(text)
+        assert "must be integers" in exc.value.message and "limit" not in exc.value.message
+
+
 # JSON that the decoder itself cannot take: nesting past the recursion
 # limit, and an integer past the int-string digit limit
 UNDECODABLE_JSON = [

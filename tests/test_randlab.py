@@ -599,6 +599,26 @@ class TestSampleSizeCap:
         assert sample_bipartite(1 << 12, 0, 0.5, 0).nx == 1 << 12
 
 
+class TestSweepRecordCap:
+    def test_over_cap_raises_before_building_tasks(self) -> None:
+        import tracemalloc
+
+        cap = randlab.MAX_SWEEP_RECORDS
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="sweep cap"):
+                run_sweep(SweepConfig((3,), (0.0,), cap + 1, 0))
+            with pytest.raises(ResourceLimitError, match="sweep cap"):
+                run_sweep(SweepConfig((3, 4), (0.0, 1.0), cap // 4 + 1, 0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_cap_admits_its_own_size(self) -> None:
+        SweepConfig((3, 4), (0.0, 1.0), randlab.MAX_SWEEP_RECORDS // 4, 0).validate()
+
+
 class TestSweepOutputPinned:
     """sha256 of the CSV plus the sorted records JSON, recorded before the
     sweep kernel worked from the dense sample."""
