@@ -13,6 +13,9 @@ __all__ = ["WorkBudget", "SUBSET_BUDGET_DEFAULT", "NODE_BUDGET_DEFAULT"]
 
 SUBSET_BUDGET_DEFAULT = 1 << 24
 NODE_BUDGET_DEFAULT = 10**8
+# Size cap of randlab's exact measures, which exports it.  It is defined here,
+# with the other CLI defaults, so that building the CLI parser imports no randlab.
+EXACT_MEASURE_LIMIT = 16
 
 
 class WorkBudget:

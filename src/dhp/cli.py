@@ -25,38 +25,14 @@ Conventions shared by every subcommand:
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
+from types import ModuleType
+from typing import TYPE_CHECKING
 
-from .budget import NODE_BUDGET_DEFAULT, SUBSET_BUDGET_DEFAULT
-from .checkers import (
-    Verdict,
-    check_degree_bound,
-    check_dhp,
-    check_critical,
-    check_saturated_critical,
-    check_snp,
-    check_snp_minimal,
-    check_supercyclic,
-)
-from .constructions import (
-    builtin_biplane,
-    bipartite_product,
-    design_to_bigraph,
-    design_violation,
-    growth_report,
-    import_design,
-    iterated_product,
-    pair_gadget,
-    verify_design,
-)
+from .budget import EXACT_MEASURE_LIMIT, NODE_BUDGET_DEFAULT, SUBSET_BUDGET_DEFAULT
 from .core import Bigraph, VertexSet, int_error_message
-from .cycles import (
-    find_cycle_covering,
-    find_disjoint_cycle_cover,
-    solve_degree_split,
-    solve_high_degree,
-)
 from .errors import (
     BudgetExceededError,
     ConfigError,
@@ -66,7 +42,10 @@ from .errors import (
     GraphInputError,
 )
 from .formats import load_bigraph, serialize_bigraph, bigraph_to_json_obj
-from .randlab import EXACT_MEASURE_LIMIT, SweepConfig, SweepReport, check_hamiltonian, run_sweep
+
+if TYPE_CHECKING:
+    from .checkers import Verdict
+    from .randlab import SweepReport
 
 
 def _read_text(path: str) -> str:
@@ -174,20 +153,28 @@ def _write_report(args: argparse.Namespace, sweep) -> int:
 
 
 # -- handlers: what a leaf computes --------------------------------------------
-# They name library functions as module globals, looked up when the leaf runs,
-# so a test can patch them here.
+# They reach the library through _lib, so a call imports only the modules its
+# leaf runs, and they look each function up on its module when the leaf runs,
+# so a test can patch it there.
+
+
+def _lib(name: str) -> ModuleType:
+    """The library module ``dhp.<name>``, imported on first use."""
+    return importlib.import_module(f".{name}", __package__)
 
 
 def _check_design(g: Bigraph, args: argparse.Namespace) -> Verdict:
-    spec = verify_design(g)
+    constructions, checkers = _lib("constructions"), _lib("checkers")
+    spec = constructions.verify_design(g)
     if spec is None:
-        return Verdict("design", False, {"violation": design_violation(g)})
-    return Verdict("design", True, {"v": spec.v, "k": spec.k, "lambda": spec.lam})
+        return checkers.Verdict("design", False, {"violation": constructions.design_violation(g)})
+    return checkers.Verdict("design", True, {"v": spec.v, "k": spec.k, "lambda": spec.lam})
 
 
 def _check_degree_bound(g: Bigraph, args: argparse.Namespace) -> Verdict:
-    report = check_degree_bound(g)
-    return Verdict("degree-bound", report.within_bound, report.to_json_obj())
+    checkers = _lib("checkers")
+    report = checkers.check_degree_bound(g)
+    return checkers.Verdict("degree-bound", report.within_bound, report.to_json_obj())
 
 
 def _split_point(args: argparse.Namespace) -> int:
@@ -199,19 +186,24 @@ def _split_point(args: argparse.Namespace) -> int:
 def _build_biplane(args: argparse.Namespace) -> Bigraph:
     if (args.order is None) == (args.import_file is None):
         raise DomainError("construct biplane needs exactly one of --order or --import")
+    constructions = _lib("constructions")
     if args.order is not None:
-        return builtin_biplane(args.order)
-    return design_to_bigraph(import_design(_read_text(args.import_file)))
+        return constructions.builtin_biplane(args.order)
+    design = constructions.import_design(_read_text(args.import_file))
+    return constructions.design_to_bigraph(design)
 
 
 def _build_power(args: argparse.Namespace) -> Bigraph:
-    g = iterated_product(_load_graph(args, args.graph), args.k)
-    print("# growth: " + json.dumps(growth_report(g), sort_keys=True), file=sys.stderr)
+    constructions = _lib("constructions")
+    g = constructions.iterated_product(_load_graph(args, args.graph), args.k)
+    growth = constructions.growth_report(g)
+    print("# growth: " + json.dumps(growth, sort_keys=True), file=sys.stderr)
     return g
 
 
 def _sweep(args: argparse.Namespace) -> SweepReport:
-    config = SweepConfig(
+    randlab = _lib("randlab")
+    config = randlab.SweepConfig(
         n_list=tuple(args.n_list),
         c_list=tuple(args.c_list),
         trials=args.trials,
@@ -220,7 +212,7 @@ def _sweep(args: argparse.Namespace) -> SweepReport:
         jobs=args.jobs,
         crn=not args.no_crn,
     )
-    return run_sweep(config)
+    return randlab.run_sweep(config)
 
 
 # -- the command table: every leaf's flags and handler, declared once ----------
@@ -312,15 +304,24 @@ _COMMANDS = {
         "property",
         _write_verdict,
         {
-            "dhp": (_SUBSETS, lambda g, a: check_dhp(g, budget=a.budget_subsets)),
-            "snp": (_SUBSETS, lambda g, a: check_snp(g, budget=a.budget_subsets)),
-            "supercyclic": (_NODES, lambda g, a: check_supercyclic(g, budget=a.budget_nodes)),
-            "critical": (_NODES, lambda g, a: check_critical(g, budget=a.budget_nodes)),
+            "dhp": (_SUBSETS, lambda g, a: _lib("checkers").check_dhp(g, budget=a.budget_subsets)),
+            "snp": (_SUBSETS, lambda g, a: _lib("checkers").check_snp(g, budget=a.budget_subsets)),
+            "supercyclic": (
+                _NODES,
+                lambda g, a: _lib("checkers").check_supercyclic(g, budget=a.budget_nodes),
+            ),
+            "critical": (
+                _NODES,
+                lambda g, a: _lib("checkers").check_critical(g, budget=a.budget_nodes),
+            ),
             "saturated-critical": (
                 _NODES,
-                lambda g, a: check_saturated_critical(g, budget=a.budget_nodes),
+                lambda g, a: _lib("checkers").check_saturated_critical(g, budget=a.budget_nodes),
             ),
-            "snp-minimal": (_SUBSETS, lambda g, a: check_snp_minimal(g, budget=a.budget_subsets)),
+            "snp-minimal": (
+                _SUBSETS,
+                lambda g, a: _lib("checkers").check_snp_minimal(g, budget=a.budget_subsets),
+            ),
             "design": (_READ, _check_design),
             "degree-bound": (_READ, _check_degree_bound),
         },
@@ -332,27 +333,33 @@ _COMMANDS = {
         {
             "cover-cycle": (
                 _NODES + ("xs", "superset"),
-                lambda g, a, d: find_cycle_covering(
+                lambda g, a, d: _lib("cycles").find_cycle_covering(
                     g, _parse_xs(a.xs, g), exact_x=not a.superset, budget=a.budget_nodes
                 ),
             ),
             "cycle-cover": (
                 _NODES,
-                lambda g, a, d: find_disjoint_cycle_cover(g, budget=a.budget_nodes),
+                lambda g, a, d: _lib("cycles").find_disjoint_cycle_cover(
+                    g, budget=a.budget_nodes
+                ),
             ),
             "degree-split": (
                 _NODES,
-                lambda g, a, d: solve_degree_split(g, budget=a.budget_nodes, diagnostics=d),
+                lambda g, a, d: _lib("cycles").solve_degree_split(
+                    g, budget=a.budget_nodes, diagnostics=d
+                ),
             ),
             "high-degree": (
                 _NODES + ("k",),
-                lambda g, a, d: solve_high_degree(
+                lambda g, a, d: _lib("cycles").solve_high_degree(
                     g, _split_point(a), budget=a.budget_nodes, diagnostics=d
                 ),
             ),
             "hamiltonian": (
                 _NODES + ("limit",),
-                lambda g, a, d: check_hamiltonian(g, limit=a.limit, budget=a.budget_nodes),
+                lambda g, a, d: _lib("randlab").check_hamiltonian(
+                    g, limit=a.limit, budget=a.budget_nodes
+                ),
             ),
         },
     ),
@@ -361,11 +368,16 @@ _COMMANDS = {
         "generator",
         _emit_graph,
         {
-            "pair-gadget": (("output", "format", "n"), lambda a: pair_gadget(a.n)),
+            "pair-gadget": (
+                ("output", "format", "n"),
+                lambda a: _lib("constructions").pair_gadget(a.n),
+            ),
             "biplane": (("output", "format", "order", "import"), _build_biplane),
             "product": (
                 ("output", "format", "strict", "left", "right"),
-                lambda a: bipartite_product(_load_graph(a, a.left), _load_graph(a, a.right)),
+                lambda a: _lib("constructions").bipartite_product(
+                    _load_graph(a, a.left), _load_graph(a, a.right)
+                ),
             ),
             "power": (("output", "format", "strict", "graph", "power-k"), _build_power),
         },

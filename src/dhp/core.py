@@ -129,6 +129,8 @@ class VertexSet:
         idx = list(indices)
         if any(i < 0 for i in idx):
             raise GraphInputError("vertex indices must be non-negative")
+        if any(i >= SIDE_LIMIT for i in idx):  # before mask_of allocates that many bits
+            raise GraphInputError(f"vertex indices must be below SIDE_LIMIT = {SIDE_LIMIT}")
         return cls(side, mask_of(idx))
 
     @classmethod

@@ -43,7 +43,7 @@ import sys
 from dataclasses import asdict, dataclass, field, fields
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .budget import WorkBudget
+from .budget import EXACT_MEASURE_LIMIT, WorkBudget
 from .checkers import Obstacle, check_dhp
 from .core import Bigraph, CycleWitness, VertexSet
 from .cycles import find_cycle_covering
@@ -80,8 +80,6 @@ __all__ = [
 ]
 
 MASK64 = (1 << 64) - 1
-
-EXACT_MEASURE_LIMIT = 16
 
 # Cap on nx * ny for one sample (n = 4096 square).  A trial holds its uniform
 # grid (8 bytes per cell) while it thresholds it for every c, and the pair

@@ -694,7 +694,7 @@ class TestFlags:
         def broken(g, budget=None):
             raise ContractViolationError("invariant broken")
 
-        monkeypatch.setattr("dhp.cli.check_dhp", broken)
+        monkeypatch.setattr("dhp.checkers.check_dhp", broken)
         path = write_graph(tmp_path, "k22.txt", Bigraph.complete(2, 2))
         code, _, err = run_cli(["check", "dhp", "-i", path], capsys)
         assert code == 4

@@ -158,6 +158,19 @@ class TestFindCycleCovering:
         with pytest.raises(GraphInputError):
             find_cycle_covering(g, VertexSet.xs([0, 7]))
 
+    def test_target_past_side_limit_rejected_before_allocating(self) -> None:
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            # a mask with bit 10**8 set would take 12.5 MB
+            with pytest.raises(GraphInputError):
+                find_cycle_covering(Bigraph.complete(3, 3), VertexSet.xs([0, 10**8]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_budget_exhaustion(self) -> None:
         g = Bigraph.complete(6, 6)
         with pytest.raises(BudgetExceededError):
