@@ -37,7 +37,6 @@ __all__ = [
     "verify_design",
     "design_violation",
     "import_design",
-    "serialize_design",
     "design_to_bigraph",
     "bipartite_product",
     "iterated_product",
@@ -283,13 +282,6 @@ def import_design(text: str) -> DesignSpec:
     if msg is not None:
         raise DesignImportError(f"design axioms fail: {msg}")
     return spec
-
-
-def serialize_design(spec: DesignSpec) -> str:
-    out = [f"design {spec.v} {spec.k} {spec.lam}"]
-    for block in spec.blocks:
-        out.append(" ".join(str(p) for p in block))
-    return "\n".join(out) + "\n"
 
 
 def design_to_bigraph(spec: DesignSpec) -> Bigraph:

@@ -28,7 +28,6 @@ __all__ = [
     "VertexSet",
     "CycleWitness",
     "PathWitness",
-    "PathSystem",
     "neighborhood_at_least",
     "induced_subgraph",
     "bipartite_complement",
@@ -41,9 +40,9 @@ Side = Literal["X", "Y"]
 X_SIDE: Side = "X"
 Y_SIDE: Side = "Y"
 
-# Cap on the vertices per side of a graph read from a file or built as a
-# product.  A graph costs about 16 bytes per declared vertex before its
-# first edge, so a larger side raises ResourceLimitError instead of an OOM.
+# Cap on the vertices per side of every graph.  A graph costs about 16
+# bytes per declared vertex before its first edge, so a larger side raises
+# ResourceLimitError instead of an OOM.
 SIDE_LIMIT = 1 << 20
 
 
@@ -195,6 +194,7 @@ class Bigraph:
     def __post_init__(self):
         if self.nx < 0 or self.ny < 0:
             raise GraphInputError("vertex counts must be non-negative")
+        check_side_limit(self.nx, self.ny, "graph")
         if not isinstance(self.adj_x, tuple):
             object.__setattr__(self, "adj_x", tuple(self.adj_x))
         if len(self.adj_x) != self.nx:
@@ -244,6 +244,7 @@ class Bigraph:
 
         if not isinstance(mat, np.ndarray) or mat.dtype != np.bool_ or mat.ndim != 2:
             raise GraphInputError("from_dense needs a 2-D bool numpy array")
+        check_side_limit(mat.shape[0], mat.shape[1], "graph")
         return cls._from_both(mat.shape[0], mat.shape[1], _packed_rows(mat), _packed_rows(mat.T))
 
     @classmethod
@@ -605,30 +606,3 @@ class PathWitness:
 
     def to_json_obj(self) -> dict:
         return {"path": [[side.lower(), idx] for side, idx in self.vertices]}
-
-
-@dataclass(frozen=True, slots=True)
-class PathSystem:
-    """Vertex-disjoint alternating paths, validated as a unit."""
-
-    paths: tuple[PathWitness, ...]
-
-    def validate(self, g: Bigraph, allow_trivial: bool = False) -> None:
-        seen_x: set[int] = set()
-        seen_y: set[int] = set()
-        for p in self.paths:
-            p.validate(g, allow_trivial=allow_trivial)
-            px, py = set(p.x_indices()), set(p.y_indices())
-            if seen_x & px or seen_y & py:
-                raise WitnessError("paths in a system must be vertex-disjoint")
-            seen_x |= px
-            seen_y |= py
-
-    def x_set(self) -> VertexSet:
-        out = 0
-        for p in self.paths:
-            out |= mask_of(p.x_indices())
-        return VertexSet(X_SIDE, out)
-
-    def to_json_obj(self) -> dict:
-        return {"paths": [p.to_json_obj()["path"] for p in self.paths]}

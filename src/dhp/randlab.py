@@ -28,18 +28,21 @@ offset profiles every X-row, and each later one only the rows that were in
 a pair with at most two common neighbours at the offset before, since
 every bad pair (fewer than two) and every thin pair (exactly two) of a
 later sample is among them.  Above the threshold those are a few dozen
-rows of hundreds.  A sweep starts at most min(jobs, tasks, usable cores)
-worker processes, and they run their BLAS single-threaded, so parallel
-workers do not oversubscribe the cores.
+rows of hundreds.  A parallel sweep runs on at most min(jobs, tasks,
+usable cores) worker processes, which run their BLAS single-threaded, so
+parallel workers do not oversubscribe the cores.  The process keeps that
+pool for its later sweeps.
 """
 
 from __future__ import annotations
 
+import atexit
 import concurrent.futures
 import functools
 import math
 import os
 import sys
+import threading
 from dataclasses import asdict, dataclass, field, fields
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -655,6 +658,48 @@ def _single_thread_blas() -> None:
                 break
 
 
+# This process's sweep workers: (owner pid, worker count, executor) or None.
+# Parallel sweeps hold the lock, so threads take turns with the pool rather
+# than one replacing it while another submits to it.
+_pool: tuple[int, int, concurrent.futures.ProcessPoolExecutor] | None = None
+_pool_lock = threading.Lock()
+
+
+def _drop_pool() -> None:
+    """Forget the kept sweep pool, shutting it down if this process owns it.
+
+    A pool inherited through ``fork`` belongs to the parent: its workers
+    and queues are the parent's, so the child leaves them alone.
+    """
+    global _pool
+    kept, _pool = _pool, None
+    if kept is not None and kept[0] == os.getpid():
+        kept[2].shutdown()
+
+
+# The exit hook of concurrent.futures joins the workers first; this frees the
+# executor while modules are intact, before its collection callback would run
+# during module teardown and print an ignored AttributeError.
+atexit.register(_drop_pool)
+
+
+def _sweep_pool(workers: int) -> concurrent.futures.ProcessPoolExecutor:
+    """The kept pool of ``workers`` processes, replacing one of another size.
+
+    Its workers are forked at the first task and stay until the pool is
+    dropped or the interpreter exits, when the exit hook of
+    ``concurrent.futures`` joins them.
+    """
+    global _pool
+    if _pool is None or _pool[:2] != (os.getpid(), workers):
+        _drop_pool()
+        pool = concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers, initializer=_single_thread_blas
+        )
+        _pool = (os.getpid(), workers, pool)
+    return _pool[2]
+
+
 def _mean(xs: Iterable[float]) -> float:
     xs = list(xs)
     return sum(xs) / len(xs) if xs else 0.0
@@ -790,9 +835,14 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     Per-trial seeds are derived, never sequential, so trials are
     independent tasks; with jobs > 1 they are distributed over processes
     whose BLAS runs single-threaded, and reassembled in task order, making
-    the report identical for any worker count.  At most min(jobs, tasks,
-    usable cores) worker processes are started, since more could not run
-    at once and the pool forks all of them up front.  With crn enabled the seed
+    the report identical for any worker count.  The pool has min(jobs,
+    tasks, usable cores) workers, since more could not run at once.  They
+    are forked at the first parallel sweep and kept: later sweeps with the
+    same worker count reuse them, another count replaces the pool, and
+    they are joined at interpreter exit.  Idle, they hold their memory.  A
+    pool found broken before any task is sent is replaced once; a worker
+    dying during the sweep raises ``BrokenProcessPool`` and drops the pool.
+    A child made by ``fork`` starts its own pool.  With crn enabled the seed
     derivation ignores the position of c in the grid, so each trial index
     sees the same uniforms at every offset: one task per (n, seed) draws
     its uniform grid once and thresholds it for every c.
@@ -831,10 +881,18 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         import numpy  # noqa: F401
 
         chunk = max(1, len(tasks) // (workers * 8))
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, initializer=_single_thread_blas
-        ) as pool:
-            results = list(pool.map(_run_seed, tasks, chunksize=chunk))
+        with _pool_lock:
+            try:
+                try:
+                    pending = _sweep_pool(workers).map(_run_seed, tasks, chunksize=chunk)
+                except concurrent.futures.BrokenExecutor:
+                    # a worker died while the pool sat idle, so no task went out
+                    _drop_pool()
+                    pending = _sweep_pool(workers).map(_run_seed, tasks, chunksize=chunk)
+                results = list(pending)
+            except concurrent.futures.BrokenExecutor:
+                _drop_pool()
+                raise
     else:
         results = [_run_seed(t) for t in tasks]
     cells = []

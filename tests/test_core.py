@@ -20,8 +20,9 @@ from dhp import (
     Bigraph,
     CycleWitness,
     GraphInputError,
-    PathSystem,
     PathWitness,
+    ResourceLimitError,
+    SIDE_LIMIT,
     VertexSet,
     WitnessError,
     X_SIDE,
@@ -131,6 +132,27 @@ class TestBigraph:
         rebuilt = Bigraph(g.nx, g.ny, g.adj_x)
         assert time.perf_counter() - t0 < 2.0
         assert rebuilt.adj_y == g.adj_y
+
+    def test_side_limit_checked_before_the_mirror(self) -> None:
+        import tracemalloc
+
+        # one X-vertex past the cap used to build for about 2.5 s
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceLimitError):
+            Bigraph.empty(SIDE_LIMIT + 1, 2)
+        assert time.perf_counter() - t0 < 1.0
+        wide = np.zeros((1, SIDE_LIMIT + 1), dtype=bool)
+        tracemalloc.start()
+        try:
+            # one Y-vertex past the cap: its mirror list alone is 8 MB
+            with pytest.raises(ResourceLimitError):
+                Bigraph(1, SIDE_LIMIT + 1, (0,))
+            with pytest.raises(ResourceLimitError):
+                Bigraph.from_dense(wide)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @given(bigraphs())
     def test_adjacency_mirror_consistent(self, g: Bigraph) -> None:
@@ -305,13 +327,3 @@ class TestPathWitness:
         with pytest.raises(WitnessError):
             solo.validate(g)
         solo.validate(g, allow_trivial=True)
-
-    def test_system_disjointness(self) -> None:
-        g = Bigraph.complete(2, 2)
-        p1 = PathWitness(((X_SIDE, 0), (Y_SIDE, 0)))
-        p2 = PathWitness(((X_SIDE, 1), (Y_SIDE, 0)))
-        with pytest.raises(WitnessError):
-            PathSystem((p1, p2)).validate(g)
-        ok = PathSystem((p1, PathWitness(((X_SIDE, 1), (Y_SIDE, 1)))))
-        ok.validate(g)
-        assert ok.x_set() == VertexSet.xs([0, 1])

@@ -355,6 +355,14 @@ class TestChernoff:
             chernoff_degree_check(Bigraph.complete(9, 9), p)
 
 
+@pytest.fixture
+def no_kept_pool(monkeypatch):
+    """Shut the kept sweep pool down, so the test's sweep builds its pool
+    through ``ProcessPoolExecutor``; the pool the test keeps is forgotten."""
+    randlab._drop_pool()
+    monkeypatch.setattr(randlab, "_pool", None)
+
+
 class TestSweeps:
     def test_config_validation(self) -> None:
         good = SweepConfig((10,), (0.0,), 5, 1)
@@ -394,6 +402,7 @@ class TestSweeps:
         assert cell.p == 0.0 and cell.mean_nbad == 190
         assert cell.tv_poisson == pytest.approx(1.0)
 
+    @pytest.mark.usefixtures("no_kept_pool")
     @pytest.mark.parametrize("cores, want", [(1, None), (2, 2), (64, 3)])
     def test_workers_bounded_by_tasks_and_cores(self, monkeypatch, cores, want) -> None:
         import concurrent.futures
@@ -734,3 +743,171 @@ class TestWorkerBlasThreads:
         monkeypatch.setattr(builtins, "open", no_maps)
         assert randlab._openblas_paths() == []
         randlab._single_thread_blas()
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def _worker_pids() -> set[int]:
+    import multiprocessing
+
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def _report_bytes(rep) -> str:
+    """The CSV and every cell with its records: all but the config echo."""
+    import json
+
+    cells = [cell.to_json_obj(include_records=True) for cell in rep.cells]
+    return rep.to_csv() + json.dumps(cells, sort_keys=True)
+
+
+class TestKeptPool:
+    """A parallel sweep keeps its worker pool for the process's later sweeps.
+    Two usable cores are reported, so every pool here has two workers."""
+
+    CONFIG = SweepConfig((12, 20), (-1.0, 1.0), 6, master_seed=21, jobs=2)
+
+    @pytest.fixture(autouse=True)
+    def own_pool(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        randlab._drop_pool()
+        yield
+        randlab._drop_pool()
+
+    def _serial_bytes(self) -> str:
+        import dataclasses
+
+        return _report_bytes(run_sweep(dataclasses.replace(self.CONFIG, jobs=1)))
+
+    def test_consecutive_sweeps_share_their_workers(self) -> None:
+        first = _report_bytes(run_sweep(self.CONFIG))
+        pids = _worker_pids()
+        second = _report_bytes(run_sweep(self.CONFIG))
+        assert len(pids) == 2 and _worker_pids() == pids
+        assert first == second == self._serial_bytes()
+
+    def test_threads_take_turns_with_one_pool(self) -> None:
+        import threading
+
+        want = self._serial_bytes()
+        got = []
+
+        def sweeps():
+            for _ in range(3):
+                got.append(_report_bytes(run_sweep(self.CONFIG)))
+
+        threads = [threading.Thread(target=sweeps) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [want] * 6
+        assert len(_worker_pids()) == 2
+
+    def test_new_worker_count_replaces_the_pool(self) -> None:
+        run_sweep(self.CONFIG)
+        old_pids, old_pool = _worker_pids(), randlab._pool[2]
+        # a one-worker pool forks nothing before its first task
+        assert randlab._sweep_pool(1) is not old_pool
+        assert not any(_alive(pid) for pid in old_pids)
+        assert _worker_pids() == set()
+        assert _report_bytes(run_sweep(self.CONFIG)) == self._serial_bytes()
+        assert randlab._pool[1] == 2
+        assert len(_worker_pids()) == 2 and not _worker_pids() & old_pids
+
+    def test_killed_worker_is_replaced_by_a_fresh_pool(self) -> None:
+        import signal
+        import time
+
+        want = _report_bytes(run_sweep(self.CONFIG))
+        old_pids = _worker_pids()
+        os.kill(min(old_pids), signal.SIGKILL)
+        # the pool notices the death on its own, stops the other worker and
+        # reaps both; wait for that, so the next sweep finds the pool broken
+        deadline = time.monotonic() + 30
+        while any(_alive(pid) for pid in old_pids) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not any(_alive(pid) for pid in old_pids)
+        assert _report_bytes(run_sweep(self.CONFIG)) == want
+        assert len(_worker_pids()) == 2 and not _worker_pids() & old_pids
+
+    def test_forked_child_does_not_reuse_the_pool(self) -> None:
+        import concurrent.futures
+        import json
+        import signal
+        import time
+
+        want = _report_bytes(run_sweep(self.CONFIG))
+        pids = _worker_pids()
+        read_end, write_end = os.pipe()
+        child = os.fork()
+        if child == 0:  # the child reports through the pipe and never returns
+            status = 1
+            try:
+                os.close(read_end)
+                started = []
+
+                class InlinePool:
+                    def __init__(self, max_workers, initializer=None):
+                        started.append(max_workers)
+
+                    def map(self, fn, items, chunksize=1):
+                        return map(fn, items)
+
+                # a reused pool would send the tasks to the parent's
+                # workers, whose results no thread of the child collects
+                concurrent.futures.ProcessPoolExecutor = InlinePool
+                same = _report_bytes(run_sweep(self.CONFIG)) == want
+                os.write(write_end, json.dumps({"started": started, "same": same}).encode())
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_end)
+        deadline = time.monotonic() + 60
+        while os.waitpid(child, os.WNOHANG) == (0, 0):
+            if time.monotonic() > deadline:
+                os.kill(child, signal.SIGKILL)
+                os.waitpid(child, 0)
+                pytest.fail("the forked child hung in its sweep")
+            time.sleep(0.01)
+        with os.fdopen(read_end) as fh:
+            got = json.loads(fh.read())
+        assert got == {"started": [2], "same": True}
+        # the child left the parent's pool alone
+        assert _report_bytes(run_sweep(self.CONFIG)) == want
+        assert _worker_pids() == pids
+
+    def test_no_worker_outlives_its_caller(self) -> None:
+        import json
+        import subprocess
+        import sys
+        import textwrap
+
+        script = textwrap.dedent(
+            """
+            import json, multiprocessing, os
+            from dhp import SweepConfig, run_sweep
+
+            os.sched_getaffinity = lambda pid: {0, 1}
+            run_sweep(SweepConfig((12,), (0.0,), 4, master_seed=1, jobs=2))
+            print(json.dumps(sorted(p.pid for p in multiprocessing.active_children())))
+            """
+        )
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(randlab.__file__)))
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        pids = json.loads(proc.stdout.splitlines()[-1])
+        assert len(pids) == 2
+        assert not any(_alive(pid) for pid in pids)
