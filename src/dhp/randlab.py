@@ -29,15 +29,19 @@ a pair with at most two common neighbours at the offset before, since
 every bad pair (fewer than two) and every thin pair (exactly two) of a
 later sample is among them.  Above the threshold those are a few dozen
 rows of hundreds.  A parallel sweep runs on at most min(jobs, tasks,
-usable cores) worker processes, which run their BLAS single-threaded, so
-parallel workers do not oversubscribe the cores.  The process keeps that
-pool for its later sweeps.
+usable cores) worker processes, and the process keeps that pool for its
+later sweeps.  Every pair-count product runs on one BLAS thread, in the
+calling process and in the workers alike, and leaves the caller's thread
+count as it found it: OpenBLAS spins its idle helper threads for about
+0.1 s after each multi-threaded product, which took a core from the two
+workers of a parallel sweep.  Cores come from ``jobs``.
 """
 
 from __future__ import annotations
 
 import atexit
 import concurrent.futures
+import contextlib
 import functools
 import math
 import os
@@ -111,12 +115,11 @@ def mix64(z: int) -> int:
     return (z ^ (z >> 31)) & MASK64
 
 
-def _mix64_np(z: np.ndarray) -> np.ndarray:
-    """``mix64`` over a uint64 array, in place: the callers pass a fresh
-    array, and each xor-shift goes through one scratch array."""
+def _mix64_np(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """``mix64`` over a uint64 array, in place: each xor-shift goes through
+    ``tmp``, a scratch array of z's shape."""
     import numpy as np
 
-    tmp = np.empty_like(z)
     z ^= np.right_shift(z, np.uint64(30), out=tmp)
     z *= np.uint64(0xBF58476D1CE4E5B9)
     z ^= np.right_shift(z, np.uint64(27), out=tmp)
@@ -132,13 +135,23 @@ def _uniform_scalar(seed: int, i: int, j: int) -> int:
 
 
 def _uniform_grid(seed: int, nx: int, ny: int) -> np.ndarray:
+    """The nx x ny grid of per-edge uniforms, mixed a block of about 2^14
+    cells (at least one row) at a time through one scratch block, so that
+    the block and its scratch stay in cache."""
     import numpy as np
 
     row_keys = np.full(nx, seed & MASK64, dtype=np.uint64)
     row_keys ^= np.arange(nx, dtype=np.uint64) << np.uint64(21)
-    row_keys = _mix64_np(row_keys)
-    grid = row_keys[:, None] ^ np.arange(ny, dtype=np.uint64)[None, :]
-    return _mix64_np(grid)
+    _mix64_np(row_keys, np.empty_like(row_keys))
+    cols = np.arange(ny, dtype=np.uint64)
+    grid = np.empty((nx, ny), dtype=np.uint64)
+    step = max(1, (1 << 14) // max(1, ny))
+    tmp = np.empty((min(step, nx), ny), dtype=np.uint64)
+    for lo in range(0, nx, step):
+        block = grid[lo : lo + step]
+        np.bitwise_xor(row_keys[lo : lo + step, None], cols, out=block)
+        _mix64_np(block, tmp[: len(block)])
+    return grid
 
 
 def _threshold_u64(p: float) -> int:
@@ -245,6 +258,99 @@ def _not_above_diagonal(n: int) -> np.ndarray:
     return mask
 
 
+def _openblas_paths() -> list[str]:
+    """Files of the OpenBLAS libraries mapped into this process; empty
+    where the process has no readable memory map (non-Linux)."""
+    try:
+        with open("/proc/self/maps") as maps:
+            return sorted(
+                {
+                    line.split()[-1]
+                    for line in maps
+                    if "openblas" in line.rsplit("/", 1)[-1]
+                }
+            )
+    except OSError:
+        return []
+
+
+@functools.cache
+def _blas_thread_api() -> tuple | None:
+    """(getter, setter) of the thread count of the first mapped OpenBLAS
+    that exports both, or None.  Resolved once per process, after numpy
+    has loaded its BLAS; a forked child maps the same libraries."""
+    import ctypes
+
+    for path in _openblas_paths():
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            getter = getattr(lib, name.format("get"), None)
+            setter = getattr(lib, name.format("set"), None)
+            if getter is not None and setter is not None:
+                getter.argtypes = []
+                getter.restype = ctypes.c_int
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                return getter, setter
+    return None
+
+
+# The one-BLAS-thread scope's state: how many threads are inside it, and the
+# thread count it found on entry, to restore when the last one leaves.
+_blas_lock = threading.Lock()
+_blas_depth = 0
+_blas_saved: int | None = None
+
+
+def _reset_blas_scope() -> None:
+    """In a forked child, which has no thread inside the scope: give back
+    the count a parent thread inside it had saved, and start the state anew
+    (the lock too, which a parent thread may have held)."""
+    global _blas_lock, _blas_depth
+    if (_blas_depth or _blas_lock.locked()) and _blas_saved is not None:
+        _blas_thread_api()[1](_blas_saved)
+    _blas_lock = threading.Lock()
+    _blas_depth = 0
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_blas_scope)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Scope in which this process's OpenBLAS runs on one thread.
+
+    OpenBLAS parks its helper threads by spinning for about 0.1 s after
+    every multi-threaded product, and setting the thread count afterwards
+    does not stop the spin, so a multi-threaded product burns a core well
+    after it returns.  Threads may nest and overlap in the scope: the first
+    one in saves the count and sets 1, and the last one out restores it.
+    Without a loaded OpenBLAS the scope does nothing.
+    """
+    global _blas_depth, _blas_saved
+    api = _blas_thread_api()
+    if api is None:
+        yield
+        return
+    get, set_ = api
+    with _blas_lock:
+        if _blas_depth == 0:
+            _blas_saved = get()
+            set_(1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                set_(_blas_saved)
+
+
 def _pair_profile(mat: np.ndarray, tri: np.ndarray) -> tuple[int, int, np.ndarray]:
     """Counts of X-pairs with zero and with one common neighbour among the
     rows of the bool adjacency matrix ``mat``, plus the pair-count matrix:
@@ -252,11 +358,17 @@ def _pair_profile(mat: np.ndarray, tri: np.ndarray) -> tuple[int, int, np.ndarra
     entry is -1.  ``tri`` is the ``_not_above_diagonal`` mask at the row
     count, or the leading square of a larger one.  Uses one matrix product;
     counts up to 2**24 stay exact in float32, so the result does not depend
-    on the BLAS."""
+    on the BLAS.
+
+    The product runs on one BLAS thread in whichever process runs it, and
+    the caller's thread count is back afterwards (``_one_blas_thread``):
+    a multi-threaded product leaves its helper threads spinning on the
+    cores that parallel sweep workers need.  Cores come from ``jobs``."""
     import numpy as np
 
     a_mat = mat.astype(np.float32)
-    common = a_mat @ a_mat.T
+    with _one_blas_thread():
+        common = a_mat @ a_mat.T
     common[tri] = -1  # count each pair a < b once
     n0 = int(np.count_nonzero(common == 0))
     n1 = int(np.count_nonzero(common == 1))
@@ -281,12 +393,12 @@ def _scan_thin(
     import numpy as np
 
     thin = common == 2  # above the diagonal only, so thin[b, c] means c > b
-    rows, cols = np.nonzero(thin)  # row-major, so lexicographic
+    rows, cols = np.divmod(np.flatnonzero(thin), thin.shape[1])  # row-major, so lexicographic
     # pairs per block of 64 Ki cells: a block holds rows of mat and of mat.T
     step = max(1, (1 << 16) // max(1, *mat.shape))
     for lo in range(0, len(rows), step):
         a, b = rows[lo : lo + step], cols[lo : lo + step]
-        t1, t2 = np.nonzero(mat[a] & mat[b])[1].reshape(-1, 2).T
+        t1, t2 = (np.flatnonzero(mat[a] & mat[b]) % mat.shape[1]).reshape(-1, 2).T
         third = thin[a] & thin[b] & mat.T[t1] & mat.T[t2]
         found = np.flatnonzero(third.any(axis=1))
         if found.size:
@@ -614,50 +726,6 @@ def _run_seed(task: tuple) -> list[TrialRecord]:
     return records
 
 
-def _openblas_paths() -> list[str]:
-    """Files of the OpenBLAS libraries mapped into this process; empty
-    where the process has no readable memory map (non-Linux)."""
-    try:
-        with open("/proc/self/maps") as maps:
-            return sorted(
-                {
-                    line.split()[-1]
-                    for line in maps
-                    if "openblas" in line.rsplit("/", 1)[-1]
-                }
-            )
-    except OSError:
-        return []
-
-
-def _single_thread_blas() -> None:
-    """Pool-worker initializer: pin this process's OpenBLAS to one thread.
-
-    Forked workers inherit the parent's BLAS thread pool, so every worker
-    would otherwise spin that many threads on the same cores.  Where no
-    loaded library has a thread setter nothing changes; the results are the
-    same at any thread count (see ``_pair_profile``).  numpy, which loads
-    the BLAS, is imported first, so a worker that did not inherit it from
-    its parent still pins the library its trials will use.
-    """
-    import ctypes
-
-    import numpy  # noqa: F401
-
-    for path in _openblas_paths():
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
-            setter = getattr(lib, name, None)
-            if setter is not None:
-                setter.argtypes = [ctypes.c_int]
-                setter.restype = None
-                setter(1)
-                break
-
-
 # This process's sweep workers: (owner pid, worker count, executor) or None.
 # Parallel sweeps hold the lock, so threads take turns with the pool rather
 # than one replacing it while another submits to it.
@@ -693,9 +761,7 @@ def _sweep_pool(workers: int) -> concurrent.futures.ProcessPoolExecutor:
     global _pool
     if _pool is None or _pool[:2] != (os.getpid(), workers):
         _drop_pool()
-        pool = concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, initializer=_single_thread_blas
-        )
+        pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
         _pool = (os.getpid(), workers, pool)
     return _pool[2]
 
@@ -834,18 +900,21 @@ def run_sweep(config: SweepConfig) -> SweepReport:
 
     Per-trial seeds are derived, never sequential, so trials are
     independent tasks; with jobs > 1 they are distributed over processes
-    whose BLAS runs single-threaded, and reassembled in task order, making
-    the report identical for any worker count.  The pool has min(jobs,
-    tasks, usable cores) workers, since more could not run at once.  They
-    are forked at the first parallel sweep and kept: later sweeps with the
-    same worker count reuse them, another count replaces the pool, and
-    they are joined at interpreter exit.  Idle, they hold their memory.  A
-    pool found broken before any task is sent is replaced once; a worker
-    dying during the sweep raises ``BrokenProcessPool`` and drops the pool.
-    A child made by ``fork`` starts its own pool.  With crn enabled the seed
-    derivation ignores the position of c in the grid, so each trial index
-    sees the same uniforms at every offset: one task per (n, seed) draws
-    its uniform grid once and thresholds it for every c.
+    and reassembled in task order, making the report identical for any
+    worker count.  Each pair-count product runs on one BLAS thread in
+    whichever process runs it, and the caller's BLAS thread count is back
+    afterwards (see ``_pair_profile``): cores come from ``jobs``.  The pool
+    has min(jobs, tasks, usable cores) workers, since more could not run at
+    once.  They are forked at the first parallel sweep and kept: later
+    sweeps with the same worker count reuse them, another count replaces
+    the pool, and they are joined at interpreter exit.  Idle, they hold
+    their memory.  A pool found broken before any task is sent is replaced
+    once; a worker dying during the sweep raises ``BrokenProcessPool`` and
+    drops the pool.  A child made by ``fork`` starts its own pool.  With
+    crn enabled the seed derivation ignores the position of c in the grid,
+    so each trial index sees the same uniforms at every offset: one task
+    per (n, seed) draws its uniform grid once and thresholds it for every
+    c.
     """
     config.validate()
     params = {

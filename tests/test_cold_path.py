@@ -193,26 +193,32 @@ START_METHOD = (
     START_METHOD != "fork", reason="pool workers inherit the parent's modules only when forked"
 )
 def test_sweep_workers_inherit_numpy_and_its_blas(tmp_path) -> None:
-    # the spy wraps the pool initializer and records, in each worker before
-    # it pins anything, whether numpy came with the fork and how many
-    # OpenBLAS libraries are mapped; two usable cores are reported so that
-    # the sweep starts a pool on any machine
+    # the spy wraps the trial kernel and records, in each worker before its
+    # first trial, whether numpy came with the fork and how many OpenBLAS
+    # libraries are mapped; a barrier holds each worker's first trial until
+    # both have one, and two usable cores are reported so that the sweep
+    # starts a two-worker pool on any machine
     log = tmp_path / "workers.jsonl"
     got = run_fresh(
         """
-        import json, os, sys
+        import json, multiprocessing, os, sys
         from dhp import SweepConfig, randlab, run_sweep
 
         log = sys.argv[1]
-        pin = randlab._single_thread_blas
+        run_seed = randlab._run_seed
+        both = multiprocessing.Barrier(2)
+        first = []
 
-        def spy():
-            line = {"numpy": "numpy" in sys.modules, "maps": len(randlab._openblas_paths())}
-            with open(log, "a") as fh:
-                fh.write(json.dumps(line) + "\\n")
-            pin()
+        def spy(task):
+            if not first:
+                first.append(True)
+                line = {"numpy": "numpy" in sys.modules, "maps": len(randlab._openblas_paths())}
+                with open(log, "a") as fh:
+                    fh.write(json.dumps(line) + "\\n")
+                both.wait(timeout=60)
+            return run_seed(task)
 
-        randlab._single_thread_blas = spy
+        randlab._run_seed = spy
         os.sched_getaffinity = lambda pid: {0, 1}
         before = "numpy" in sys.modules
         run_sweep(SweepConfig((12,), (0.0,), 4, master_seed=1, jobs=2))
@@ -222,5 +228,4 @@ def test_sweep_workers_inherit_numpy_and_its_blas(tmp_path) -> None:
     )
     workers = [json.loads(line) for line in log.read_text().splitlines()]
     assert got["before"] is False
-    assert len(workers) == 2
     assert workers == [{"numpy": True, "maps": got["maps"]}] * 2

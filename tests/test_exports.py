@@ -80,3 +80,60 @@ def f():
     import numpy
 """
     assert _top_level_numpy_imports(ast.parse(source).body) == [2, 3, 7, 9, 13]
+
+
+BLAS_CALLS = ("dot", "matmul", "einsum")
+
+
+def _blas_calls_outside_scope(nodes) -> list[int]:
+    """Lines among ``nodes`` with a matrix product, ``@`` or a call of
+    ``dot``, ``matmul`` or ``einsum``, outside the body of a
+    ``with _one_blas_thread():`` block."""
+    lines = []
+    for node in nodes:
+        if isinstance(node, ast.With) and any(
+            ast.unparse(item.context_expr) == "_one_blas_thread()" for item in node.items
+        ):
+            lines += _blas_calls_outside_scope(item.context_expr for item in node.items)
+            continue
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Call) and (
+            (isinstance(node.func, ast.Attribute) and node.func.attr in BLAS_CALLS)
+            or (isinstance(node.func, ast.Name) and node.func.id in BLAS_CALLS)
+        ):
+            lines.append(node.lineno)
+        lines += _blas_calls_outside_scope(ast.iter_child_nodes(node))
+    return lines
+
+
+def test_every_blas_call_runs_in_the_one_thread_scope() -> None:
+    # a product outside randlab._one_blas_thread may run multi-threaded and
+    # leave OpenBLAS's idle threads spinning on the sweep workers' cores
+    src = pathlib.Path(dhp.__file__).parent
+    offenders = {
+        path.name: lines
+        for path in sorted(src.glob("*.py"))
+        if (lines := _blas_calls_outside_scope([ast.parse(path.read_text(), str(path))]))
+    }
+    assert offenders == {}, f"matrix products outside the one-BLAS-thread scope in {offenders}"
+
+
+def test_blas_guard_sees_products_outside_the_scope() -> None:
+    source = """
+c = a @ b
+c @= b
+np.dot(a, b)
+a.dot(b)
+numpy.matmul(a, b)
+np.einsum("ij,jk", a, b)
+with _one_blas_thread():
+    c = a @ b
+    np.dot(a, b)
+with other():
+    c = a @ b
+def f():
+    with _one_blas_thread():
+        return a @ b
+"""
+    assert _blas_calls_outside_scope([ast.parse(source)]) == [2, 3, 4, 5, 6, 7, 12]

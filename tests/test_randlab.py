@@ -68,7 +68,9 @@ class TestSampling:
             assert lo.adj_x[i] & ~hi.adj_x[i] == 0
 
     @pytest.mark.parametrize("seed", [0, 1, 2**32, 2**63 + 5, 2**64 - 1])
-    @pytest.mark.parametrize("nx, ny", [(1, 1), (3, 5), (9, 4), (70, 66)])
+    @pytest.mark.parametrize(
+        "nx, ny", [(1, 1), (3, 5), (9, 4), (70, 66), (130, 200), (3, (1 << 14) + 5)]
+    )
     def test_vectorized_kernel_matches_scalar_reference(self, seed, nx, ny) -> None:
         want = [[randlab._uniform_scalar(seed, i, j) for j in range(ny)] for i in range(nx)]
         assert randlab._uniform_grid(seed, nx, ny).tolist() == want
@@ -410,7 +412,7 @@ class TestSweeps:
         started = []
 
         class InlinePool:
-            def __init__(self, max_workers, initializer=None):
+            def __init__(self, max_workers):
                 started.append(max_workers)
 
             def __enter__(self):
@@ -686,51 +688,172 @@ class TestSweepOutputPinned:
         assert (low.p, low.clamped, high.p, high.clamped) == (0.0, True, 1.0, True)
 
 
-def _blas_threads() -> int | None:
-    """This process's OpenBLAS thread count, if a loaded library reports it."""
+def _blas_function(kind: str):
+    """This process's OpenBLAS thread-count getter (``kind`` "get") or
+    setter ("set"), if a loaded library exports it; numpy, which loads the
+    BLAS, is imported first."""
     import ctypes
+
+    import numpy  # noqa: F401
 
     for path in randlab._openblas_paths():
         lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
-            getter = getattr(lib, name, None)
-            if getter is not None:
-                getter.argtypes = []
-                getter.restype = ctypes.c_int
-                return getter()
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            fn = getattr(lib, name.format(kind), None)
+            if fn is not None:
+                fn.argtypes = [] if kind == "get" else [ctypes.c_int]
+                fn.restype = ctypes.c_int if kind == "get" else None
+                return fn
     return None
 
 
+def _blas_threads() -> int | None:
+    """This process's OpenBLAS thread count, if a loaded library reports it."""
+    get = _blas_function("get")
+    return None if get is None else get()
+
+
+def _spy_unpack(seen: list):
+    """An ``_unpack_graph`` whose matrices append to ``seen`` the BLAS thread
+    count each of their matrix products starts at."""
+    import numpy as np
+
+    class Spy(np.ndarray):
+        def __matmul__(self, other):
+            seen.append(_blas_threads())
+            return np.asarray(self) @ np.asarray(other)
+
+    unpack = randlab._unpack_graph
+    return lambda g: unpack(g).view(Spy)
+
+
+def _threads_in_product() -> tuple[list, int | None]:
+    """The BLAS thread counts that one ``count_bad_pairs`` call's products
+    run at, and this process's count after the call."""
+    seen: list = []
+    unpack = randlab._unpack_graph
+    randlab._unpack_graph = _spy_unpack(seen)
+    try:
+        count_bad_pairs(sample_gnnp(60, 0.3, 1))
+    finally:
+        randlab._unpack_graph = unpack
+    return seen, _blas_threads()
+
+
+@pytest.fixture
+def two_blas_threads():
+    """This process's OpenBLAS set to two threads, then set back."""
+    before = _blas_threads()
+    if before is None:
+        pytest.skip("no loaded OpenBLAS reports its thread count")
+    _blas_function("set")(2)
+    yield
+    _blas_function("set")(before)
+
+
+@pytest.fixture
+def fresh_blas_lookup():
+    """The scope's library lookup made again in the test, and after it."""
+    randlab._blas_thread_api.cache_clear()
+    yield
+    randlab._blas_thread_api.cache_clear()
+
+
 class TestWorkerBlasThreads:
-    def test_workers_pinned_and_parent_untouched(self) -> None:
-        import concurrent.futures
+    """Every pair-count product runs on one BLAS thread, and the caller's
+    thread count is back afterwards."""
 
-        before = _blas_threads()
-        if before is None:
-            pytest.skip("no loaded OpenBLAS reports its thread count")
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=1, initializer=randlab._single_thread_blas
-        ) as pool:
-            assert pool.submit(_blas_threads).result(timeout=60) == 1
-        run_sweep(SweepConfig((12,), (0.0,), 4, master_seed=1, jobs=2))
-        assert _blas_threads() == before
+    def test_product_pinned_in_the_caller(self, two_blas_threads) -> None:
+        assert _threads_in_product() == ([1], 2)
 
-    def test_initializer_is_silent_without_openblas(self, monkeypatch) -> None:
-        import ctypes
+    def test_workers_pinned_and_parent_untouched(self, two_blas_threads, monkeypatch) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        randlab._drop_pool()
+        try:
+            run_sweep(SweepConfig((12,), (0.0,), 4, master_seed=1, jobs=2))
+            worker = randlab._pool[2].submit(_threads_in_product)
+            assert worker.result(timeout=60) == ([1], 2)
+        finally:
+            randlab._drop_pool()
+        assert _blas_threads() == 2
 
-        class NoSymbols:
-            pass
+    def test_threads_share_the_scope(self, two_blas_threads, monkeypatch) -> None:
+        import sys
+        import threading
 
-        monkeypatch.setattr(ctypes, "CDLL", lambda path: NoSymbols())
-        randlab._single_thread_blas()
+        g = sample_gnnp(40, 0.3, 5)
+        want = count_bad_pairs(g)
+        seen: list = []
+        monkeypatch.setattr(randlab, "_unpack_graph", _spy_unpack(seen))
+        got: list = []
 
-        def unloadable(path):
-            raise OSError(path)
+        def work() -> None:
+            got.extend(count_bad_pairs(g) for _ in range(200))
 
-        monkeypatch.setattr(ctypes, "CDLL", unloadable)
-        randlab._single_thread_blas()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [want] * 400
+        assert seen == [1] * 400
+        assert _blas_threads() == 2
 
-    def test_initializer_is_silent_without_memory_map(self, monkeypatch) -> None:
+    def test_fork_inside_the_scope(self, two_blas_threads) -> None:
+        import signal
+        import threading
+        import time
+
+        inside, leave = threading.Event(), threading.Event()
+
+        def hold() -> None:
+            with randlab._one_blas_thread():
+                inside.set()
+                leave.wait(timeout=60)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        try:
+            assert inside.wait(timeout=60)
+            child = os.fork()
+            if child == 0:  # the child reports through its exit status
+                status = 1
+                try:
+                    status = 0 if _threads_in_product() == ([1], 2) else 2
+                finally:
+                    os._exit(status)
+            deadline = time.monotonic() + 60
+            while (done := os.waitpid(child, os.WNOHANG)) == (0, 0):
+                if time.monotonic() > deadline:
+                    os.kill(child, signal.SIGKILL)
+                    os.waitpid(child, 0)
+                    pytest.fail("the forked child hung in its product")
+                time.sleep(0.01)
+            assert os.waitstatus_to_exitcode(done[1]) == 0
+        finally:
+            leave.set()
+            holder.join(timeout=60)
+        assert not holder.is_alive()
+        assert _blas_threads() == 2
+
+    def _scope_is_silent(self) -> None:
+        assert randlab._blas_thread_api() is None
+        g = sample_gnnp(30, 0.2, 2)
+        common = [
+            len(oracles.neighbors(g, a) & oracles.neighbors(g, b))
+            for a in range(g.nx)
+            for b in range(a + 1, g.nx)
+        ]
+        with randlab._one_blas_thread():
+            assert count_bad_pairs(g) == (common.count(0), common.count(1))
+
+    def test_scope_is_silent_without_memory_map(self, monkeypatch, fresh_blas_lookup) -> None:
         import builtins
 
         real_open = builtins.open
@@ -742,7 +865,27 @@ class TestWorkerBlasThreads:
 
         monkeypatch.setattr(builtins, "open", no_maps)
         assert randlab._openblas_paths() == []
-        randlab._single_thread_blas()
+        self._scope_is_silent()
+
+    def test_scope_is_silent_without_symbols(self, monkeypatch, fresh_blas_lookup) -> None:
+        import ctypes
+
+        class NoSymbols:
+            pass
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: NoSymbols())
+        self._scope_is_silent()
+
+    def test_scope_is_silent_with_unloadable_library(
+        self, monkeypatch, fresh_blas_lookup
+    ) -> None:
+        import ctypes
+
+        def unloadable(path):
+            raise OSError(path)
+
+        monkeypatch.setattr(ctypes, "CDLL", unloadable)
+        self._scope_is_silent()
 
 
 def _alive(pid: int) -> bool:
@@ -855,7 +998,7 @@ class TestKeptPool:
                 started = []
 
                 class InlinePool:
-                    def __init__(self, max_workers, initializer=None):
+                    def __init__(self, max_workers):
                         started.append(max_workers)
 
                     def map(self, fn, items, chunksize=1):
