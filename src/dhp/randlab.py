@@ -30,11 +30,13 @@ every bad pair (fewer than two) and every thin pair (exactly two) of a
 later sample is among them.  Above the threshold those are a few dozen
 rows of hundreds.  A parallel sweep runs on at most min(jobs, tasks,
 usable cores) worker processes, and the process keeps that pool for its
-later sweeps.  Every pair-count product runs on one BLAS thread, in the
-calling process and in the workers alike, and leaves the caller's thread
-count as it found it: OpenBLAS spins its idle helper threads for about
-0.1 s after each multi-threaded product, which took a core from the two
-workers of a parallel sweep.  Cores come from ``jobs``.
+later sweeps.  Every pair-count product runs on one thread of numpy's own
+OpenBLAS, in the calling process and in the workers alike, and leaves the
+caller's thread count as it found it: OpenBLAS spins its idle helper
+threads for about 0.1 s after each multi-threaded product, which took a
+core from the two workers of a parallel sweep.  Cores come from ``jobs``.
+One fork hook holds the rule for this per-process state: a forked child
+starts with no pool and fresh locks.
 """
 
 from __future__ import annotations
@@ -258,43 +260,30 @@ def _not_above_diagonal(n: int) -> np.ndarray:
     return mask
 
 
-def _openblas_paths() -> list[str]:
-    """Files of the OpenBLAS libraries mapped into this process; empty
-    where the process has no readable memory map (non-Linux)."""
-    try:
-        with open("/proc/self/maps") as maps:
-            return sorted(
-                {
-                    line.split()[-1]
-                    for line in maps
-                    if "openblas" in line.rsplit("/", 1)[-1]
-                }
-            )
-    except OSError:
-        return []
-
-
 @functools.cache
 def _blas_thread_api() -> tuple | None:
-    """(getter, setter) of the thread count of the first mapped OpenBLAS
-    that exports both, or None.  Resolved once per process, after numpy
-    has loaded its BLAS; a forked child maps the same libraries."""
+    """(getter, setter) of the thread count of the OpenBLAS that numpy's
+    products call, or None.  ``dlsym`` on numpy's own extension module also
+    searches that module's dependencies, so the library found is numpy's,
+    whatever its file is called.  Resolved once per process; a forked child
+    inherits the answer along with the library."""
     import ctypes
 
-    for path in _openblas_paths():
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads"):
-            getter = getattr(lib, name.format("get"), None)
-            setter = getattr(lib, name.format("set"), None)
-            if getter is not None and setter is not None:
-                getter.argtypes = []
-                getter.restype = ctypes.c_int
-                setter.argtypes = [ctypes.c_int]
-                setter.restype = None
-                return getter, setter
+    from numpy._core import _multiarray_umath
+
+    try:
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except OSError:
+        return None
+    for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+        getter = getattr(lib, name.format("get"), None)
+        setter = getattr(lib, name.format("set"), None)
+        if getter is not None and setter is not None:
+            getter.argtypes = []
+            getter.restype = ctypes.c_int
+            setter.argtypes = [ctypes.c_int]
+            setter.restype = None
+            return getter, setter
     return None
 
 
@@ -303,21 +292,6 @@ def _blas_thread_api() -> tuple | None:
 _blas_lock = threading.Lock()
 _blas_depth = 0
 _blas_saved: int | None = None
-
-
-def _reset_blas_scope() -> None:
-    """In a forked child, which has no thread inside the scope: give back
-    the count a parent thread inside it had saved, and start the state anew
-    (the lock too, which a parent thread may have held)."""
-    global _blas_lock, _blas_depth
-    if (_blas_depth or _blas_lock.locked()) and _blas_saved is not None:
-        _blas_thread_api()[1](_blas_saved)
-    _blas_lock = threading.Lock()
-    _blas_depth = 0
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_reset_blas_scope)
 
 
 @contextlib.contextmanager
@@ -329,7 +303,9 @@ def _one_blas_thread():
     does not stop the spin, so a multi-threaded product burns a core well
     after it returns.  Threads may nest and overlap in the scope: the first
     one in saves the count and sets 1, and the last one out restores it.
-    Without a loaded OpenBLAS the scope does nothing.
+    The library is numpy's own OpenBLAS (``_blas_thread_api``); without
+    one the scope does nothing.  A child forked while a parent thread is
+    inside gets the saved count back and a fresh lock.
     """
     global _blas_depth, _blas_saved
     api = _blas_thread_api()
@@ -726,23 +702,23 @@ def _run_seed(task: tuple) -> list[TrialRecord]:
     return records
 
 
-# This process's sweep workers: (owner pid, worker count, executor) or None.
-# Parallel sweeps hold the lock, so threads take turns with the pool rather
-# than one replacing it while another submits to it.
-_pool: tuple[int, int, concurrent.futures.ProcessPoolExecutor] | None = None
+# This process's sweep workers: (worker count, executor) or None.  Parallel
+# sweeps hold the lock, so threads take turns with the pool rather than one
+# replacing it while another submits to it.
+_pool: tuple[int, concurrent.futures.ProcessPoolExecutor] | None = None
 _pool_lock = threading.Lock()
+
+# Executors inherited through fork, never used: collecting one would take
+# its lock, which a parent thread may have held, and wake the parent's pool.
+_parent_pools: list[concurrent.futures.ProcessPoolExecutor] = []
 
 
 def _drop_pool() -> None:
-    """Forget the kept sweep pool, shutting it down if this process owns it.
-
-    A pool inherited through ``fork`` belongs to the parent: its workers
-    and queues are the parent's, so the child leaves them alone.
-    """
+    """Shut the kept sweep pool down and forget it."""
     global _pool
     kept, _pool = _pool, None
-    if kept is not None and kept[0] == os.getpid():
-        kept[2].shutdown()
+    if kept is not None:
+        kept[1].shutdown()
 
 
 # The exit hook of concurrent.futures joins the workers first; this frees the
@@ -759,11 +735,34 @@ def _sweep_pool(workers: int) -> concurrent.futures.ProcessPoolExecutor:
     ``concurrent.futures`` joins them.
     """
     global _pool
-    if _pool is None or _pool[:2] != (os.getpid(), workers):
+    if _pool is None or _pool[0] != workers:
         _drop_pool()
-        pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
-        _pool = (os.getpid(), workers, pool)
-    return _pool[2]
+        _pool = (workers, concurrent.futures.ProcessPoolExecutor(max_workers=workers))
+    return _pool[1]
+
+
+def _start_child_state() -> None:
+    """Fork hook for this module's per-process state.
+
+    A forked child runs only the thread that forked, so no thread of its
+    own is inside the BLAS scope or holds a lock.  It gives back the BLAS
+    thread count that a parent thread inside the scope had saved, takes
+    fresh locks, and starts with no sweep pool: the parent's workers and
+    queues are the parent's, never shut down or reused from the child.
+    """
+    global _blas_lock, _blas_depth, _pool, _pool_lock
+    if (_blas_depth or _blas_lock.locked()) and _blas_saved is not None:
+        _blas_thread_api()[1](_blas_saved)
+    _blas_lock = threading.Lock()
+    _blas_depth = 0
+    if _pool is not None:
+        _parent_pools.append(_pool[1])
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_start_child_state)
 
 
 def _mean(xs: Iterable[float]) -> float:
@@ -821,8 +820,6 @@ CSV_COLUMNS = (
 def _csv_num(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, bool):
-        return str(int(v))
     if isinstance(v, int):
         return str(v)
     return format(v, ".6g")
@@ -910,11 +907,12 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     the pool, and they are joined at interpreter exit.  Idle, they hold
     their memory.  A pool found broken before any task is sent is replaced
     once; a worker dying during the sweep raises ``BrokenProcessPool`` and
-    drops the pool.  A child made by ``fork`` starts its own pool.  With
-    crn enabled the seed derivation ignores the position of c in the grid,
-    so each trial index sees the same uniforms at every offset: one task
-    per (n, seed) draws its uniform grid once and thresholds it for every
-    c.
+    drops the pool.  A child made by ``fork`` starts with no pool and
+    fresh locks, so it forks workers of its own and leaves its parent's
+    alone.  With crn enabled the seed derivation ignores the position of c
+    in the grid, so each trial index sees the same uniforms at every
+    offset: one task per (n, seed) draws its uniform grid once and
+    thresholds it for every c.
     """
     config.validate()
     params = {

@@ -194,10 +194,11 @@ START_METHOD = (
 )
 def test_sweep_workers_inherit_numpy_and_its_blas(tmp_path) -> None:
     # the spy wraps the trial kernel and records, in each worker before its
-    # first trial, whether numpy came with the fork and how many OpenBLAS
-    # libraries are mapped; a barrier holds each worker's first trial until
-    # both have one, and two usable cores are reported so that the sweep
-    # starts a two-worker pool on any machine
+    # first trial, whether numpy came with the fork and whether the BLAS
+    # thread lookup finds numpy's OpenBLAS, as it does in the parent; a
+    # barrier holds each worker's first trial until both have one, and two
+    # usable cores are reported so that the sweep starts a two-worker pool
+    # on any machine
     log = tmp_path / "workers.jsonl"
     got = run_fresh(
         """
@@ -212,7 +213,8 @@ def test_sweep_workers_inherit_numpy_and_its_blas(tmp_path) -> None:
         def spy(task):
             if not first:
                 first.append(True)
-                line = {"numpy": "numpy" in sys.modules, "maps": len(randlab._openblas_paths())}
+                api = randlab._blas_thread_api() is not None
+                line = {"numpy": "numpy" in sys.modules, "api": api}
                 with open(log, "a") as fh:
                     fh.write(json.dumps(line) + "\\n")
                 both.wait(timeout=60)
@@ -222,10 +224,10 @@ def test_sweep_workers_inherit_numpy_and_its_blas(tmp_path) -> None:
         os.sched_getaffinity = lambda pid: {0, 1}
         before = "numpy" in sys.modules
         run_sweep(SweepConfig((12,), (0.0,), 4, master_seed=1, jobs=2))
-        print(json.dumps({"before": before, "maps": len(randlab._openblas_paths())}))
+        print(json.dumps({"before": before, "api": randlab._blas_thread_api() is not None}))
         """,
         str(log),
     )
     workers = [json.loads(line) for line in log.read_text().splitlines()]
     assert got["before"] is False
-    assert workers == [{"numpy": True, "maps": got["maps"]}] * 2
+    assert workers == [{"numpy": True, "api": got["api"]}] * 2

@@ -509,6 +509,26 @@ class TestSweeps:
         for ix in empty:
             assert row[ix] == ""
 
+    def test_records_with_an_obstacle_serialize(self) -> None:
+        import json
+
+        from dhp.checkers import Obstacle
+        from dhp.core import VertexSet
+
+        rep = run_sweep(SweepConfig((7,), (-2.0,), 5, master_seed=0))
+        obj = json.loads(json.dumps(rep.to_json_obj(include_records=True)))
+        records = obj["cells"][0]["records"]
+        assert all("surrogate_dhp" in r and "surrogate" not in r for r in records)
+        found = [r for r in records if r["obstacle3"] is not None]
+        assert len(found) == 2
+        for rec in found:
+            obstacle = Obstacle(
+                s=VertexSet.xs(rec["obstacle3"]["S"]),
+                t=VertexSet.ys(rec["obstacle3"]["T"]),
+                minimal=rec["obstacle3"]["minimal"],
+            )
+            obstacle.validate(sample_gnnp(rec["n"], rec["p"], rec["seed"]))
+
     def test_exact_measures_in_small_sweeps(self) -> None:
         cfg = SweepConfig(
             (8,),
@@ -689,21 +709,19 @@ class TestSweepOutputPinned:
 
 
 def _blas_function(kind: str):
-    """This process's OpenBLAS thread-count getter (``kind`` "get") or
-    setter ("set"), if a loaded library exports it; numpy, which loads the
-    BLAS, is imported first."""
+    """The thread-count getter (``kind`` "get") or setter ("set") of the
+    OpenBLAS that numpy's products call, if it exports one."""
     import ctypes
 
-    import numpy  # noqa: F401
+    from numpy._core import _multiarray_umath
 
-    for path in randlab._openblas_paths():
-        lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads"):
-            fn = getattr(lib, name.format(kind), None)
-            if fn is not None:
-                fn.argtypes = [] if kind == "get" else [ctypes.c_int]
-                fn.restype = ctypes.c_int if kind == "get" else None
-                return fn
+    lib = ctypes.CDLL(_multiarray_umath.__file__)
+    for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+        fn = getattr(lib, name.format(kind), None)
+        if fn is not None:
+            fn.argtypes = [] if kind == "get" else [ctypes.c_int]
+            fn.restype = ctypes.c_int if kind == "get" else None
+            return fn
     return None
 
 
@@ -771,7 +789,7 @@ class TestWorkerBlasThreads:
         randlab._drop_pool()
         try:
             run_sweep(SweepConfig((12,), (0.0,), 4, master_seed=1, jobs=2))
-            worker = randlab._pool[2].submit(_threads_in_product)
+            worker = randlab._pool[1].submit(_threads_in_product)
             assert worker.result(timeout=60) == ([1], 2)
         finally:
             randlab._drop_pool()
@@ -853,39 +871,41 @@ class TestWorkerBlasThreads:
         with randlab._one_blas_thread():
             assert count_bad_pairs(g) == (common.count(0), common.count(1))
 
-    def test_scope_is_silent_without_memory_map(self, monkeypatch, fresh_blas_lookup) -> None:
-        import builtins
-
-        real_open = builtins.open
-
-        def no_maps(path, *args, **kwargs):
-            if path == "/proc/self/maps":
-                raise FileNotFoundError(path)
-            return real_open(path, *args, **kwargs)
-
-        monkeypatch.setattr(builtins, "open", no_maps)
-        assert randlab._openblas_paths() == []
-        self._scope_is_silent()
-
     def test_scope_is_silent_without_symbols(self, monkeypatch, fresh_blas_lookup) -> None:
         import ctypes
 
         class NoSymbols:
             pass
 
-        monkeypatch.setattr(ctypes, "CDLL", lambda path: NoSymbols())
-        self._scope_is_silent()
+        class GettersOnly:  # half of each pair is not a pair
+            scipy_openblas_get_num_threads64_ = openblas_get_num_threads = staticmethod(lambda: 2)
+
+        for lib in (NoSymbols, GettersOnly):
+            with monkeypatch.context() as m:
+                m.setattr(ctypes, "CDLL", lambda path: lib())
+                randlab._blas_thread_api.cache_clear()
+                self._scope_is_silent()
 
     def test_scope_is_silent_with_unloadable_library(
-        self, monkeypatch, fresh_blas_lookup
+        self, monkeypatch, fresh_blas_lookup, tmp_path
     ) -> None:
         import ctypes
+
+        from numpy._core import _multiarray_umath
 
         def unloadable(path):
             raise OSError(path)
 
-        monkeypatch.setattr(ctypes, "CDLL", unloadable)
-        self._scope_is_silent()
+        not_a_library = tmp_path / "not_a_library.so"
+        not_a_library.write_text("text\n")
+        for target, name, value in (
+            (ctypes, "CDLL", unloadable),
+            (_multiarray_umath, "__file__", str(not_a_library)),
+        ):
+            with monkeypatch.context() as m:
+                m.setattr(target, name, value)
+                randlab._blas_thread_api.cache_clear()
+                self._scope_is_silent()
 
 
 def _alive(pid: int) -> bool:
@@ -900,6 +920,15 @@ def _worker_pids() -> set[int]:
     import multiprocessing
 
     return {p.pid for p in multiprocessing.active_children()}
+
+
+def _kill_own_worker(task) -> None:
+    """A trial kernel that kills the sweep worker running it."""
+    import multiprocessing
+    import signal
+
+    assert multiprocessing.parent_process() is not None, "not in a sweep worker"
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 def _report_bytes(rep) -> str:
@@ -956,13 +985,13 @@ class TestKeptPool:
 
     def test_new_worker_count_replaces_the_pool(self) -> None:
         run_sweep(self.CONFIG)
-        old_pids, old_pool = _worker_pids(), randlab._pool[2]
+        old_pids, old_pool = _worker_pids(), randlab._pool[1]
         # a one-worker pool forks nothing before its first task
         assert randlab._sweep_pool(1) is not old_pool
         assert not any(_alive(pid) for pid in old_pids)
         assert _worker_pids() == set()
         assert _report_bytes(run_sweep(self.CONFIG)) == self._serial_bytes()
-        assert randlab._pool[1] == 2
+        assert randlab._pool[0] == 2
         assert len(_worker_pids()) == 2 and not _worker_pids() & old_pids
 
     def test_killed_worker_is_replaced_by_a_fresh_pool(self) -> None:
@@ -981,14 +1010,28 @@ class TestKeptPool:
         assert _report_bytes(run_sweep(self.CONFIG)) == want
         assert len(_worker_pids()) == 2 and not _worker_pids() & old_pids
 
-    def test_forked_child_does_not_reuse_the_pool(self) -> None:
+    def test_worker_killed_during_a_sweep_drops_the_pool(self, monkeypatch) -> None:
+        from concurrent.futures.process import BrokenProcessPool
+
+        want = self._serial_bytes()
+        with monkeypatch.context() as m:
+            # the pool's workers are forked at its first task, so they run this kernel
+            m.setattr(randlab, "_run_seed", _kill_own_worker)
+            with pytest.raises(BrokenProcessPool):
+                run_sweep(self.CONFIG)
+        assert randlab._pool is None and _worker_pids() == set()
+        assert _report_bytes(run_sweep(self.CONFIG)) == want
+        assert len(_worker_pids()) == 2
+
+    def _forked_sweep(self, want: str) -> dict:
+        """Fork a child that runs ``CONFIG`` with an inline pool, and return
+        the worker counts of the pools it started and whether its report
+        bytes are ``want``.  A child that hangs fails the test."""
         import concurrent.futures
         import json
         import signal
         import time
 
-        want = _report_bytes(run_sweep(self.CONFIG))
-        pids = _worker_pids()
         read_end, write_end = os.pipe()
         child = os.fork()
         if child == 0:  # the child reports through the pipe and never returns
@@ -1021,9 +1064,40 @@ class TestKeptPool:
                 pytest.fail("the forked child hung in its sweep")
             time.sleep(0.01)
         with os.fdopen(read_end) as fh:
-            got = json.loads(fh.read())
+            return json.loads(fh.read())
+
+    def test_forked_child_does_not_reuse_the_pool(self, monkeypatch) -> None:
+        import threading
+
+        want = _report_bytes(run_sweep(self.CONFIG))
+        pids = _worker_pids()
+        # forked while the pool is idle
+        assert self._forked_sweep(want) == {"started": [2], "same": True}
+        # forked while another thread is inside a parallel sweep, holding the
+        # pool's lock: its first pool lookup waits until the fork is done
+        inside, leave = threading.Event(), threading.Event()
+        sweep_pool, hold = randlab._sweep_pool, [True]
+
+        def held_pool(workers):
+            if hold:  # emptied before the fork, so the child passes through
+                hold.clear()
+                inside.set()
+                leave.wait(timeout=60)
+            return sweep_pool(workers)
+
+        monkeypatch.setattr(randlab, "_sweep_pool", held_pool)
+        busy: list = []
+        thread = threading.Thread(target=lambda: busy.append(_report_bytes(run_sweep(self.CONFIG))))
+        thread.start()
+        try:
+            assert inside.wait(timeout=60)
+            got = self._forked_sweep(want)
+        finally:
+            leave.set()
+            thread.join(timeout=120)
         assert got == {"started": [2], "same": True}
-        # the child left the parent's pool alone
+        assert not thread.is_alive() and busy == [want]
+        # the children left the parent's pool alone
         assert _report_bytes(run_sweep(self.CONFIG)) == want
         assert _worker_pids() == pids
 
