@@ -97,26 +97,36 @@ def _augment(
     avail: list[int],
     y_slot: list[int],
     s: int,
-    seen: list[int],
+    seen: int,
     undo: list[tuple[int, int]],
-) -> bool:
+) -> int:
     """Kuhn's augmenting-path step: give slot ``s`` a Y-vertex of the mask
-    ``avail[s]`` outside the mask ``seen[0]``, re-matching the earlier
-    holders recursively.  ``y_slot[y]`` is the slot holding y, or -1 when y
-    is free; every change is logged in ``undo`` as (y, previous holder).
-    Candidates are tried by increasing Y index."""
-    c = avail[s] & ~seen[0]
+    ``avail[s]`` outside the mask ``seen``, re-matching the earlier holders
+    recursively.  ``y_slot[y]`` is the slot holding y, or -1 when y is
+    free; every change is logged in ``undo`` as (y, previous holder).
+    Candidates are tried by increasing Y index.
+
+    Returns -1 on success.  On failure the matching is unchanged and the
+    result is ``seen`` grown by every Y-vertex the step visited: a set
+    that holds no free Y-vertex and is closed under alternating paths (the
+    holder of each of its Y-vertices sees only Y-vertices inside it) when
+    ``seen`` was one too, as the empty set is.  Candidates a deeper call
+    already visited are not tried again, since they lead back into that
+    set."""
+    c = avail[s] & ~seen
     while c:
         low = c & -c
-        c ^= low
-        seen[0] |= low
+        seen |= low
         y = low.bit_length() - 1
         holder = y_slot[y]
-        if holder < 0 or _augment(avail, y_slot, holder, seen, undo):
+        if holder >= 0:
+            seen = _augment(avail, y_slot, holder, seen, undo)
+        if holder < 0 or seen < 0:
             undo.append((y, holder))
             y_slot[y] = s
-            return True
-    return False
+            return -1
+        c &= ~seen
+    return seen
 
 
 def _matched(rows: list[int]) -> list[int]:
@@ -124,7 +134,7 @@ def _matched(rows: list[int]) -> list[int]:
     Y-neighbourhoods are the masks ``rows``, found by Kuhn's algorithm."""
     y_slot = [-1] * max(rows, default=0).bit_length()
     for s in range(len(rows)):
-        _augment(rows, y_slot, s, [0], [])
+        _augment(rows, y_slot, s, 0, [])
     return y_slot
 
 
@@ -172,6 +182,17 @@ def _search_exact_cycle(
     smaller than its predecessor so each cycle is visited in one direction
     only.  Each node spends one unit; each pair takes its Y-vertex by
     ``_augment``, and backtracking pops the undo log that step writes.
+
+    Each node also carries a dead set: the Y-vertices a failed
+    ``_augment`` visited, which hold no free Y-vertex and are closed under
+    alternating paths, so no augmenting path enters them.  A candidate
+    whose common neighbours all lie in it is skipped, and every later step
+    starts its ``seen`` from it.  Backtracking restores the matching, so
+    the set stays dead for the rest of the node's loop; a successful step
+    avoids it and leaves its holders alone, so it is passed down to the
+    child.  Kuhn's search only skips branches that would fail, so the
+    cycle, the Y-vertices and the node count are those of a search
+    without it.
     """
     m = len(targets)
     if m > CYCLE_TARGET_LIMIT:
@@ -187,11 +208,11 @@ def _search_exact_cycle(
     # the search runs on positions in ``targets``; slot i joins order[i] to its successor
     common = [[adj[a] & adj[b] for b in targets] for a in targets]
     meets = [mask_of(j for j, c in enumerate(row) if c) for row in common]
-    unused, order, avail, seen = (1 << m) - 2, [0], [0] * m, [0]
+    unused, order, avail = (1 << m) - 2, [0], [0] * m
     y_slot = [-1] * g.ny
     undo: list[tuple[int, int]] = []
 
-    def extend(depth: int, last: int) -> bool:
+    def extend(depth: int, last: int, dead: int) -> bool:
         nonlocal unused
         budget.spend()
         c = (unused or 1) & meets[last]  # with every target placed, close at the anchor
@@ -202,24 +223,28 @@ def _search_exact_cycle(
             low = c & -c
             c ^= low
             j = low.bit_length() - 1
+            if not row[j] & ~dead:
+                continue  # its step would fail at once
             avail[depth - 1] = row[j]
-            seen[0] = 0
             mark = len(undo)
-            if _augment(avail, y_slot, depth - 1, seen, undo):
-                if depth == m:
-                    return True
-                unused ^= low
-                order.append(j)
-                if extend(depth + 1, j):
-                    return True
-                order.pop()
-                unused ^= low
-                while len(undo) > mark:
-                    y, holder = undo.pop()
-                    y_slot[y] = holder
+            seen = _augment(avail, y_slot, depth - 1, dead, undo)
+            if seen >= 0:
+                dead = seen
+                continue
+            if depth == m:
+                return True
+            unused ^= low
+            order.append(j)
+            if extend(depth + 1, j, dead):
+                return True
+            order.pop()
+            unused ^= low
+            while len(undo) > mark:
+                y, holder = undo.pop()
+                y_slot[y] = holder
         return False
 
-    if not extend(1, 0):
+    if not extend(1, 0, 0):
         return None
     ys = sorted((y for y in range(g.ny) if y_slot[y] >= 0), key=y_slot.__getitem__)
     return _checked(CycleWitness(tuple(targets[i] for i in order), tuple(ys)).canonical(), g)
@@ -249,7 +274,7 @@ def find_cycle_covering(
     b = as_budget(budget, NODE_BUDGET_DEFAULT, "node")
     if exact_x:
         return _search_exact_cycle(g, targets, b)
-    others = [x for x in range(g.nx) if x not in set(targets)]
+    others = [x for x in range(g.nx) if not xs.mask >> x & 1]
     for extra in range(len(others) + 1):
         for added in itertools.combinations(others, extra):
             cyc = _search_exact_cycle(g, sorted(targets + list(added)), b)

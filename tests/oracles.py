@@ -129,7 +129,9 @@ def exact_cycle_search_reference(g: Bigraph, targets: list[int], budget):
     brute force: it shares the matching step ``cycles._augment`` and the
     output check ``cycles._checked`` with the code under test.  It undoes
     a failed step by restoring a snapshot and discards the step's undo
-    log, so the search's own use of that log is checked against it.
+    log, and it starts every step from an empty ``seen`` mask, so the
+    search's own use of that log and of its dead Y-set is checked against
+    it.
     """
     from dhp.core import CycleWitness, is_two_connected
     from dhp.cycles import _augment, _checked
@@ -164,7 +166,7 @@ def exact_cycle_search_reference(g: Bigraph, targets: list[int], budget):
                 return False
             snapshot = y_slot[:]
             avail[m - 1] = mask
-            if _augment(avail, y_slot, m - 1, [0], []):
+            if _augment(avail, y_slot, m - 1, 0, []) < 0:
                 slot_y = [0] * m
                 for y, s in enumerate(y_slot):
                     if s >= 0:
@@ -184,7 +186,7 @@ def exact_cycle_search_reference(g: Bigraph, targets: list[int], budget):
                 continue
             snapshot = y_slot[:]
             avail[depth - 1] = mask
-            if _augment(avail, y_slot, depth - 1, [0], []):
+            if _augment(avail, y_slot, depth - 1, 0, []) < 0:
                 used[idx] = True
                 order.append(cand)
                 if extend(depth + 1):

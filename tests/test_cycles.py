@@ -181,8 +181,9 @@ def _ham_sample(n: int, c: float, seed: int) -> Bigraph:
     return sample_gnnp(n, threshold_p(n, c, "hamiltonian").p, seed)
 
 
-# Whole-X searches pinned from the search before its undo-log rewrite:
-# (graph, nodes spent, cycle X-order, cycle Y-vertices).
+# Whole-X searches pinned from the search before its undo-log rewrite, and
+# seed 4, the benchmark corpus's heaviest call, from the search before its
+# dead Y-set: (graph, nodes spent, cycle X-order, cycle Y-vertices).
 PINNED_CYCLE_SEARCHES = {
     "K(6,6)": (
         lambda: Bigraph.complete(6, 6), 6, (0, 5, 4, 3, 2, 1), (0, 1, 2, 3, 4, 5)
@@ -195,6 +196,12 @@ PINNED_CYCLE_SEARCHES = {
         11,
         (0, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1),
         (6, 5, 4, 3, 2, 1, 0, 10, 9, 8, 7),
+    ),
+    "ham n=14 c=0 seed 4": (
+        lambda: _ham_sample(14, 0.0, 4),
+        224358,
+        (0, 3, 2, 1, 7, 4, 5, 11, 8, 9, 10, 12, 6, 13),
+        (2, 3, 1, 12, 13, 8, 4, 5, 7, 0, 9, 6, 10, 11),
     ),
     "ham n=14 c=0 seed 28": (
         lambda: _ham_sample(14, 0.0, 28),
@@ -233,6 +240,30 @@ class TestExactCycleSearch:
         targets = list(range(g.nx))
         assert _capped_search(_search_exact_cycle, g, targets, 10**6) == ((xs, ys), nodes)
         assert _capped_search(_search_exact_cycle, g, targets, nodes - 1) == "exhausted"
+
+    # (``_augment`` calls of the search, calls before its dead Y-set)
+    AUGMENT_CALLS = {"ham n=14 c=0 seed 28": (2088, 2658), "ham n=14 c=0 seed 34": (7022, 17255)}
+
+    @pytest.mark.parametrize("name", sorted(AUGMENT_CALLS))
+    def test_augment_calls_pinned(self, name: str, monkeypatch) -> None:
+        """The matching work of a search is deterministic: count its steps
+        through the module global, which the step's recursion also uses."""
+        import dhp.cycles
+
+        calls = 0
+        step = dhp.cycles._augment
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return step(*args)
+
+        monkeypatch.setattr(dhp.cycles, "_augment", counted)
+        build, nodes, xs, ys = PINNED_CYCLE_SEARCHES[name]
+        g = build()
+        assert _capped_search(_search_exact_cycle, g, list(range(g.nx)), 10**6) == ((xs, ys), nodes)
+        now, before = self.AUGMENT_CALLS[name]
+        assert calls == now < before
 
     def test_matches_reference_search(self) -> None:
         rng = random.Random(4002)
