@@ -146,6 +146,19 @@ def test_scan_units_and_witnesses_are_pinned(make, dhp_scan, snp_scan, obstacle_
     assert (units, found) == obstacle_scan
 
 
+def test_snp_units_on_leaf_test_heavy_graphs_are_pinned() -> None:
+    # Both scans test every leaf.  The corpus records the gadget call as
+    # running out of its 2000-subset cap; a scan that started pruning would
+    # spend fewer units and finish, so both counts are pinned here.
+    b = WorkBudget(2000, "subset")
+    with pytest.raises(BudgetExceededError):
+        check_snp(pair_gadget(20), budget=b)
+    assert 2000 - b.remaining == 2468
+    b = WorkBudget(10**6, "subset")
+    assert check_snp(builtin_biplane(3), budget=b).holds
+    assert 10**6 - b.remaining == 4007
+
+
 def _skewed_bigraph(rng: random.Random) -> Bigraph:
     """nx <= 12, with uniform, per-X-row or per-Y-column edge rates; the
     near-universal Y-vertices of the last two are where the suffix-degree
