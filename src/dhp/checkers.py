@@ -385,13 +385,25 @@ def check_snp(g: Bigraph, *, budget: int | WorkBudget | None = None) -> Verdict:
     twice-seen neighbourhood is 2-connected.
 
     The witness carries a "reason" flag: cardinality or connectivity.
+
+    A leaf S whose X-pairs all share at least two Y-vertices passes without
+    the 2-connectivity scan.  Those common neighbours lie in twice-seen(S),
+    so the induced subgraph is connected; without one X-vertex every other
+    pair still shares two Y-vertices and every Y-vertex keeps one of its
+    two or more neighbours in S; without one Y-vertex every pair still
+    shares one.  The leaf test is only answered sooner: every scan, unit
+    and witness is the same.
     """
     if g.nx < 3:
         raise DomainError(f"super neighbourhood property needs |X| >= 3, got {g.nx}")
     b = as_budget(budget, SUBSET_BUDGET_DEFAULT, "subset")
+    # rich[x]: the X-vertices sharing at least two Y-vertices with x
+    rows = g.adj_x
+    rich = [sum(1 << j for j, r in enumerate(rows) if (a & r).bit_count() > 1) for a in rows]
 
     def two_connected(chosen: tuple[int, ...], u2: int) -> bool:
-        return two_connected_on(g, mask_of(chosen), u2)
+        s = mask_of(chosen)
+        return all(rich[x] & s == s for x in chosen) or two_connected_on(g, s, u2)
 
     hit = _first_deficient(g, 3, g.nx, b, two_connected)
     if hit is None:

@@ -727,17 +727,40 @@ def _drop_pool() -> None:
 atexit.register(_drop_pool)
 
 
+def _exit_with_parent() -> None:
+    """Pool initializer: a daemon thread ends this worker once its parent
+    process is gone.
+
+    A worker waits on its call queue and never notices that its owner died
+    without running exit hooks (SIGKILL, ``os._exit``).  It is then
+    reparented, so the thread compares ``os.getppid()`` with its value at
+    start, about once a second.  Under a forkserver start the parent is
+    the server, which exits with its owner, so the test holds there too.
+    """
+    import time
+
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(1.0)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="dhp-parent-watch", daemon=True).start()
+
+
 def _sweep_pool(workers: int) -> concurrent.futures.ProcessPoolExecutor:
     """The kept pool of ``workers`` processes, replacing one of another size.
 
     Its workers are forked at the first task and stay until the pool is
     dropped or the interpreter exits, when the exit hook of
-    ``concurrent.futures`` joins them.
+    ``concurrent.futures`` joins them, or until their parent dies.
     """
     global _pool
     if _pool is None or _pool[0] != workers:
         _drop_pool()
-        _pool = (workers, concurrent.futures.ProcessPoolExecutor(max_workers=workers))
+        pool = concurrent.futures.ProcessPoolExecutor(workers, initializer=_exit_with_parent)
+        _pool = (workers, pool)
     return _pool[1]
 
 
@@ -905,14 +928,15 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     once.  They are forked at the first parallel sweep and kept: later
     sweeps with the same worker count reuse them, another count replaces
     the pool, and they are joined at interpreter exit.  Idle, they hold
-    their memory.  A pool found broken before any task is sent is replaced
-    once; a worker dying during the sweep raises ``BrokenProcessPool`` and
-    drops the pool.  A child made by ``fork`` starts with no pool and
-    fresh locks, so it forks workers of its own and leaves its parent's
-    alone.  With crn enabled the seed derivation ignores the position of c
-    in the grid, so each trial index sees the same uniforms at every
-    offset: one task per (n, seed) draws its uniform grid once and
-    thresholds it for every c.
+    their memory.  Each exits within about a second of its parent's
+    death, so a process that dies without exit hooks leaves none behind.
+    A pool found broken before any task is sent is replaced once; a worker
+    dying during the sweep raises ``BrokenProcessPool`` and drops the pool.
+    A child made by ``fork`` starts with no pool and fresh locks, so it
+    forks workers of its own and leaves its parent's alone.  With crn
+    enabled the seed derivation ignores the position of c in the grid, so
+    each trial index sees the same uniforms at every offset: one task per
+    (n, seed) draws its uniform grid once and thresholds it for every c.
     """
     config.validate()
     params = {

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import tracemalloc
 
@@ -435,6 +436,41 @@ class TestSnp:
         assert v.witness == {"S": [0, 1, 2, 3, 4], "reason": "cardinality"}
 
 
+class TestSnpLeafShortcut:
+    """check_snp's leaf test runs the 2-connectivity scan only on leaves
+    holding an X-pair with fewer than two common Y-vertices."""
+
+    @staticmethod
+    def _scans(g: Bigraph, monkeypatch) -> tuple[int, int, dict | None]:
+        """2-connectivity scans run, units spent and witness of check_snp."""
+        calls = []
+        real = checkers.two_connected_on
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(checkers, "two_connected_on", counted)
+        b = WorkBudget(10**6, "subset")
+        v = check_snp(g, budget=b)
+        return len(calls), 10**6 - b.remaining, v.witness
+
+    def test_biplane_runs_no_connectivity_scan(self, monkeypatch) -> None:
+        assert self._scans(builtin_biplane(3), monkeypatch) == (0, 4007, None)
+
+    @pytest.mark.parametrize("n, c, seed", [(10, 0.0, 0), (10, 2.0, 1), (12, 0.0, 2), (12, 2.0, 0)])
+    def test_dhp_threshold_samples_run_no_connectivity_scan(self, n, c, seed, monkeypatch) -> None:
+        g = sample_gnnp(n, threshold_p(n, c, "dhp").p, seed)
+        assert check_dhp(g).holds
+        calls, _, witness = self._scans(g, monkeypatch)
+        assert (calls, witness) == (0, None)
+
+    def test_connectivity_failure_still_runs_the_scan(self, monkeypatch) -> None:
+        calls, units, witness = self._scans(sample_gnnp(12, 0.6, 0), monkeypatch)
+        assert calls >= 1
+        assert (units, witness) == (42, {"S": [0, 5, 7], "reason": "connectivity"})
+
+
 class TestSupercyclic:
     @given(bigraphs(min_nx=3, max_nx=4, max_ny=4))
     @settings(deadline=None)
@@ -459,8 +495,29 @@ class TestTheoryImplications:
 
     @given(dense_bigraphs(min_nx=3, max_nx=4, min_ny=2, max_ny=4, ny_at_least_nx=True))
     def test_dhp_implies_snp(self, g: Bigraph) -> None:
+        """dHp at |A| = 2 says every X-pair shares two Y-vertices, and then
+        every S with |S| >= 3 induces, with twice-seen(S), a 2-connected
+        subgraph.  A common neighbour of two vertices of S is seen twice
+        from S, so the X-vertices are pairwise joined through twice-seen(S)
+        and every Y-vertex there has two neighbours in S: the subgraph is
+        connected.  Without one X-vertex the others, at least two, are
+        still pairwise joined through two Y-vertices, and every Y-vertex
+        keeps a neighbour.  Without one Y-vertex every pair is still joined
+        through the other, and every remaining Y-vertex keeps its two
+        neighbours.  The cardinality half of snp is dHp itself."""
         assume(check_dhp(g).holds)
         assert check_snp(g).holds
+
+    @given(dense_bigraphs(min_nx=3, max_nx=5, min_ny=2, max_ny=5))
+    def test_pairs_sharing_two_y_vertices_are_two_connected(self, g: Bigraph) -> None:
+        # the lemma above for a single S, which check_snp's leaf test uses
+        for k in range(3, g.nx + 1):
+            for s in itertools.combinations(range(g.nx), k):
+                if all(
+                    len(oracles.neighbors(g, a) & oracles.neighbors(g, b)) >= 2
+                    for a, b in itertools.combinations(s, 2)
+                ):
+                    assert oracles.two_connected_bruteforce(g, set(s), oracles.lambda2(g, s))
 
     @given(dense_bigraphs(min_nx=3, max_nx=4, min_ny=2, max_ny=4, ny_at_least_nx=True))
     def test_supercyclic_implies_snp(self, g: Bigraph) -> None:

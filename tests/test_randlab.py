@@ -412,7 +412,7 @@ class TestSweeps:
         started = []
 
         class InlinePool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer=None):
                 started.append(max_workers)
 
             def __enter__(self):
@@ -916,6 +916,18 @@ def _alive(pid: int) -> bool:
     return True
 
 
+def _running(pid: int) -> bool:
+    """Alive and not a zombie: an exited process that is not reaped yet,
+    as an orphan whose new parent does not reap, counts as gone."""
+    if not os.path.isdir("/proc"):
+        return _alive(pid)
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
 def _worker_pids() -> set[int]:
     import multiprocessing
 
@@ -1041,7 +1053,7 @@ class TestKeptPool:
                 started = []
 
                 class InlinePool:
-                    def __init__(self, max_workers):
+                    def __init__(self, max_workers, initializer=None):
                         started.append(max_workers)
 
                     def map(self, fn, items, chunksize=1):
@@ -1128,3 +1140,46 @@ class TestKeptPool:
         pids = json.loads(proc.stdout.splitlines()[-1])
         assert len(pids) == 2
         assert not any(_alive(pid) for pid in pids)
+
+    def test_workers_exit_when_their_caller_is_killed(self) -> None:
+        import json
+        import signal
+        import subprocess
+        import sys
+        import textwrap
+        import time
+
+        script = textwrap.dedent(
+            """
+            import json, multiprocessing, os, sys
+            from dhp import SweepConfig, run_sweep
+
+            os.sched_getaffinity = lambda pid: {0, 1}
+            run_sweep(SweepConfig((12,), (0.0,), 4, master_seed=1, jobs=2))
+            print(json.dumps(sorted(p.pid for p in multiprocessing.active_children())), flush=True)
+            sys.stdin.read()  # until killed
+            """
+        )
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(randlab.__file__)))
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            pids = json.loads(proc.stdout.readline())
+        finally:
+            # no exit hook runs, so only the workers' own watch can end them
+            proc.kill()
+            proc.wait(timeout=60)
+            proc.stdin.close()
+            proc.stdout.close()
+        assert len(pids) == 2
+        deadline = time.monotonic() + 10
+        while any(_running(pid) for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        left = [pid for pid in pids if _running(pid)]
+        for pid in left:  # leave no stray process behind a failing run
+            os.kill(pid, signal.SIGKILL)
+        assert left == []
