@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 
@@ -35,6 +36,7 @@ from dhp import (
     iterated_product,
     pad_with_universal,
     pair_gadget,
+    serialize_bigraph,
     verify_design,
 )
 
@@ -94,6 +96,21 @@ class TestBiplanes:
             assert g.nx == v and g.ny == v
             assert set(g.degrees_x()) == {k}
             assert set(g.degrees_y()) == {k}
+
+    @pytest.mark.parametrize(
+        "order, digest",
+        [
+            (0, "791ac3e56a85be20a2e8ecc7fcfe01bca10432711212cb1a126ae6d258f7ed20"),
+            (1, "9b5a8959e10743d44176c83b93862e8c777b35717920970e7c6c2d5ee37e6a60"),
+            (2, "57f6f5e8cf79e8d22b78b6092df48fae88306001592b42bc6f14ceceb8a4e546"),
+            (3, "af42d5cb6789dcb1cb65851f499c373c925c41192c226e86b7a59fa80c78ff3f"),
+        ],
+    )
+    def test_builtin_edge_lists_pinned(self, order: int, digest: str) -> None:
+        # sha256 of the edge-list file, recorded before the built-ins moved
+        # to one difference-set table
+        text = serialize_bigraph(builtin_biplane(order))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_builtins_are_designs(self) -> None:
         for order in range(4):
