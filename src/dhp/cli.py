@@ -190,6 +190,8 @@ def _build_biplane(args: argparse.Namespace) -> Bigraph:
     if args.order is not None:
         return constructions.builtin_biplane(args.order)
     design = constructions.import_design(_read_text(args.import_file))
+    if design.lam != 2:
+        raise DomainError(f"a biplane has lambda = 2, the design has lambda = {design.lam}")
     return constructions.design_to_bigraph(design)
 
 

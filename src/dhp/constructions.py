@@ -8,18 +8,19 @@ degrees while preserving the double Hall property.  Padding with universal
 vertices embeds any instance into a larger one without disturbing the
 property.
 
-Only small biplanes (orders 0 to 3) are built in.  Larger ones exist in the
-literature but are shipped import-only: ``import_design`` re-verifies every
-axiom, so no unverified incidence data can enter the system.
+The biplanes of orders 0 to 4 and 7 are built in from a table of difference
+sets.  The larger known ones (k = 11 and 13) are import-only: ``import_design``
+re-verifies every axiom, so no unverified incidence data can enter the system.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
-from .core import Bigraph, bipartite_complement, bit_list, check_side_limit, int_error_message
+from .core import Bigraph, bit_list, check_side_limit, int_error_message
 from .errors import (
     ConstructionError,
     DesignImportError,
@@ -48,7 +49,29 @@ __all__ = [
 # biplane(3)^4 (14641 per side) is admitted, biplane(3)^5 is not.
 PRODUCT_CELL_LIMIT = 1 << 30
 
-BUILTIN_BIPLANE_ORDERS = (0, 1, 2, 3)
+# order -> (v, base block, group addition).  Each base block is a
+# difference set of its group (every nonzero element is a difference of two
+# members exactly twice), so its v translates are the blocks of a biplane.
+_BIPLANES = {
+    0: (2, (0, 1), operator.add),
+    1: (4, (0, 1, 2), operator.add),
+    2: (7, (0, 3, 5, 6), operator.add),
+    3: (11, (1, 3, 4, 5, 9), operator.add),
+    4: (16, (0, 1, 2, 4, 8, 15), operator.xor),  # Z_2^4, no cyclic one exists
+    7: (37, (1, 7, 9, 10, 12, 16, 26, 33, 34), operator.add),  # fourth powers mod 37
+}
+
+BUILTIN_BIPLANE_ORDERS = tuple(_BIPLANES)
+
+
+def _first_bad_pair(rows, lam: int) -> tuple[int, int, int] | None:
+    """The first (a, b, count) in combinations order whose rows share
+    ``count != lam`` bits, or None when every pair shares exactly lam."""
+    for a, b in itertools.combinations(range(len(rows)), 2):
+        c = (rows[a] & rows[b]).bit_count()
+        if c != lam:
+            return a, b, c
+    return None
 
 
 @dataclass(frozen=True)
@@ -56,10 +79,9 @@ class DesignSpec:
     """A symmetric 2-design: v points, v blocks of size k, every point pair
     in exactly ``lam`` blocks and every block pair meeting in ``lam`` points.
 
-    ``lam`` is fixed at 2 for biplanes but kept as a field so the Fano plane
-    (lam = 1) and friends can pass through the same plumbing.  Blocks may
-    repeat only in the degenerate k = lam case, where the intersection axiom
-    permits it.
+    ``lam`` is 2 for biplanes, but it is a field because ``import_design``
+    reads a design of any lambda.  Blocks may repeat only in the degenerate
+    k = lam case, where the intersection axiom permits it.
     """
 
     v: int
@@ -81,20 +103,13 @@ class DesignSpec:
             for pt in block:
                 if not (0 <= pt < self.v):
                     return f"block {bi} mentions point {pt} outside 0..{self.v - 1}"
-        for a, b in itertools.combinations(range(self.v), 2):
-            cnt = sum(1 for block in self.blocks if a in block and b in block)
-            if cnt != self.lam:
-                return (
-                    f"points ({a}, {b}) lie in {cnt} common blocks, "
-                    f"expected {self.lam}"
-                )
-        for bi, bj in itertools.combinations(range(len(self.blocks)), 2):
-            cnt = len(set(self.blocks[bi]) & set(self.blocks[bj]))
-            if cnt != self.lam:
-                return (
-                    f"blocks ({bi}, {bj}) meet in {cnt} points, "
-                    f"expected {self.lam}"
-                )
+        g = design_to_bigraph(self)
+        if bad := _first_bad_pair(g.adj_x, self.lam):
+            a, b, cnt = bad
+            return f"points ({a}, {b}) lie in {cnt} common blocks, expected {self.lam}"
+        if bad := _first_bad_pair(g.adj_y, self.lam):
+            bi, bj, cnt = bad
+            return f"blocks ({bi}, {bj}) meet in {cnt} points, expected {self.lam}"
         return None
 
     def validate(self) -> None:
@@ -130,10 +145,10 @@ def pair_gadget(n: int) -> Bigraph:
     return Bigraph._from_both(n, ny, tuple(rows), tuple(cols))
 
 
-def _development(v: int, d_set: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        tuple(sorted((x + t) % v for x in d_set)) for t in range(v)
-    )
+def _development(v: int, base: tuple[int, ...], add) -> tuple[tuple[int, ...], ...]:
+    """The v translates of ``base`` in the group on 0..v-1 whose addition
+    is ``add`` taken mod v (the mod is a no-op for XOR on a power of 2)."""
+    return tuple(tuple(sorted(add(x, t) % v for x in base)) for t in range(v))
 
 
 def biplane_from_difference_set(v: int, d_set) -> DesignSpec:
@@ -165,34 +180,25 @@ def biplane_from_difference_set(v: int, d_set) -> DesignSpec:
             raise ConstructionError(
                 f"difference {r} arises {diff_count[r]} times, expected 2"
             )
-    spec = DesignSpec(v, k, 2, _development(v, base))
+    spec = DesignSpec(v, k, 2, _development(v, base, operator.add))
     spec.validate()
     return spec
 
 
 def builtin_biplane(order: int) -> Bigraph:
-    """Incidence graph of the biplane of the given order (0 to 3): a
-    (order+2)-regular bigraph on C(order+2, 2) + 1 vertices per side.
-
-    Orders 0, 1, 3 are developed from difference sets; order 2 is the
-    bipartite complement of the projective plane of order 2, built from its
-    own difference set.  Larger biplanes are not generated here; import
-    verified incidence data through import_design instead.
-    """
-    if order == 0:
-        return design_to_bigraph(biplane_from_difference_set(2, (0, 1)))
-    if order == 1:
-        return design_to_bigraph(biplane_from_difference_set(4, (0, 1, 2)))
-    if order == 2:
-        plane = DesignSpec(7, 3, 1, _development(7, (1, 2, 4)))
-        plane.validate()
-        return bipartite_complement(design_to_bigraph(plane))
-    if order == 3:
-        return design_to_bigraph(biplane_from_difference_set(11, (1, 3, 4, 5, 9)))
-    raise DomainError(
-        f"no built-in biplane of order {order}; orders 0..3 are generated, "
-        "larger ones must be supplied via import_design"
-    )
+    """Incidence graph of the biplane of the given order, one of
+    BUILTIN_BIPLANE_ORDERS, developed from its difference set and re-verified:
+    a (order+2)-regular bigraph on C(order+2, 2) + 1 vertices per side."""
+    if order not in _BIPLANES:
+        raise DomainError(
+            f"no built-in biplane of order {order}, only of orders {BUILTIN_BIPLANE_ORDERS}; "
+            "known biplanes have k in {3, 4, 5, 6, 9, 11, 13}, and k = 11 and 13 "
+            "come through import_design"
+        )
+    v, base, add = _BIPLANES[order]
+    spec = DesignSpec(v, len(base), 2, _development(v, base, add))
+    spec.validate()
+    return design_to_bigraph(spec)
 
 
 def design_violation(g: Bigraph) -> str | None:
@@ -214,14 +220,10 @@ def design_violation(g: Bigraph) -> str | None:
     for j in range(n):
         if g.degree_y(j) != d:
             return f"not regular: deg(y{j}) = {g.degree_y(j)} but deg(x0) = {d}"
-    for a, b in itertools.combinations(range(n), 2):
-        c = (g.adj_x[a] & g.adj_x[b]).bit_count()
-        if c != 2:
-            return f"X-pair ({a}, {b}) has {c} common neighbours, expected 2"
-    for a, b in itertools.combinations(range(n), 2):
-        c = (g.adj_y[a] & g.adj_y[b]).bit_count()
-        if c != 2:
-            return f"Y-pair ({a}, {b}) has {c} common neighbours, expected 2"
+    for side, rows in (("X", g.adj_x), ("Y", g.adj_y)):
+        if bad := _first_bad_pair(rows, 2):
+            a, b, c = bad
+            return f"{side}-pair ({a}, {b}) has {c} common neighbours, expected 2"
     if n != d * (d - 1) // 2 + 1:
         return f"point count {n} differs from C({d},2)+1 = {d * (d - 1) // 2 + 1}"
     return None

@@ -30,7 +30,6 @@ __all__ = [
     "PathWitness",
     "neighborhood_at_least",
     "induced_subgraph",
-    "bipartite_complement",
     "is_two_connected",
     "SIDE_LIMIT",
 ]
@@ -396,12 +395,6 @@ def induced_subgraph(
             row |= 1 << y_pos[old_y]
         rows.append(row)
     return Bigraph(len(x_map), len(y_map), tuple(rows)), x_map, y_map
-
-
-def bipartite_complement(g: Bigraph) -> Bigraph:
-    """The bigraph with exactly the non-edges of ``g`` (same bipartition)."""
-    full = (1 << g.ny) - 1
-    return Bigraph(g.nx, g.ny, tuple(row ^ full for row in g.adj_x))
 
 
 def is_two_connected(g: Bigraph) -> bool:

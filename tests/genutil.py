@@ -12,6 +12,7 @@ from collections.abc import Iterator
 
 from dhp import (
     Bigraph,
+    DesignSpec,
     PathWitness,
     X_SIDE,
     Y_SIDE,
@@ -161,3 +162,39 @@ def planted_path_instance(
             verts.append((X_SIDE, xs[t]))
         verts.append((Y_SIDE, ys[n]))
         return g, PathWitness(tuple(verts))
+
+
+def iter_design_specs(seed: int, count: int, max_v: int = 13) -> Iterator[DesignSpec]:
+    """Symmetric-design candidates, by turns: a cyclic development of a
+    random base block (difference sets among them), such a development with
+    one block repeated in place of another, and v random blocks, a third of
+    them malformed (a block missing, a point repeated, out of range or
+    dropped).  Most get lambda = the pair count of points 0 and 1, so that
+    many are designs."""
+    rng = random.Random(seed)
+    for i in range(count):
+        v = rng.randrange(1, max_v + 1)
+        k = rng.randrange(1, v + 1)
+        if i % 3 < 2:
+            base = rng.sample(range(v), k)
+            blocks = [tuple(sorted((x + t) % v for x in base)) for t in range(v)]
+            if i % 3 == 1:
+                blocks[rng.randrange(v)] = blocks[rng.randrange(v)]
+        else:
+            blocks = [tuple(sorted(rng.sample(range(v), k))) for _ in range(v)]
+            if rng.random() < 1 / 3:
+                b = rng.randrange(v)
+                fault = rng.randrange(4)
+                if fault == 0:
+                    del blocks[b]
+                elif fault == 1:
+                    blocks[b] = blocks[b] + blocks[b][:1]
+                elif fault == 2:
+                    blocks[b] = blocks[b][:-1] + (rng.choice((-1, v)),)
+                else:
+                    blocks[b] = blocks[b][:-1]
+        if v >= 2 and rng.random() < 0.7:
+            lam = sum(1 for block in blocks if 0 in block and 1 in block)
+        else:
+            lam = rng.randrange(0, 4)
+        yield DesignSpec(v, k, lam, tuple(blocks))

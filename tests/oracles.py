@@ -450,6 +450,59 @@ def sweep_seed_reference(task) -> list:
     return records
 
 
+def design_spec_violation_reference(spec) -> str | None:
+    """``DesignSpec.violation`` with its pair axioms as tuple loops over the
+    blocks, as it stood before they moved to bitmask rows."""
+    if spec.v < 1 or spec.k < 1 or spec.lam < 1:
+        return "v, k, lambda must all be positive"
+    if len(spec.blocks) != spec.v:
+        return f"symmetric design needs {spec.v} blocks, got {len(spec.blocks)}"
+    for bi, block in enumerate(spec.blocks):
+        if len(set(block)) != len(block):
+            return f"block {bi} repeats a point"
+        if len(block) != spec.k:
+            return f"block {bi} has size {len(block)}, expected k={spec.k}"
+        for pt in block:
+            if not (0 <= pt < spec.v):
+                return f"block {bi} mentions point {pt} outside 0..{spec.v - 1}"
+    for a, b in itertools.combinations(range(spec.v), 2):
+        cnt = sum(1 for block in spec.blocks if a in block and b in block)
+        if cnt != spec.lam:
+            return f"points ({a}, {b}) lie in {cnt} common blocks, expected {spec.lam}"
+    for bi, bj in itertools.combinations(range(len(spec.blocks)), 2):
+        cnt = len(set(spec.blocks[bi]) & set(spec.blocks[bj]))
+        if cnt != spec.lam:
+            return f"blocks ({bi}, {bj}) meet in {cnt} points, expected {spec.lam}"
+    return None
+
+
+def design_violation_reference(g: Bigraph) -> str | None:
+    """``design_violation`` on neighbour sets: the same axioms, in the same
+    order, with the same text."""
+    if g.nx != g.ny:
+        return f"sides differ: |X| = {g.nx}, |Y| = {g.ny}"
+    n = g.nx
+    if n < 2:
+        return f"too small: need at least 2 points, got {n}"
+    nbx = [neighbors(g, i) for i in range(n)]
+    nby = [neighbors_y(g, j) for j in range(n)]
+    d = len(nbx[0])
+    for i in range(n):
+        if len(nbx[i]) != d:
+            return f"not regular: deg(x{i}) = {len(nbx[i])} but deg(x0) = {d}"
+    for j in range(n):
+        if len(nby[j]) != d:
+            return f"not regular: deg(y{j}) = {len(nby[j])} but deg(x0) = {d}"
+    for side, nb in (("X", nbx), ("Y", nby)):
+        for a, b in itertools.combinations(range(n), 2):
+            c = len(nb[a] & nb[b])
+            if c != 2:
+                return f"{side}-pair ({a}, {b}) has {c} common neighbours, expected 2"
+    if n != d * (d - 1) // 2 + 1:
+        return f"point count {n} differs from C({d},2)+1 = {d * (d - 1) // 2 + 1}"
+    return None
+
+
 def is_obstacle_bruteforce(g: Bigraph, s: set[int], t: set[int]) -> bool:
     return len(s) >= 2 and len(s) > len(t) and lambda2(g, s) <= t
 

@@ -17,6 +17,7 @@ import oracles
 from strategies import bigraphs, dense_bigraphs
 
 from dhp import (
+    BUILTIN_BIPLANE_ORDERS,
     Bigraph,
     BudgetExceededError,
     DomainError,
@@ -784,7 +785,7 @@ class TestDegreeBound:
         assert not r.dhp_verified
 
     def test_tight_for_biplanes(self) -> None:
-        for order in range(4):
+        for order in BUILTIN_BIPLANE_ORDERS:
             g = builtin_biplane(order)
             r = check_degree_bound(g, verify_dhp=True)
             assert r.tight and r.within_bound and r.dhp_verified

@@ -383,6 +383,14 @@ class TestConstruct:
         assert code == 0
         assert load_bigraph(out) == Bigraph.complete(2, 2)
 
+    def test_import_rejects_lambda_other_than_two(self, tmp_path, capsys) -> None:
+        # the Fano plane is a valid design, but not a biplane
+        imp = tmp_path / "fano.txt"
+        imp.write_text("design 7 3 1\n1 2 4\n2 3 5\n3 4 6\n0 4 5\n1 5 6\n0 2 6\n0 1 3\n")
+        code, out, err = run_cli(["construct", "biplane", "--import", str(imp)], capsys)
+        assert code == 2 and out == ""
+        assert "lambda = 2" in err
+
     def test_import_rejects_fake_design(self, tmp_path, capsys) -> None:
         imp = tmp_path / "fake.txt"
         imp.write_text("design 7 4 2\n" + "0 1 2 3\n" * 7)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import time
 
 import pytest
 
@@ -18,6 +19,7 @@ import oracles
 from strategies import bigraphs, dense_bigraphs
 
 from dhp import (
+    BUILTIN_BIPLANE_ORDERS,
     Bigraph,
     ConstructionError,
     DesignImportError,
@@ -28,6 +30,7 @@ from dhp import (
     bipartite_product,
     biplane_from_difference_set,
     builtin_biplane,
+    check_degree_bound,
     check_dhp,
     design_to_bigraph,
     design_violation,
@@ -90,7 +93,8 @@ class TestPairGadget:
 
 class TestBiplanes:
     def test_builtin_sizes_and_regularity(self) -> None:
-        expected = {0: (2, 2), 1: (4, 3), 2: (7, 4), 3: (11, 5)}
+        expected = {0: (2, 2), 1: (4, 3), 2: (7, 4), 3: (11, 5), 4: (16, 6), 7: (37, 9)}
+        assert BUILTIN_BIPLANE_ORDERS == tuple(expected) == (0, 1, 2, 3, 4, 7)
         for order, (v, k) in expected.items():
             g = builtin_biplane(order)
             assert g.nx == v and g.ny == v
@@ -113,7 +117,7 @@ class TestBiplanes:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_builtins_are_designs(self) -> None:
-        for order in range(4):
+        for order in BUILTIN_BIPLANE_ORDERS:
             g = builtin_biplane(order)
             assert design_violation(g) is None
             spec = verify_design(g)
@@ -121,10 +125,17 @@ class TestBiplanes:
             assert spec.lam == 2
             assert spec.order == order
 
+    @pytest.mark.parametrize("order", [4, 7])
+    def test_new_orders_are_dhp_and_tight(self, order: int) -> None:
+        g = builtin_biplane(order)
+        assert check_dhp(g).holds
+        assert check_degree_bound(g, verify_dhp=True).tight
+
     def test_unknown_order_points_at_import(self) -> None:
         with pytest.raises(DomainError) as exc:
-            builtin_biplane(4)
-        assert "import" in str(exc.value)
+            builtin_biplane(5)
+        assert "import_design" in str(exc.value)
+        assert "{3, 4, 5, 6, 9, 11, 13}" in str(exc.value)
         with pytest.raises(DomainError):
             builtin_biplane(-1)
 
@@ -135,10 +146,14 @@ class TestBiplanes:
         assert g == builtin_biplane(3)
 
     def test_fano_complement_equals_difference_set_route(self) -> None:
-        # the complement of a block of the Fano plane is itself a
-        # difference set; both roads lead to the same order-2 biplane
+        # {0, 3, 5, 6} is the complement of the Fano plane's difference set
+        # {1, 2, 4}; both roads lead to the same order-2 biplane
+        fano = design_to_bigraph(DesignSpec(7, 3, 1, tuple(
+            tuple(sorted((x + t) % 7 for x in (1, 2, 4))) for t in range(7)
+        )))
+        complement = Bigraph(7, 7, tuple(row ^ 0x7F for row in fano.adj_x))
         direct = design_to_bigraph(biplane_from_difference_set(7, {0, 3, 5, 6}))
-        assert direct == builtin_biplane(2)
+        assert direct == complement == builtin_biplane(2)
 
     def test_bad_difference_sets_rejected(self) -> None:
         with pytest.raises(ConstructionError):
@@ -180,6 +195,33 @@ class TestDesignRoundTrip:
         assert design_violation(pair_gadget(3)) is not None
         assert design_violation(Bigraph.complete(3, 3)) is not None
         assert verify_design(Bigraph.complete(3, 3)) is None
+
+    def test_violations_match_tuple_loop_reference(self) -> None:
+        specs = list(genutil.iter_design_specs(21, 1500))
+        assert sum(oracles.design_spec_violation_reference(s) is None for s in specs) > 100
+        for spec in specs:
+            assert spec.violation() == oracles.design_spec_violation_reference(spec)
+        graphs = [
+            design_to_bigraph(s)
+            for s in specs
+            if all(0 <= pt < s.v for block in s.blocks for pt in block)
+        ]
+        graphs += list(genutil.iter_random_bigraphs(22, 200))
+        graphs += [builtin_biplane(o) for o in BUILTIN_BIPLANE_ORDERS]
+        assert len(graphs) >= 1000
+        assert sum(oracles.design_violation_reference(g) is None for g in graphs) > 50
+        for g in graphs:
+            assert design_violation(g) == oracles.design_violation_reference(g)
+
+    def test_complete_design_imports_quickly(self) -> None:
+        # k = lambda = v: C(240, 2) pairs of 240-point blocks, which took
+        # about 20 s as tuple-membership loops
+        line = " ".join(map(str, range(240))) + "\n"
+        text = "design 240 240 240\n" + line * 240
+        start = time.perf_counter()
+        spec = import_design(text)
+        assert time.perf_counter() - start < 2.0
+        assert spec.order == 0 and len(spec.blocks) == 240
 
     def test_design_spec_validates_eagerly(self) -> None:
         with pytest.raises(ConstructionError):

@@ -27,7 +27,6 @@ from dhp import (
     WitnessError,
     X_SIDE,
     Y_SIDE,
-    bipartite_complement,
     induced_subgraph,
     is_two_connected,
     neighborhood_at_least,
@@ -215,15 +214,6 @@ class TestInducedAndComplement:
         for a, i in enumerate(x_map):
             for b, j in enumerate(y_map):
                 assert h.has_edge(a, b) == g.has_edge(i, j)
-
-    @given(bigraphs())
-    def test_complement_involution(self, g: Bigraph) -> None:
-        assert bipartite_complement(bipartite_complement(g)) == g
-
-    def test_complement_edges(self) -> None:
-        g = Bigraph.from_edges(2, 2, [(0, 0), (1, 1)])
-        c = bipartite_complement(g)
-        assert sorted(c.edges()) == [(0, 1), (1, 0)]
 
 
 class TestTwoConnected:
