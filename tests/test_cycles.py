@@ -32,6 +32,7 @@ from dhp import (
     absorb_virtual_edge,
     builtin_biplane,
     check_dhp,
+    check_supercyclic,
     find_cycle_covering,
     find_disjoint_cycle_cover,
     hall_violator,
@@ -264,6 +265,42 @@ class TestExactCycleSearch:
         assert _capped_search(_search_exact_cycle, g, list(range(g.nx)), 10**6) == ((xs, ys), nodes)
         now, before = self.AUGMENT_CALLS[name]
         assert calls == now < before
+
+    # Recorded from the search that spent its budget at every node: (units
+    # spent, sha256 of ``budget.remaining`` after the call under each cap
+    # from 0 to those units, negative where the call raised).
+    SHARED_BUDGETS = {
+        "cover mode, ham n=14 c=0 seed 4, xs {0, 1}": (
+            lambda b: find_cycle_covering(
+                _ham_sample(14, 0.0, 4), VertexSet.xs([0, 1]), exact_x=False, budget=b
+            ),
+            70,
+            "3ca5050c2a31157d78c8d8d888a77afefa3575f78d175d63231496606a30bb92",
+        ),
+        "check_supercyclic, pair_gadget(5)": (
+            lambda b: check_supercyclic(pair_gadget(5), budget=b),
+            93,
+            "0c872b7e250a4619917f2bbed1c38454291280078dc14a53c3dcb4d9f44c1af0",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SHARED_BUDGETS))
+    def test_shared_budget_is_charged_as_before(self, name: str) -> None:
+        """One budget across several searches (cover mode tries superset
+        after superset) or across a scan whose leaf test searches while
+        its chunk is reserved: the same units, and under every smaller cap
+        the same exhaustion point and ``remaining``."""
+        call, units, digest = self.SHARED_BUDGETS[name]
+        left = []
+        for cap in range(units + 1):
+            b = WorkBudget(cap, "node")
+            try:
+                call(b)
+            except BudgetExceededError as exc:
+                assert str(exc) == "node budget exhausted"
+            left.append(b.remaining)
+        assert left[-1] == 0 and max(left[:-1]) < 0
+        assert hashlib.sha256(json.dumps(left).encode()).hexdigest() == digest
 
     def test_matches_reference_search(self) -> None:
         rng = random.Random(4002)
