@@ -180,8 +180,14 @@ def _search_exact_cycle(
     Canonical order: the smallest target anchors the cycle, candidates are
     tried in increasing index order, and the anchor's successor is kept
     smaller than its predecessor so each cycle is visited in one direction
-    only.  Each node spends one unit; each pair takes its Y-vertex by
-    ``_augment``, and backtracking pops the undo log that step writes.
+    only.  Each node costs one unit, counted locally: the budget is charged
+    once when the search ends, or at the first node past its remaining
+    units, which raises there as a charge per node would.  Each pair takes
+    its Y-vertex by ``_augment``, and backtracking pops the undo log that
+    step writes.  When the lowest candidate Y-vertex is free, the step is
+    ``_augment``'s first try and is taken inline: that Y-vertex is
+    assigned and handed back by hand, and the call is made only when it
+    is held.
 
     Each node also carries a dead set: the Y-vertices a failed
     ``_augment`` visited, which hold no free Y-vertex and are closed under
@@ -208,43 +214,56 @@ def _search_exact_cycle(
     # the search runs on positions in ``targets``; slot i joins order[i] to its successor
     common = [[adj[a] & adj[b] for b in targets] for a in targets]
     meets = [mask_of(j for j, c in enumerate(row) if c) for row in common]
-    unused, order, avail = (1 << m) - 2, [0], [0] * m
+    order, avail = [0] * m, [0] * m
     y_slot = [-1] * g.ny
     undo: list[tuple[int, int]] = []
+    limit, nodes = budget.remaining, 0
 
-    def extend(depth: int, last: int, dead: int) -> bool:
-        nonlocal unused
-        budget.spend()
+    def extend(depth: int, last: int, dead: int, unused: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if nodes > limit:
+            budget.spend(nodes)  # raises at the node a per-node charge would
         c = (unused or 1) & meets[last]  # with every target placed, close at the anchor
         row = common[last]
         if depth == m - 1 and m >= 3:
             c &= -1 << order[1]  # mirror image of an ordering already tried
+        s = depth - 1
         while c:
             low = c & -c
             c ^= low
             j = low.bit_length() - 1
-            if not row[j] & ~dead:
+            r = row[j]
+            free = r & ~dead
+            if not free:
                 continue  # its step would fail at once
-            avail[depth - 1] = row[j]
-            mark = len(undo)
-            seen = _augment(avail, y_slot, depth - 1, dead, undo)
-            if seen >= 0:
-                dead = seen
-                continue
+            avail[s] = r
+            y = (free & -free).bit_length() - 1
+            if y_slot[y] < 0:
+                y_slot[y] = s  # _augment's first try, taken inline and logged nowhere
+                mark = -1
+            else:
+                mark = len(undo)
+                seen = _augment(avail, y_slot, s, dead, undo)
+                if seen >= 0:
+                    dead = seen
+                    continue
             if depth == m:
                 return True
-            unused ^= low
-            order.append(j)
-            if extend(depth + 1, j, dead):
+            order[depth] = j
+            if extend(depth + 1, j, dead, unused ^ low):
                 return True
-            order.pop()
-            unused ^= low
+            if mark < 0:
+                y_slot[y] = -1  # a failed child leaves the undo log as it found it
+                continue
             while len(undo) > mark:
                 y, holder = undo.pop()
                 y_slot[y] = holder
         return False
 
-    if not extend(1, 0, 0):
+    found = extend(1, 0, 0, (1 << m) - 2)
+    budget.spend(nodes)
+    if not found:
         return None
     ys = sorted((y for y in range(g.ny) if y_slot[y] >= 0), key=y_slot.__getitem__)
     return _checked(CycleWitness(tuple(targets[i] for i in order), tuple(ys)).canonical(), g)

@@ -544,10 +544,14 @@ def chernoff_degree_check(g: Bigraph, p: float) -> dict:
 
 
 def trial_seed(master_seed: int, n: int, c_index: int, trial: int) -> int:
-    """Fixed derivation of per-trial seeds: two mixer rounds over the cell
-    key and the trial counter.  With common random numbers enabled the
-    caller passes c_index = 0 so the whole offset grid shares seeds."""
-    cell = mix64((master_seed ^ (n << 32) ^ c_index) & MASK64)
+    """Fixed derivation of per-trial seeds: one mixer round per field of
+    the cell key (master seed, n, offset index), then one over the trial
+    counter.  Each round is a bijection, so for one master seed distinct
+    (n, c_index) cells get distinct keys, and cells of different master
+    seeds meet only by a chance collision of 64-bit words.  With common
+    random numbers enabled the caller passes c_index = 0 so the whole
+    offset grid shares seeds."""
+    cell = mix64(mix64(mix64(master_seed) ^ n) ^ c_index)
     return mix64(cell ^ trial)
 
 

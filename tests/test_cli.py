@@ -831,14 +831,14 @@ class TestSurfacePinned:
             (
                 ["random", "sweep", "--n-list", "10", "--c-list", "0", "--trials", "2"],
                 0,
-                "9a54424ee7d36f3a",
+                "1eef799297ec7cc0",
             ),
             (
                 ["random", "sweep", "--n-list", "8", "12", "--c-list", "-1", "1", "--trials", "3",
                  "--seed", "5", "--measure", "pair,maxdeg", "--report-format", "json",
                  "--records", "--no-crn"],
                 0,
-                "b05911fd78af9b3c",
+                "6c4d43b95ae30efa",
             ),
             (["fmt", "-i", "b2.txt", "--format", "json"], 0, "c24236b2a84c6861"),
             (["fmt", "-i", "gadget.txt"], 0, "6766faa28eb09e83"),

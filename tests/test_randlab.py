@@ -194,7 +194,9 @@ class TestObstacleScan:
         # below the threshold a sample has many pairs with exactly two
         # common neighbours; the records and the public scan must both
         # name the reference scan's first obstacle
-        cfg = SweepConfig((20, 40, 100, 300), (-4.0, -2.0, 0.0, 2.0), 6, master_seed=8)
+        # master seed 10 draws three obstacles, as 8 did before trial_seed
+        # mixed each field of the cell key on its own (8 now draws none)
+        cfg = SweepConfig((20, 40, 100, 300), (-4.0, -2.0, 0.0, 2.0), 6, master_seed=10)
         found = thin = 0
         for cell in run_sweep(cfg).cells:
             for rec in cell.records:
@@ -492,6 +494,16 @@ class TestSweeps:
         lo, hi = rep.cells
         assert [r.seed for r in lo.records] != [r.seed for r in hi.records]
 
+    @pytest.mark.parametrize("t", [0, 1, 7, 123])
+    def test_distinct_cells_get_distinct_seeds(self, t: int) -> None:
+        # both collided when the cell key was master_seed ^ (n << 32) ^ c_index
+        assert trial_seed(0, 300, 1, t) != trial_seed(1, 300, 0, t)
+        assert trial_seed(1 << 32, 300, 0, t) != trial_seed(0, 301, 0, t)
+
+    def test_distinct_seeds_over_a_grid_of_cells(self) -> None:
+        cells = [(s, n, c) for s in range(4) for n in range(3, 10) for c in range(4)]
+        assert len({trial_seed(s, n, c, 0) for s, n, c in cells}) == len(cells)
+
     def test_csv_shape(self) -> None:
         cfg = SweepConfig((10,), (0.0,), 5, master_seed=2)
         text = run_sweep(cfg).to_csv()
@@ -515,7 +527,9 @@ class TestSweeps:
         from dhp.checkers import Obstacle
         from dhp.core import VertexSet
 
-        rep = run_sweep(SweepConfig((7,), (-2.0,), 5, master_seed=0))
+        # two of these records hold an obstacle, as with master seed 0
+        # before trial_seed mixed each field of the cell key on its own
+        rep = run_sweep(SweepConfig((7,), (-2.0,), 5, master_seed=10))
         obj = json.loads(json.dumps(rep.to_json_obj(include_records=True)))
         records = obj["cells"][0]["records"]
         assert all("surrogate_dhp" in r and "surrogate" not in r for r in records)
@@ -652,20 +666,21 @@ class TestSweepRecordCap:
 
 class TestSweepOutputPinned:
     """sha256 of the CSV plus the sorted records JSON, recorded before the
-    sweep kernel worked from the dense sample."""
+    sweep kernel worked from the dense sample and re-recorded when
+    ``trial_seed`` began mixing each field of the cell key on its own."""
 
     CASES = {
         "crn_jobs1_n12_n40": (
             SweepConfig((12, 40), (-1.0, 0.0, 1.0), 30, master_seed=7, jobs=1, crn=True),
-            "f1f71b57488a7514f2e919ad3e9d5020c25bfca14ad470b5391db2fbcec18973",
+            "55d2d8c006ef279dbacdce1c6904763dc54254283f1844d6fca04e5a955279ce",
         ),
         "nocrn_jobs2_n13": (
             SweepConfig((13,), (-2.0, 2.0), 25, master_seed=11, jobs=2, crn=False),
-            "10d8f73af929a5ce2a48e6d835796c6232185378431270214acda402665136f5",
+            "a840c52589e062a2a6493a288f3aa0a15b67c4b200b4b71be15851850ce86c3a",
         ),
         "clamped_n5": (
             SweepConfig((5,), (-30.0, 50.0), 20, master_seed=3),
-            "630e0993ff6622cb4706365cb2517c3451096addbcb081917610a12748ab31ad",
+            "57256a24b05e76542458df19f3bb0fee3704297872991707ed2bf78a2e32e76a",
         ),
         "exact_ham_n10": (
             SweepConfig(
@@ -676,20 +691,20 @@ class TestSweepOutputPinned:
                 jobs=2,
                 measures=("pair", "obstacle3", "exact", "hamiltonian", "maxdeg"),
             ),
-            "bd9eee6abbaef84353c9849ac0b5ae51cdee37c19d153d9b6b90874754cc4f43",
+            "69dd805425a1f6dc34954712ef4a29055111b1f84725bfe52bf7dcbdc7ee8442",
         ),
         "crn_jobs2_n100": (
             SweepConfig((100,), (-2.0, 0.0, 2.0), 10, master_seed=5, jobs=2, crn=True),
-            "467848d17a9be078ef56991796fb616540af917a17f83aba3c666dfdce8673a0",
+            "c32263cc8d6e5243e624191ff2cb05f1b2c9d8abfcba78b408aa40686bb13de0",
         ),
-        # recorded before the kernel visited a seed's offsets in increasing p
+        # first recorded before the kernel visited a seed's offsets in increasing p
         "bench_shape_n300": (
             SweepConfig((300,), (-2.0, 0.0, 2.0), 5, master_seed=1),
-            "6db49365765d3aea28ea64d12cb8451b946c0785b9252c1cb475716e0e597315",
+            "8c724244b4d18d1fd8d869df3c9c5c149e694e67c8b3c38b3fefeed9c1f92457",
         ),
         "unsorted_repeat_jobs2_n60": (
             SweepConfig((60,), (2.0, -2.0, 0.0, -2.0), 20, master_seed=9, jobs=2),
-            "32d23c8323c8ba0cc30d158b2e9ccd814b18fb05e5ba8cc37b8865e1a67ceff5",
+            "709de478a0eef425219ce182769ad90e18147c0dbf0cc2bbc1e89267adbec5a6",
         ),
     }
 
