@@ -11,16 +11,24 @@ counters, and skipping subtrees that can no longer produce a violation,
 either because the prefix already sees k Y-vertices twice or because the
 suffix-degree lookahead shows that every completion will.
 
-Every subset scan runs on one engine, the level scan ``_scan_size``: each
-level of the prefix tree is a set of numpy arrays, expanded in bounded
-lex-ordered chunks, and it spends the units a depth-first scan with the
-same pruning would.  ``check_dhp`` and ``find_minimal_obstacle`` scan for
-a deficient set.  ``check_snp`` and ``check_supercyclic`` pass a leaf test
-(2-connectivity, a covering cycle), which must see every leaf, so their
-scans prune nothing.  The budget is checked once per chunk, before the
-chunk is made.  Where the property holds, the scan runs out exactly when a
-depth-first scan would; on a failing graph it can run out under a cap the
-depth-first scan, stopping at the witness, would have met.
+Every subset scan runs on one engine, the level scan ``_scan_sizes``:
+each level of the prefix tree is a set of numpy arrays, expanded in
+bounded lex-ordered chunks, and one pass covers a window of sizes, keeping
+a prefix while some size of the window can still give a violation.
+``check_dhp`` and ``find_minimal_obstacle`` scan for a deficient set: the
+pairs in a window of their own, then every larger size in one window.
+``check_snp`` and ``check_supercyclic`` pass a leaf test (2-connectivity,
+a covering cycle), which must see every leaf, so their scans prune nothing
+and take one size per window.
+
+A scan spends one unit per prefix it makes.  The budget is checked once
+per chunk, before the chunk is made.  Where the property holds, the units
+do not depend on the chunk size, and the scan runs out exactly when they
+pass the budget.  A one-size window that fails is charged the depth-first
+rank of its witness, so it can run out under a cap that covers the rank.
+A failure of size 3 or more in the wide window is charged every prefix
+made, a count that depends on the chunk size, and the scan runs out
+exactly when that count passes the budget.
 """
 
 from __future__ import annotations
@@ -200,20 +208,26 @@ class _Level:
     ``last``: each prefix's last X-vertex; ``pos``: its index among the
     chunk's children before pruning; ``par``: its parent's index in the
     level above; ``once``/``twice``: word columns of the Y-vertices it sees
-    at least once and at least twice; ``base``: children made at this depth
-    by earlier chunks; ``ends``: running total of children per prefix, each
-    having those up to X-vertex ``top``; ``next``: the first prefix not yet
-    expanded.
+    at least once and at least twice; ``lo``: the smallest size it is live
+    at; ``base``: children made at this depth by earlier chunks; ``fan``:
+    each prefix's number of children, the X-vertices after its last up to
+    n - lo + depth, which leaves room for lo; ``ends``: their running
+    total; ``next``: the first prefix not yet expanded.
     """
 
-    __slots__ = ("last", "pos", "par", "once", "twice", "base", "top", "ends", "next")
+    __slots__ = ("last", "pos", "par", "once", "twice", "lo", "base", "fan", "ends", "next")
 
-    def __init__(self, last, pos, par, once, twice, base, top):
+    def __init__(self, last, pos, par, once, twice, lo, base, depth, n):
         self.last, self.pos, self.par = last, pos, par
-        self.once, self.twice, self.base = once, twice, base
-        self.top = top
-        self.ends = (top - last).cumsum()
+        self.once, self.twice, self.lo, self.base = once, twice, lo, base
+        self.fan = n - lo + depth - last
+        self.ends = self.fan.cumsum()
         self.next = 0
+
+    def narrow(self, k_hi: int) -> None:
+        """No children for the prefixes live only above size ``k_hi``."""
+        self.fan[self.lo > k_hi] = 0
+        self.ends = self.fan.cumsum()
 
 
 def _leaves(
@@ -236,58 +250,110 @@ def _leaves(
     return sets, masks, rank
 
 
-def _scan_size(
+def _smallest_live(
+    table: list[np.ndarray], n: int, depth: int, last: np.ndarray,
+    once: list[np.ndarray], twice: list[np.ndarray], lo: np.ndarray, hi: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The prefixes at ``depth`` that are live at some size k in lo..hi,
+    each with its own bounds, as their indices and the smallest such k.
+
+    A prefix is live at k when its forced set, the Y-vertices every
+    k-completion sees twice, has fewer than k members.  That set only grows
+    with k, so a prefix whose forced count f at k reaches k is dead at every
+    size up to f and is tested again at f + 1.  The first pass decides most
+    prefixes, and each pass raises the k of every prefix it leaves open.
+    """
+    import numpy as np
+
+    width = len(table[0]) // (n + 1)
+    found = np.zeros(len(last), np.intp)
+    idx = np.arange(len(last))
+    while idx.size:
+        t = (last + 1) * width + np.minimum(n - last - (lo - depth), width - 2)
+        forced = _popcount(
+            [tw | (o & col[t]) | col[t + 1] for tw, o, col in zip(twice, once, table)]
+        ).astype(np.intp)
+        live = forced < lo
+        found[idx[live]] = lo[live]
+        more = ~live & (forced < hi)
+        idx, last, lo, hi = idx[more], last[more], forced[more] + 1, hi[more]
+        once = [col[more] for col in once]
+        twice = [col[more] for col in twice]
+    keep = found.nonzero()[0]
+    return keep, found[keep]
+
+
+def _scan_sizes(
     adj: list[np.ndarray],
-    k: int,
+    k_lo: int,
+    k_hi: int,
     table: list[np.ndarray] | None,
     budget: WorkBudget,
     leaf_test: Callable[[tuple[int, ...], int], bool] | None = None,
 ) -> tuple[tuple[int, ...], int] | None:
-    """Lexicographically first k-subset S of X with |twice-seen(S)| < k, or
-    with ``leaf_test(S, twice-seen mask)`` false, as (S, twice-seen mask),
-    or None.
+    """First X-subset S with k_lo <= |S| <= k_hi, in (size, lex) order, with
+    |twice-seen(S)| < |S|, as (S, twice-seen mask), or None.  With a leaf
+    test the window is one size, k_lo = k_hi = k, and S is also a k-subset
+    with ``leaf_test(S, twice-seen mask)`` false.
 
     The prefix tree is expanded a level at a time as arrays: a parent's
     children come out contiguous and in order, so every level stays in lex
-    order.  Without a leaf test, a prefix whose twice-seen count reaches k
-    is dropped, since adding vertices can only grow it.  With ``table`` (a
-    ``_suffix_degree_table``) a prefix P + i is also dropped when every
-    completion sees k vertices twice: a completion skips only ``slack`` of
-    the X-vertices after i, so a Y-vertex with more than ``slack``
-    neighbours there is hit again, and one with more than ``slack + 1`` is
-    hit twice.  With a leaf test every leaf must be tested, so no prefix is
-    dropped and ``table`` must be None; in each chunk of leaves the test
-    runs, in lex order, on those before the first that fails on count.
+    order.  A prefix P at depth d with last X-vertex i is live at size k
+    (d < k, and k - d <= n - 1 - i X-vertices left after i) when no
+    k-completion is sure to see k Y-vertices twice: its forced set, the
+    twice-seen set of P together with, from ``table`` (a
+    ``_suffix_degree_table``), the Y-vertices seen once by P with more than
+    ``slack`` neighbours after i and those with more than ``slack + 1``,
+    where ``slack = (n - 1 - i) - (k - d)`` is how many of those X-vertices
+    a completion skips, has fewer than k members.  Without a table the
+    forced set is the twice-seen set alone.  Only a live prefix has
+    children, and its children are the X-vertices after i that leave room
+    for its smallest live size, so one scan covers every size of the
+    window.  A child's forced set at k contains its parent's, so it is live
+    at no size its parent is dead at, and its search starts at its parent's
+    smallest live size.  With a leaf test every leaf must be tested, so no
+    prefix is dropped and ``table`` must be None; in each chunk of leaves
+    the test runs, in lex order, on those before the first that fails on
+    count.
 
     Levels are expanded in lex-ordered chunks, depth first, so memory stays
-    bounded by the chunk size and the first hit found is the first in lex
-    order.  Each chunk's children are checked against the budget before
-    they are made, and charged when the scan ends.  Units are one per
-    prefix a depth-first scan with the same pruning visits: every child
-    made if S does not exist, and the depth-first rank of S if it does.  A
-    leaf test may spend from the same budget: it runs while its chunk is
-    reserved but not yet charged, so its units add to the same total as in
-    the depth-first scan, and a run past the budget still raises.
+    bounded by the chunk size, and the first hit found at each depth is the
+    first of its size in lex order.  A hit of a one-size window ends the
+    scan.  A hit of a wider window is kept, and the window is narrowed to
+    the sizes below it: the scan goes on, since a deeper hit can come
+    first, until the window is empty or the tree is done.
+
+    Each chunk's children are checked against the budget before they are
+    made, and charged when the scan ends, one unit per prefix made.  Where
+    S does not exist, that is every prefix the live rule admits, whatever
+    the chunk size; for a one-size window it is the count of a depth-first
+    scan with the same pruning.  If S exists, a one-size window is charged
+    the depth-first rank of S, which does not depend on the chunk size; a
+    wider window is charged every prefix it made, which does, since the
+    chunk size decides how much is made before each hit narrows the
+    window.  A leaf test may spend from the same budget: it runs while its
+    chunk is reserved but not yet charged, so its units add to the same
+    total as in the depth-first scan, and a run past the budget still
+    raises.
     """
     import numpy as np
 
     n = len(adj[0])
     chunk = max(1, LEVEL_CHUNK_WORDS // len(adj))
-    if table is not None:
-        width = len(table[0]) // (n + 1)
     spent = 0
-    made = [0] * (k + 1)  # children made at each depth so far
+    made = [0] * (k_hi + 1)  # children made at each depth so far
+    best = None
     root = [np.zeros(1, np.uint64)] * len(adj)
     zero = np.zeros(1, np.intp)
-    stack = [_Level(zero - 1, zero, zero, root, root, 0, n - k)]
+    stack = [_Level(zero - 1, zero, zero, root, root, zero + k_lo, 0, 0, n)]
     while stack:
         up = stack[-1]
-        first = up.next
+        done = int(up.ends[up.next - 1]) if up.next else 0
+        first = int(up.ends.searchsorted(done, "right"))  # skips the narrowed
         if first == len(up.last):
             stack.pop()
             continue
         depth = len(stack)  # of the children
-        done = int(up.ends[first - 1]) if first else 0
         stop = max(first + 1, int(up.ends.searchsorted(done + chunk, "right")))
         total = int(up.ends[stop - 1]) - done
         if spent + total > budget.remaining:
@@ -296,45 +362,59 @@ def _scan_size(
         up.next = stop
 
         # the children of parents first..stop-1, in lex order
-        fan = up.top - up.last[first:stop]
+        fan = up.fan[first:stop]
         par = np.arange(first, stop).repeat(fan)
-        last = (up.top + 1 + done - up.ends[first:stop]).repeat(fan)
-        last += np.arange(total)
+        last = (up.last[first:stop] + 1 + fan - up.ends[first:stop]).repeat(fan)
+        last += np.arange(done, done + total)
+        seen = [o[par] for o in up.once]
         rows = [col[last] for col in adj]
-        twice = [t[par] | (o[par] & r) for t, o, r in zip(up.twice, up.once, rows)]
+        twice = [t[par] | (o & r) for t, o, r in zip(up.twice, seen, rows)]
+        counts = _popcount(twice)
         base = made[depth]
         made[depth] += total
 
-        if depth == k:
-            short = (_popcount(twice) < k).nonzero()[0]
+        if depth >= k_lo:  # the children are sets of the window
+            short = (counts < depth).nonzero()[0]
             j = int(short[0]) if short.size else total
             if leaf_test is not None and j:
                 sets, masks, _ = _leaves(stack, last, par, twice, np.arange(j))
                 j = next((i for i in range(j) if not leaf_test(sets[i], masks[i])), j)
-            if j == total:
+            if j < total:
+                (s,), (mask,), (rank,) = _leaves(stack, last, par, twice, np.array([j]))
+                if k_lo == k_hi:
+                    budget.spend(base + int(rank))
+                    return s, mask
+                best, k_hi = (s, mask), depth - 1
+                if k_hi < k_lo:
+                    break
+                del stack[k_hi:]
+                for level in stack:
+                    level.narrow(k_hi)
                 continue
-            (s,), (mask,), (rank,) = _leaves(stack, last, par, twice, np.array([j]))
-            budget.spend(base + int(rank))
-            return s, mask
+        if depth == k_hi:
+            continue
 
-        live = np.arange(total) if leaf_test else (_popcount(twice) < k).nonzero()[0]
+        lo = up.lo[par]
+        if leaf_test is None:
+            hi = np.minimum(k_hi, depth + n - 1 - last)
+            lo = np.maximum(np.maximum(lo, depth + 1), counts + 1)
+            live = (lo <= hi).nonzero()[0]
+            lo, hi = lo[live], hi[live]
+        else:
+            live = np.arange(total)
         up_par = par[live]
         last = last[live]
-        once = [o[up_par] | r[live] for o, r in zip(up.once, rows)]
+        once = [(o | r)[live] for o, r in zip(seen, rows)]
         twice = [col[live] for col in twice]
         if table is not None and live.size:
-            t = (last + 1) * width + np.minimum(n - last - (k - depth), width - 2)
-            forced = [
-                tw | (o & col[t]) | col[t + 1] for tw, o, col in zip(twice, once, table)
-            ]
-            keep = (_popcount(forced) < k).nonzero()[0]
+            keep, lo = _smallest_live(table, n, depth, last, once, twice, lo, hi)
             live, up_par, last = live[keep], up_par[keep], last[keep]
             once = [col[keep] for col in once]
             twice = [col[keep] for col in twice]
         if live.size:
-            stack.append(_Level(last, live, up_par, once, twice, base, n - k + depth))
+            stack.append(_Level(last, live, up_par, once, twice, lo, base, depth, n))
     budget.spend(spent)
-    return None
+    return best
 
 
 def _first_deficient(
@@ -348,20 +428,23 @@ def _first_deficient(
     or, with a leaf test, ``leaf_test(S, twice-seen mask)`` false, in
     (size, lex) order, as (S, twice-seen mask).
 
-    Without a leaf test the suffix-degree table is built after the first
-    pass, so graphs that fail on it never pay for it, and is shared by
-    every larger k.
+    Size k_min is scanned first on its own, without the suffix-degree
+    table, so graphs that fail on it never pay for the table.  Without a
+    leaf test one window then covers every larger size; with one, each
+    size has a window of its own.
     """
     words = max(1, -(-g.ny // 64))
     adj = _word_columns(g.adj_x, words)
-    table = None
-    for k in range(k_min, k_max + 1):
-        hit = _scan_size(adj, k, table, budget, leaf_test)
+    hit = _scan_sizes(adj, k_min, k_min, None, budget, leaf_test)
+    if hit is not None or k_min == k_max:
+        return hit
+    if leaf_test is None:
+        return _scan_sizes(adj, k_min + 1, k_max, _suffix_degree_table(adj), budget)
+    for k in range(k_min + 1, k_max + 1):
+        hit = _scan_sizes(adj, k, k, None, budget, leaf_test)
         if hit is not None:
-            return hit
-        if table is None and leaf_test is None and k < k_max:
-            table = _suffix_degree_table(adj)
-    return None
+            break
+    return hit
 
 
 def check_dhp(g: Bigraph, *, budget: int | WorkBudget | None = None) -> Verdict:

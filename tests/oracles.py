@@ -80,14 +80,7 @@ def prefix_scan_reference(
     n = g.nx
     adj = g.adj_x
     units = 0
-    # later[s][t]: Y-vertices with at least t neighbours among s..n-1,
-    # for t <= n - s, then a 0
-    later = [[(1 << g.ny) - 1, 0] for _ in range(n + 1)]
-    for s in range(n - 1, -1, -1) if lookahead else ():
-        prev = later[s + 1]
-        later[s] = [prev[0]] + [
-            prev[t] | (prev[t - 1] & adj[s]) for t in range(1, n - s + 1)
-        ] + [0]
+    later = _suffix_degree_sets(g) if lookahead else None
 
     def descend(k: int, chosen: tuple[int, ...], start: int, u1: int, u2: int, ahead: bool):
         nonlocal units
@@ -118,6 +111,95 @@ def prefix_scan_reference(
             s, mask = hit
             return s, {j for j in range(g.ny) if mask >> j & 1}, units
     return None, set(), units
+
+
+def _suffix_degree_sets(g: Bigraph) -> list[list[int]]:
+    """later[s][t]: the Y-vertices with at least t neighbours among X-vertices
+    s..n-1, for t <= n - s + 1 (a 0 at the end)."""
+    n, adj = g.nx, g.adj_x
+    later = [[(1 << g.ny) - 1, 0]]
+    for s in range(n - 1, -1, -1):
+        prev = later[0]
+        later.insert(0, [prev[0]] + [
+            prev[t] | (prev[t - 1] & adj[s]) for t in range(1, n - s + 1)
+        ] + [0])
+    return later
+
+
+def _forced(later: list[list[int]], n: int, d: int, i: int, u1: int, u2: int, k: int) -> int:
+    """The Y-vertices that every k-completion of a prefix sees twice: the
+    prefix has depth d, last X-vertex i, and sees u1 once and u2 twice."""
+    masks, once = later[i + 1], n - i - (k - d)
+    return u2 | (u1 & masks[once]) | masks[once + 1]
+
+
+def forced_sets(g: Bigraph, prefix: tuple[int, ...]) -> dict[int, int]:
+    """``_forced`` of a non-empty prefix at every size k it can reach,
+    len(prefix) < k <= len(prefix) + n - 1 - last."""
+    n, adj = g.nx, g.adj_x
+    later = _suffix_degree_sets(g)
+    u1 = u2 = 0
+    for x in prefix:
+        u1, u2 = u1 | adj[x], u2 | (u1 & adj[x])
+    d, i = len(prefix), prefix[-1]
+    return {k: _forced(later, n, d, i, u1, u2, k) for k in range(d + 1, d + n - i)}
+
+
+def window_scan_reference(g: Bigraph, k_lo: int, k_hi: int, lookahead: bool = True):
+    """The window scan of ``check_dhp`` and ``find_minimal_obstacle``, one
+    prefix at a time: the first S with k_lo <= |S| <= k_hi and
+    |twice-seen(S)| < |S| in (size, lex) order, and the units spent.
+
+    A prefix P at depth d with last X-vertex i is live at size k, for
+    d < k <= d + n - 1 - i, when fewer than k Y-vertices are forced: seen
+    twice by P, or, with ``lookahead``, seen once by P with more than
+    ``slack`` neighbours after i, or with more than ``slack + 1``, where
+    ``slack = (n - 1 - i) - (k - d)``.  A live prefix's children are the
+    X-vertices after i up to n - k + d for its smallest live size k; the
+    root's is k_lo.  Each prefix's sizes are searched from k_lo, not from
+    its parent's smallest live size as in the library.  Each child made costs a unit.  A hit ends a one-size
+    window; in a wider one it narrows the window to the sizes below it, and
+    the scan goes on.  Like ``prefix_scan_reference`` it uses the bitmask
+    rows.  Where no S exists the library spends these units whatever its
+    chunk size, as it does on the hit of a one-size window; on the hit of a
+    wider window only S is comparable.
+    Returns (S or None, its twice-seen set, units spent).
+    """
+    n, adj = g.nx, g.adj_x
+    later = _suffix_degree_sets(g)
+    units, best, hi = 0, None, k_hi
+
+    def smallest_live(d: int, i: int, u1: int, u2: int):
+        for k in range(max(k_lo, d + 1), min(hi, d + n - 1 - i) + 1):
+            forced = _forced(later, n, d, i, u1, u2, k) if lookahead else u2
+            if forced.bit_count() < k:
+                return k
+        return None
+
+    def descend(chosen: tuple[int, ...], u1: int, u2: int, lo: int) -> bool:
+        """Scan below a prefix live from size lo; True when the scan ends."""
+        nonlocal units, best, hi
+        d = len(chosen)
+        for j in range(chosen[-1] + 1 if chosen else 0, n - lo + d + 1):
+            if lo > hi:
+                return False
+            units += 1
+            nu1, nu2 = u1 | adj[j], u2 | (u1 & adj[j])
+            if d + 1 >= k_lo and nu2.bit_count() < d + 1:
+                best, hi = ((*chosen, j), nu2), d
+                if hi < k_lo or k_lo == k_hi:
+                    return True
+                continue
+            k = smallest_live(d + 1, j, nu1, nu2)
+            if k is not None and descend((*chosen, j), nu1, nu2, k):
+                return True
+        return False
+
+    descend((), 0, 0, k_lo)
+    if best is None:
+        return None, set(), units
+    s, mask = best
+    return s, {j for j in range(g.ny) if mask >> j & 1}, units
 
 
 def exact_cycle_search_reference(g: Bigraph, targets: list[int], budget):

@@ -42,6 +42,7 @@ from dhp import (
     threshold_p,
 )
 from dhp import checkers, cycles
+from dhp.budget import SUBSET_BUDGET_DEFAULT
 from dhp.checkers import LOOKAHEAD_TABLE_BITS
 from dhp.core import Y_SIDE, induced_subgraph, is_two_connected
 
@@ -86,34 +87,37 @@ class TestDhp:
         assert 10_000 - b.remaining == 2 * spent_once
 
 
-# Units spent (one per prefix visited) and witnesses of the three prefix
+# Units spent (one per prefix made) and witnesses of the three prefix
 # scans: holding graphs, pair and larger cardinality failures, and an snp
 # connectivity failure.  Witnesses and snp units were recorded from the
-# separate per-checker scans the shared engine replaced; the dhp and
-# obstacle units from the scan with the suffix-degree lookahead.
+# separate per-checker scans the shared engine replaced.  The dhp and
+# obstacle units are the window scan's: the pair window, then one window
+# for every larger size.  Where the property holds, and on the pair, they
+# are window_scan_reference's; on the two failures of size 3 and 9 they
+# are every prefix the default chunk makes before the window is empty.
 PINNED_SCANS = [
     (
         "biplane(2)",
         lambda: builtin_biplane(2),
-        (86, None),
+        (65, None),
         (213, None),
-        (86, None),
+        (65, None),
     ),
-    ("pair_gadget(6)", lambda: pair_gadget(6), (71, None), (94, None), (71, None)),
-    ("K(6,6)", lambda: Bigraph.complete(6, 6), (30, None), (94, None), (30, None)),
+    ("pair_gadget(6)", lambda: pair_gadget(6), (49, None), (94, None), (49, None)),
+    ("K(6,6)", lambda: Bigraph.complete(6, 6), (24, None), (94, None), (24, None)),
     (
         "sample(12x8, p=0.6, seed 34)",
         lambda: sample_bipartite(12, 8, 0.6, 34),
-        (138, {"S": [5, 6, 8]}),
+        (181, {"S": [5, 6, 8]}),
         (234, {"S": [5, 6, 8], "reason": "cardinality"}),
-        (138, ([5, 6, 8], [3, 7])),
+        (181, ([5, 6, 8], [3, 7])),
     ),
     (
         "sample(12x8, p=0.7, seed 1)",
         lambda: sample_bipartite(12, 8, 0.7, 1),
-        (131, {"S": list(range(9))}),
+        (797, {"S": list(range(9))}),
         (7010, {"S": list(range(9)), "reason": "cardinality"}),
-        (131, (list(range(9)), list(range(8)))),
+        (797, (list(range(9)), list(range(8)))),
     ),
     (
         "G(12,12,0.6) seed 0",
@@ -180,23 +184,48 @@ def _skewed_bigraph(rng: random.Random) -> Bigraph:
     return Bigraph(nx, ny, rows)
 
 
-def _assert_matches_prefix_scan(g: Bigraph, s_max: int) -> bool:
-    """check_dhp (when s_max = nx) and find_minimal_obstacle agree with the
-    scan without lookahead on verdict, witness and T, and spend no more
-    units; returns whether the lookahead saved any."""
-    ref_s, ref_t, ref_units = oracles.prefix_scan_reference(g, s_max)
+def _window_reference(g: Bigraph, s_max: int) -> tuple[tuple[int, ...] | None, set[int], int | None]:
+    """The scan of check_dhp and find_minimal_obstacle by the window-scan
+    oracle: the pair window without lookahead, then one window for every
+    larger size.  Returns (S or None, T, units); units are None where they
+    depend on the chunk size, on a witness of three or more vertices."""
+    s, t, units = oracles.window_scan_reference(g, 2, 2, lookahead=False)
+    if s is None and s_max > 2:
+        s, t, more = oracles.window_scan_reference(g, 3, s_max)
+        units = None if s is not None else units + more
+    return s, t, units
+
+
+def _check_window_scan(g: Bigraph, s_max: int, ref=None) -> tuple:
+    """find_minimal_obstacle, and check_dhp when s_max = nx, agree with the
+    window-scan oracle (or with ``ref``, its result) on witness and T, and
+    on units wherever those do not depend on the chunk size; both checks
+    spend the same.  Returns (S or None, T, units)."""
+    ref_s, ref_t, ref_units = ref or _window_reference(g, s_max)
     limit = 10**8
     b = WorkBudget(limit, "subset")
     obst = find_minimal_obstacle(g, s_max, budget=b)
     units = limit - b.remaining
     found = None if obst is None else (obst.s.indices, set(obst.t.indices))
     assert found == (None if ref_s is None else (ref_s, ref_t))
-    assert units <= ref_units
+    assert ref_units in (None, units)
     if s_max == g.nx:
         b = WorkBudget(limit, "subset")
         v = check_dhp(g, budget=b)
         assert v.witness == (None if ref_s is None else {"S": list(ref_s)})
         assert limit - b.remaining == units
+    return ref_s, ref_t, units
+
+
+def _assert_matches_prefix_scan(g: Bigraph, s_max: int) -> bool:
+    """check_dhp (when s_max = nx) and find_minimal_obstacle agree with the
+    per-size scan without lookahead on verdict, witness and T, and, where
+    the property holds or fails on a pair, spend no more units; returns
+    whether they spent fewer."""
+    ref_s, ref_t, ref_units = oracles.prefix_scan_reference(g, s_max)
+    s, t, units = _check_window_scan(g, s_max)
+    assert (s, t) == (ref_s, ref_t)
+    assert units <= ref_units or (s is not None and len(s) > 2)
     return units < ref_units
 
 
@@ -221,6 +250,13 @@ class TestSuffixDegreeLookahead:
         # the scan without lookahead exhausts the 2^24-unit default here
         g = sample_gnnp(80, threshold_p(80, 2.0, "dhp").p, 0)
         assert check_dhp(g).holds
+
+    def test_n100_threshold_sample_decided_within_default_budget(self) -> None:
+        # one scan per size spent 38.1 M units here, past the 2^24 default
+        g = sample_gnnp(100, threshold_p(100, 0.0, "dhp").p, 0)
+        b = WorkBudget(SUBSET_BUDGET_DEFAULT, "subset")
+        assert check_dhp(g, budget=b).holds
+        assert SUBSET_BUDGET_DEFAULT - b.remaining == 4_416_945
 
     def test_table_memory_is_bounded(self) -> None:
         # past k = 2 the table is built; kept whole it would take about
@@ -254,19 +290,11 @@ def _wide_bigraph(rng: random.Random, ny: int) -> Bigraph:
 
 def _assert_matches_depth_first_scan(g: Bigraph, s_max: int) -> bool:
     """find_minimal_obstacle, and check_dhp when s_max = nx, agree with the
-    depth-first scan with lookahead on verdict, witness, T and units;
-    returns whether the property holds up to s_max."""
-    ref_s, ref_t, ref_units = oracles.prefix_scan_reference(g, s_max, lookahead=True)
-    limit = 10**8
-    b = WorkBudget(limit, "subset")
-    obst = find_minimal_obstacle(g, s_max, budget=b)
-    found = None if obst is None else (obst.s.indices, set(obst.t.indices))
-    assert (found, limit - b.remaining) == (None if ref_s is None else (ref_s, ref_t), ref_units)
-    if s_max == g.nx:
-        b = WorkBudget(limit, "subset")
-        v = check_dhp(g, budget=b)
-        assert v.witness == (None if ref_s is None else {"S": list(ref_s)})
-        assert limit - b.remaining == ref_units
+    per-size depth-first scan with lookahead on verdict, witness and T, and
+    with the window-scan oracle on units wherever those do not depend on
+    the chunk size; returns whether the property holds up to s_max."""
+    ref_s, ref_t, _ = oracles.prefix_scan_reference(g, s_max, lookahead=True)
+    assert _check_window_scan(g, s_max)[:2] == (ref_s, ref_t)
     return ref_s is None
 
 
@@ -317,18 +345,25 @@ class TestLevelScan:
         rng = random.Random(8)
         for _ in range(300):
             g = _skewed_bigraph(rng)
-            ref_s, _, ref_units = oracles.prefix_scan_reference(g, g.nx, lookahead=True)
+            ref_s, _, ref_units = _window_reference(g, g.nx)
+            if ref_units is None:
+                # a witness of three or more vertices: the wide window is
+                # charged what it made, and must run out exactly past that
+                ref_units = _check_window_scan(g, g.nx)[2]
             scans = [(check_dhp, None if ref_s is None else {"S": list(ref_s)}, ref_units)]
             if 3 <= g.nx <= 10:  # as in TestLeafTestScan, for the run time
                 scans.append((check_snp, *_snp_reference(g)))
             for check, witness, units in scans:
+                # a one-size window's hit is charged its depth-first rank,
+                # and may run out under a cap that covers the rank
+                ranked = witness is not None and (check is check_snp or len(witness["S"]) == 2)
                 for cap in {0, units // 2, units - 1, units, rng.randrange(units + 1)}:
                     b = WorkBudget(max(cap, 0), "subset")
                     try:
                         v = check(g, budget=b)
                     except BudgetExceededError:
-                        # where the property holds, exactly when the scan would
-                        assert witness is not None or cap < units
+                        # otherwise, exactly when the scan would
+                        assert ranked or cap < units
                         continue
                     assert cap >= units
                     assert v.witness == witness
@@ -343,6 +378,51 @@ class TestLevelScan:
         b = WorkBudget(77, "subset")
         assert check_dhp(g, budget=b).witness == {"S": [0, 7]}
         assert b.remaining == 77 - 8
+
+
+class TestWindowScan:
+    """check_dhp and find_minimal_obstacle against the window-scan oracle,
+    and the oracle against the per-size scan with lookahead."""
+
+    def test_matches_oracle_at_every_chunk_size(self, monkeypatch) -> None:
+        rng = random.Random(2024)
+        cases = []
+        for _ in range(2400):
+            g = _skewed_bigraph(rng)
+            cases.append((g, g.nx if rng.random() < 0.75 else rng.randrange(2, g.nx + 1)))
+        graphs = [
+            sample_gnnp(n, threshold_p(n, c, "dhp").p, seed)
+            for n in (40, 60) for c in (0.0, 2.0) for seed in range(3)
+        ]
+        graphs += [pair_gadget(n) for n in range(3, 9)]
+        graphs += [builtin_biplane(order) for order in range(5)]
+        cases += [(g, g.nx) for g in graphs]
+        refs = []
+        for g, s_max in cases:
+            ref = _window_reference(g, s_max)
+            assert ref[:2] == oracles.prefix_scan_reference(g, s_max, lookahead=True)[:2]
+            refs.append(ref)
+        assert {ref[2] is None for ref in refs} == {True, False}
+        for chunk_words in (checkers.LEVEL_CHUNK_WORDS, 1, 2, 5, 64):
+            monkeypatch.setattr(checkers, "LEVEL_CHUNK_WORDS", chunk_words)
+            for (g, s_max), ref in zip(cases, refs):
+                _check_window_scan(g, s_max, ref)
+
+    @given(bigraphs(min_nx=2, max_nx=9, max_ny=9), st.data())
+    def test_child_is_live_only_where_its_parent_is(self, g: Bigraph, data) -> None:
+        # the scan starts a child's sizes at its parent's smallest live one,
+        # and skips the sizes a forced count shows dead; both rest on this
+        size = data.draw(st.integers(1, g.nx - 1))
+        prefix = tuple(sorted(data.draw(st.sets(st.integers(0, g.nx - 2), min_size=size, max_size=size))))
+        child = (*prefix, data.draw(st.integers(prefix[-1] + 1, g.nx - 1)))
+        parent, kid = oracles.forced_sets(g, prefix), oracles.forced_sets(g, child)
+        for k, forced in kid.items():
+            assert parent[k] & forced == parent[k]
+        for k in parent:
+            if k + 1 in parent:
+                assert parent[k] & parent[k + 1] == parent[k]
+        live = {k for k, forced in parent.items() if forced.bit_count() < k}
+        assert {k for k, forced in kid.items() if forced.bit_count() < k} <= live
 
 
 def _snp_reference(g: Bigraph) -> tuple[dict | None, int]:

@@ -634,7 +634,9 @@ class TestDegreeSplitSolver:
     def test_junction_matching_outputs_pinned(self, monkeypatch) -> None:
         """sha256 of the cycles and node counts on 60 seeded instances,
         recorded while the junction matching ran on ``MatchingInstance``;
-        most of them need two or more paths, so the matching runs."""
+        most of them need two or more paths, so the matching runs.  The
+        counts include the dHp check; they were recorded again when it
+        moved to the window scan, with every cycle unchanged."""
         from dhp import cycles
 
         matchings = []
@@ -652,7 +654,7 @@ class TestDegreeSplitSolver:
             out.append([None if cyc is None else [cyc.xs, cyc.ys], 10**6 - b.remaining])
         assert len(matchings) >= 50
         blob = json.dumps(out).encode()
-        assert hashlib.sha256(blob).hexdigest() == "0b2cec48a886e723666989d63a40d1a64a2992970519ffbd3674430165de6b60"
+        assert hashlib.sha256(blob).hexdigest() == "c95684d9e028c6209489f65acbdae5cbd8456c661dbdfa5f06b935e45d085198"
 
     def test_degree_class_enforced(self) -> None:
         # a Y-vertex of degree 3 in a 6-X graph sits in no allowed class
