@@ -21,14 +21,16 @@ pairs in a window of their own, then every larger size in one window.
 a covering cycle), which must see every leaf, so their scans prune nothing
 and take one size per window.
 
-A scan spends one unit per prefix it makes.  The budget is checked once
-per chunk, before the chunk is made.  Where the property holds, the units
-do not depend on the chunk size, and the scan runs out exactly when they
-pass the budget.  A one-size window that fails is charged the depth-first
-rank of its witness, so it can run out under a cap that covers the rank.
-A failure of size 3 or more in the wide window is charged every prefix
-made, a count that depends on the chunk size, and the scan runs out
-exactly when that count passes the budget.
+A scan is charged one unit per prefix a depth-first scan with the same
+pruning makes, so the units do not depend on the chunk size.  Where the
+property holds, that is every prefix made, and the scan runs out exactly
+when the units pass the budget.  A failure at size k, in a window of one
+size or more, is charged what the depth-first scan of the window narrowed
+to the sizes up to k spends: every child of a prefix live at a size below
+k, and of the others those up to the witness in depth-first order.  The
+budget is checked once per chunk, before the chunk is made, against the
+prefixes actually made, so a failing scan can run out under a cap that
+covers its charge.
 """
 
 from __future__ import annotations
@@ -150,7 +152,8 @@ LOOKAHEAD_TABLE_BITS = 1 << 27
 
 # Mask words the level scan expands at once: a chunk holds at most
 # LEVEL_CHUNK_WORDS // words children, or one parent's children if that is
-# more, so a chunk's arrays take about 1 MiB whatever the size of the level.
+# more, so a chunk's arrays, with the lookahead's, stay under 2 MiB
+# whatever the size of the level.
 LEVEL_CHUNK_WORDS = 1 << 14
 
 
@@ -205,23 +208,27 @@ def _suffix_degree_table(adj: list[np.ndarray]) -> list[np.ndarray]:
 class _Level:
     """The surviving prefixes of one chunk at one depth, in lex order.
 
-    ``last``: each prefix's last X-vertex; ``pos``: its index among the
-    chunk's children before pruning; ``par``: its parent's index in the
-    level above; ``once``/``twice``: word columns of the Y-vertices it sees
-    at least once and at least twice; ``lo``: the smallest size it is live
-    at; ``base``: children made at this depth by earlier chunks; ``fan``:
-    each prefix's number of children, the X-vertices after its last up to
-    n - lo + depth, which leaves room for lo; ``ends``: their running
-    total; ``next``: the first prefix not yet expanded.
+    ``last``: each prefix's last X-vertex; ``par``: its parent's index in
+    the level above; ``once``/``twice``: word columns of the Y-vertices it
+    sees at least once and at least twice; ``lo``: the smallest size it is
+    live at; ``fan``: each prefix's number of children, the X-vertices
+    after its last up to n - lo + depth, which leaves room for lo;
+    ``ends``: their running total; ``before``: ``fans`` as the level
+    found it; ``next``: the first prefix not yet expanded.  ``fans[k]``
+    counts the children of the prefixes with ``lo`` = k over the levels
+    made at this depth, and the level adds its own.
     """
 
-    __slots__ = ("last", "pos", "par", "once", "twice", "lo", "base", "fan", "ends", "next")
+    __slots__ = ("last", "par", "once", "twice", "lo", "fan", "ends", "before", "next")
 
-    def __init__(self, last, pos, par, once, twice, lo, base, depth, n):
-        self.last, self.pos, self.par = last, pos, par
-        self.once, self.twice, self.lo, self.base = once, twice, lo, base
+    def __init__(self, last, par, once, twice, lo, depth, n, fans):
+        import numpy as np
+
+        self.last, self.par, self.once, self.twice, self.lo = last, par, once, twice, lo
         self.fan = n - lo + depth - last
         self.ends = self.fan.cumsum()
+        self.before = fans.copy()
+        fans += np.bincount(lo, self.fan, len(fans)).astype(np.int64)
         self.next = 0
 
     def narrow(self, k_hi: int) -> None:
@@ -233,21 +240,36 @@ class _Level:
 def _leaves(
     stack: list[_Level], last: np.ndarray, par: np.ndarray,
     twice: list[np.ndarray], pick: np.ndarray,
-) -> tuple[list[tuple[int, ...]], list[int], np.ndarray]:
-    """The leaves ``pick`` of the chunk below ``stack``: their X-subsets,
-    twice-seen masks, and depth-first ranks over the levels above."""
+) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The leaves ``pick`` of the chunk below ``stack``: their X-subsets and
+    twice-seen masks."""
     import numpy as np
 
-    cols, rank, p = [last[pick]], pick + 1, par[pick]
+    cols, p = [last[pick]], par[pick]
     for level in reversed(stack[1:]):
         cols.append(level.last[p])
-        rank = rank + level.base + level.pos[p] + 1
         p = level.par[p]
     sets = list(map(tuple, np.stack(cols[::-1], axis=1).tolist()))
     masks = [0] * len(pick)
     for w, col in enumerate(twice):
         masks = [m | v << (64 * w) for m, v in zip(masks, col[pick].tolist())]
-    return sets, masks, rank
+    return sets, masks
+
+
+def _rank(stack: list[_Level], k: int, last: int, p: int) -> int:
+    """The children of prefixes with smallest live size k, up to a hit of
+    size k in depth-first order.  The hit is the child with last X-vertex
+    ``last`` of prefix ``p`` of the deepest level of ``stack``.  At each
+    depth they are the children made by the earlier levels, by the
+    level's prefixes before the hit's ancestor, and by that ancestor up to
+    the hit's ancestor one depth down."""
+    rank = 0
+    for level in reversed(stack):
+        rank += int(level.before[k]) + int(level.fan[:p][level.lo[:p] == k].sum())
+        if level.lo[p] == k:
+            rank += last - int(level.last[p])
+        last, p = int(level.last[p]), int(level.par[p])
+    return rank
 
 
 def _smallest_live(
@@ -324,28 +346,32 @@ def _scan_sizes(
     first, until the window is empty or the tree is done.
 
     Each chunk's children are checked against the budget before they are
-    made, and charged when the scan ends, one unit per prefix made.  Where
-    S does not exist, that is every prefix the live rule admits, whatever
-    the chunk size; for a one-size window it is the count of a depth-first
-    scan with the same pruning.  If S exists, a one-size window is charged
-    the depth-first rank of S, which does not depend on the chunk size; a
-    wider window is charged every prefix it made, which does, since the
-    chunk size decides how much is made before each hit narrows the
-    window.  A leaf test may spend from the same budget: it runs while its
-    chunk is reserved but not yet charged, so its units add to the same
-    total as in the depth-first scan, and a run past the budget still
-    raises.
+    made.  The scan is charged when it ends, one unit per prefix that a
+    depth-first scan with the same pruning makes, whatever the chunk
+    size.  Where S does not exist, that is every prefix made.  If S
+    exists, it is what the depth-first scan of the window k_lo..|S| makes:
+    no smaller set is deficient, so its first hit is S, after which the
+    window narrows to the sizes below |S|.  So the charge is every child
+    of a prefix whose smallest live size is below |S|, which the scan
+    makes whatever its hits, and of the children of prefixes whose
+    smallest live size is |S|, those up to S in depth-first order
+    (``_rank``); for a one-size window that is the depth-first rank of S.
+    This is never more than one scan per size would be charged.  The
+    prefixes made can be more, so a failing scan can run out under a cap
+    that covers its charge.  A leaf test may spend from the same budget: it
+    runs while its chunk is reserved but not yet charged, so its units add
+    to the same total as in the depth-first scan, and a run past the budget
+    still raises.
     """
     import numpy as np
 
     n = len(adj[0])
     chunk = max(1, LEVEL_CHUNK_WORDS // len(adj))
-    spent = 0
-    made = [0] * (k_hi + 1)  # children made at each depth so far
-    best = None
+    spent, best, rank = 0, None, 0
+    fans = [np.zeros(k_hi + 2, np.int64)]  # at each depth, the levels' fans by lo
     root = [np.zeros(1, np.uint64)] * len(adj)
     zero = np.zeros(1, np.intp)
-    stack = [_Level(zero - 1, zero, zero, root, root, zero + k_lo, 0, 0, n)]
+    stack = [_Level(zero - 1, zero, root, root, zero + k_lo, 0, n, fans[0])]
     while stack:
         up = stack[-1]
         done = int(up.ends[up.next - 1]) if up.next else 0
@@ -370,21 +396,17 @@ def _scan_sizes(
         rows = [col[last] for col in adj]
         twice = [t[par] | (o & r) for t, o, r in zip(up.twice, seen, rows)]
         counts = _popcount(twice)
-        base = made[depth]
-        made[depth] += total
 
         if depth >= k_lo:  # the children are sets of the window
             short = (counts < depth).nonzero()[0]
             j = int(short[0]) if short.size else total
             if leaf_test is not None and j:
-                sets, masks, _ = _leaves(stack, last, par, twice, np.arange(j))
+                sets, masks = _leaves(stack, last, par, twice, np.arange(j))
                 j = next((i for i in range(j) if not leaf_test(sets[i], masks[i])), j)
             if j < total:
-                (s,), (mask,), (rank,) = _leaves(stack, last, par, twice, np.array([j]))
-                if k_lo == k_hi:
-                    budget.spend(base + int(rank))
-                    return s, mask
+                (s,), (mask,) = _leaves(stack, last, par, twice, np.array([j]))
                 best, k_hi = (s, mask), depth - 1
+                rank = _rank(stack, depth, int(last[j]), int(par[j]))
                 if k_hi < k_lo:
                     break
                 del stack[k_hi:]
@@ -412,7 +434,11 @@ def _scan_sizes(
             once = [col[keep] for col in once]
             twice = [col[keep] for col in twice]
         if live.size:
-            stack.append(_Level(last, live, up_par, once, twice, lo, base, depth, n))
+            if depth == len(fans):
+                fans.append(np.zeros(k_hi + 2, np.int64))
+            stack.append(_Level(last, up_par, once, twice, lo, depth, n, fans[depth]))
+    if best is not None:  # charged the children of prefixes live below |S|, and its rank
+        spent = sum(int(row[: len(best[0])].sum()) for row in fans) + rank
     budget.spend(spent)
     return best
 

@@ -157,12 +157,12 @@ def window_scan_reference(g: Bigraph, k_lo: int, k_hi: int, lookahead: bool = Tr
     ``slack = (n - 1 - i) - (k - d)``.  A live prefix's children are the
     X-vertices after i up to n - k + d for its smallest live size k; the
     root's is k_lo.  Each prefix's sizes are searched from k_lo, not from
-    its parent's smallest live size as in the library.  Each child made costs a unit.  A hit ends a one-size
-    window; in a wider one it narrows the window to the sizes below it, and
-    the scan goes on.  Like ``prefix_scan_reference`` it uses the bitmask
-    rows.  Where no S exists the library spends these units whatever its
-    chunk size, as it does on the hit of a one-size window; on the hit of a
-    wider window only S is comparable.
+    its parent's smallest live size as in the library.  Each child made
+    costs a unit.  A hit ends a one-size window; in a wider one it narrows
+    the window to the sizes below it, and the scan goes on.  Like
+    ``prefix_scan_reference`` it uses the bitmask rows.  Where no S
+    exists the library spends these units whatever its chunk size; where
+    S exists it spends what this scan spends on the window k_lo..|S|.
     Returns (S or None, its twice-seen set, units spent).
     """
     n, adj = g.nx, g.adj_x

@@ -91,10 +91,8 @@ class TestDhp:
 # scans: holding graphs, pair and larger cardinality failures, and an snp
 # connectivity failure.  Witnesses and snp units were recorded from the
 # separate per-checker scans the shared engine replaced.  The dhp and
-# obstacle units are the window scan's: the pair window, then one window
-# for every larger size.  Where the property holds, and on the pair, they
-# are window_scan_reference's; on the two failures of size 3 and 9 they
-# are every prefix the default chunk makes before the window is empty.
+# obstacle units are the window scan's, the pair window and then one
+# window for every larger size, as window_scan_reference counts them.
 PINNED_SCANS = [
     (
         "biplane(2)",
@@ -108,16 +106,16 @@ PINNED_SCANS = [
     (
         "sample(12x8, p=0.6, seed 34)",
         lambda: sample_bipartite(12, 8, 0.6, 34),
-        (181, {"S": [5, 6, 8]}),
+        (138, {"S": [5, 6, 8]}),
         (234, {"S": [5, 6, 8], "reason": "cardinality"}),
-        (181, ([5, 6, 8], [3, 7])),
+        (138, ([5, 6, 8], [3, 7])),
     ),
     (
         "sample(12x8, p=0.7, seed 1)",
         lambda: sample_bipartite(12, 8, 0.7, 1),
-        (797, {"S": list(range(9))}),
+        (95, {"S": list(range(9))}),
         (7010, {"S": list(range(9)), "reason": "cardinality"}),
-        (797, (list(range(9)), list(range(8)))),
+        (95, (list(range(9)), list(range(8)))),
     ),
     (
         "G(12,12,0.6) seed 0",
@@ -184,31 +182,31 @@ def _skewed_bigraph(rng: random.Random) -> Bigraph:
     return Bigraph(nx, ny, rows)
 
 
-def _window_reference(g: Bigraph, s_max: int) -> tuple[tuple[int, ...] | None, set[int], int | None]:
+def _window_reference(g: Bigraph, s_max: int) -> tuple[tuple[int, ...] | None, set[int], int]:
     """The scan of check_dhp and find_minimal_obstacle by the window-scan
     oracle: the pair window without lookahead, then one window for every
-    larger size.  Returns (S or None, T, units); units are None where they
-    depend on the chunk size, on a witness of three or more vertices."""
+    larger size, charged on a hit S as the window 3..|S| is.  Returns
+    (S or None, T, units)."""
     s, t, units = oracles.window_scan_reference(g, 2, 2, lookahead=False)
     if s is None and s_max > 2:
         s, t, more = oracles.window_scan_reference(g, 3, s_max)
-        units = None if s is not None else units + more
+        if s is not None:
+            more = oracles.window_scan_reference(g, 3, len(s))[2]
+        units += more
     return s, t, units
 
 
 def _check_window_scan(g: Bigraph, s_max: int, ref=None) -> tuple:
     """find_minimal_obstacle, and check_dhp when s_max = nx, agree with the
-    window-scan oracle (or with ``ref``, its result) on witness and T, and
-    on units wherever those do not depend on the chunk size; both checks
-    spend the same.  Returns (S or None, T, units)."""
+    window-scan oracle (or with ``ref``, its result) on witness, T and
+    units.  Returns (S or None, T, units)."""
     ref_s, ref_t, ref_units = ref or _window_reference(g, s_max)
     limit = 10**8
     b = WorkBudget(limit, "subset")
     obst = find_minimal_obstacle(g, s_max, budget=b)
     units = limit - b.remaining
     found = None if obst is None else (obst.s.indices, set(obst.t.indices))
-    assert found == (None if ref_s is None else (ref_s, ref_t))
-    assert ref_units in (None, units)
+    assert (found, units) == (None if ref_s is None else (ref_s, ref_t), ref_units)
     if s_max == g.nx:
         b = WorkBudget(limit, "subset")
         v = check_dhp(g, budget=b)
@@ -219,13 +217,12 @@ def _check_window_scan(g: Bigraph, s_max: int, ref=None) -> tuple:
 
 def _assert_matches_prefix_scan(g: Bigraph, s_max: int) -> bool:
     """check_dhp (when s_max = nx) and find_minimal_obstacle agree with the
-    per-size scan without lookahead on verdict, witness and T, and, where
-    the property holds or fails on a pair, spend no more units; returns
-    whether they spent fewer."""
+    per-size scan without lookahead on verdict, witness and T, and spend no
+    more units; returns whether they spent fewer."""
     ref_s, ref_t, ref_units = oracles.prefix_scan_reference(g, s_max)
     s, t, units = _check_window_scan(g, s_max)
     assert (s, t) == (ref_s, ref_t)
-    assert units <= ref_units or (s is not None and len(s) > 2)
+    assert units <= ref_units
     return units < ref_units
 
 
@@ -291,10 +288,12 @@ def _wide_bigraph(rng: random.Random, ny: int) -> Bigraph:
 def _assert_matches_depth_first_scan(g: Bigraph, s_max: int) -> bool:
     """find_minimal_obstacle, and check_dhp when s_max = nx, agree with the
     per-size depth-first scan with lookahead on verdict, witness and T, and
-    with the window-scan oracle on units wherever those do not depend on
-    the chunk size; returns whether the property holds up to s_max."""
-    ref_s, ref_t, _ = oracles.prefix_scan_reference(g, s_max, lookahead=True)
-    assert _check_window_scan(g, s_max)[:2] == (ref_s, ref_t)
+    spend no more units, and with the window-scan oracle on units; returns
+    whether the property holds up to s_max."""
+    ref_s, ref_t, ref_units = oracles.prefix_scan_reference(g, s_max, lookahead=True)
+    s, t, units = _check_window_scan(g, s_max)
+    assert (s, t) == (ref_s, ref_t)
+    assert units <= ref_units
     return ref_s is None
 
 
@@ -346,24 +345,17 @@ class TestLevelScan:
         for _ in range(300):
             g = _skewed_bigraph(rng)
             ref_s, _, ref_units = _window_reference(g, g.nx)
-            if ref_units is None:
-                # a witness of three or more vertices: the wide window is
-                # charged what it made, and must run out exactly past that
-                ref_units = _check_window_scan(g, g.nx)[2]
             scans = [(check_dhp, None if ref_s is None else {"S": list(ref_s)}, ref_units)]
             if 3 <= g.nx <= 10:  # as in TestLeafTestScan, for the run time
                 scans.append((check_snp, *_snp_reference(g)))
             for check, witness, units in scans:
-                # a one-size window's hit is charged its depth-first rank,
-                # and may run out under a cap that covers the rank
-                ranked = witness is not None and (check is check_snp or len(witness["S"]) == 2)
                 for cap in {0, units // 2, units - 1, units, rng.randrange(units + 1)}:
                     b = WorkBudget(max(cap, 0), "subset")
                     try:
                         v = check(g, budget=b)
                     except BudgetExceededError:
-                        # otherwise, exactly when the scan would
-                        assert ranked or cap < units
+                        # where the property holds, exactly when the scan would
+                        assert witness is not None or cap < units
                         continue
                     assert cap >= units
                     assert v.witness == witness
@@ -402,7 +394,8 @@ class TestWindowScan:
             ref = _window_reference(g, s_max)
             assert ref[:2] == oracles.prefix_scan_reference(g, s_max, lookahead=True)[:2]
             refs.append(ref)
-        assert {ref[2] is None for ref in refs} == {True, False}
+        # graphs that hold, and failures on a pair and on larger sets
+        assert {0, 2, 3, 4} <= {0 if ref[0] is None else len(ref[0]) for ref in refs}
         for chunk_words in (checkers.LEVEL_CHUNK_WORDS, 1, 2, 5, 64):
             monkeypatch.setattr(checkers, "LEVEL_CHUNK_WORDS", chunk_words)
             for (g, s_max), ref in zip(cases, refs):
