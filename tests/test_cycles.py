@@ -614,6 +614,54 @@ class TestHighDegreeSolver:
         assert 10**6 - b.remaining >= _dhp_units(g)
 
 
+def _outcome_units_short(call) -> list:
+    """The result of ``call(budget)``, the node units it spent and, when it
+    spent any, whether a cap one unit short raises."""
+    b = WorkBudget(10**6, "node")
+    out = call(b)
+    units = 10**6 - b.remaining
+    short = None
+    if units:
+        try:
+            call(WorkBudget(units - 1, "node"))
+            short = False
+        except BudgetExceededError:
+            short = True
+    return [out, units, short]
+
+
+def test_pair_assignment_searches_are_pinned() -> None:
+    """sha256 over seeded inputs of each outcome, its units and whether one
+    unit less raises: the disjoint cycle cover on 600 random bigraphs, and
+    ``solve_high_degree`` at k = 2, whose instances plant a degree-2
+    X-vertex half the time, so that its Y..Y path search runs."""
+    rng = random.Random(2424)
+    out = []
+    for _ in range(600):
+        nx, ny = rng.randrange(1, 9), rng.randrange(1, 10)
+        g = sample_bipartite(nx, ny, rng.choice((0.4, 0.55, 0.7, 0.85)), rng.randrange(2**32))
+        out.append(
+            _outcome_units_short(
+                lambda b: None
+                if (cover := find_disjoint_cycle_cover(g, budget=b)) is None
+                else [[c.xs, c.ys] for c in cover]
+            )
+        )
+    planted = 0
+    for g in genutil.high_degree_instances(2424, 2, 150):
+        planted += min(g.degrees_x()) <= 2
+        out.append(
+            _outcome_units_short(
+                lambda b: None
+                if (cyc := solve_high_degree(g, 2, budget=b)) is None
+                else [cyc.xs, cyc.ys]
+            )
+        )
+    assert planted == 30
+    blob = json.dumps(out).encode()
+    assert hashlib.sha256(blob).hexdigest() == "6fb0e35c92ecb968e908d834f82d348e749bd9b67e6a211ae23557b918e305e8"
+
+
 class TestDegreeSplitSolver:
     def test_pair_gadget_solves(self) -> None:
         g = pair_gadget(4)
