@@ -2,9 +2,9 @@
 
 Adjacency is stored as one Python int per vertex, interpreted as a bitmask
 over the opposite side.  Arbitrary-precision ints give branch-free set
-algebra (``&``, ``|``, ``^``) and popcounts (``int.bit_count``), which is
-where the subset scans in the property checkers spend nearly all of their
-time.
+algebra (``&``, ``|``, ``^``) and popcounts (``int.bit_count``).  The
+cycle searches and ``two_connected_on`` run on them; the checkers' subset
+scans run on numpy word columns instead (``checkers._scan_sizes``).
 
 Graphs are immutable: every edit constructs a new value, so checkers and
 solvers stay pure and results can be cached or shared across workers

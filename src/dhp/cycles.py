@@ -302,6 +302,99 @@ def find_cycle_covering(
     return None
 
 
+# -- pair-assignment search ---------------------------------------------------
+
+
+def _pair_search(
+    g: Bigraph, xs: list[int], budget: WorkBudget, *, paths: bool
+) -> list[list[int]] | None:
+    """Give each X-vertex of ``xs`` a pair of its Y-neighbours, no Y-vertex
+    taken more than twice, so that the pairs, read as edges on Y, form
+    disjoint cycles, or disjoint Y..Y paths when ``paths`` is set; None
+    when no assignment does.
+
+    Depth-first over ``xs`` in order, pairs in ``itertools.combinations``
+    order, one node unit per state, on an explicit stack so that depth
+    len(xs) does not meet Python's recursion limit.  ``paths`` decides
+    three rules only: a cycle state is dropped when a Y-vertex taken once
+    has no later X-vertex to take it again, a full cycle assignment is kept
+    only when no Y-vertex is taken once, and a pair of one path's two ends,
+    which would close it, is skipped at no cost.
+
+    Components come back as alternating Y, x, Y, ... lists: each path from
+    its smaller end, by increasing smaller end, then each cycle, by its
+    first X-vertex in ``xs``, from that X-vertex's smaller Y-vertex round
+    to the same Y-vertex again.
+    """
+    n = len(xs)
+    adj = [g.adj_x[x] for x in xs]
+    futures = [0] * (n + 1)  # the Y-vertices that xs[i:] see
+    for i in range(n - 1, -1, -1):
+        futures[i] = futures[i + 1] | adj[i]
+    avail = (1 << g.ny) - 1  # Y-vertices taken at most once
+    half = 0  # Y-vertices taken exactly once
+    end = list(range(g.ny))  # the other end of a path end; y itself while y is untaken
+
+    def path_pairs(cands: Iterator[tuple[int, int]]) -> Iterator[tuple[int, int]]:
+        for y1, y2 in cands:
+            e1, e2 = end[y1], end[y2]
+            if e1 != y2:  # y1 and y2 are not the two ends of one path
+                end[e1], end[e2] = e2, e1  # the pair joins their two paths
+                yield y1, y2
+                end[e1], end[e2] = y1, y2  # drawn from again: the pair was given back
+
+    choice: list[tuple[int, int]] = [(0, 0)] * n
+    # for each X-vertex given a pair, the pairs it has left and the masks before it took one
+    pairs: list[Iterator[tuple[int, int]]] = []
+    saved: list[tuple[int, int]] = []
+    while True:
+        i = len(pairs)
+        budget.spend()
+        if i == n:
+            if paths or not half:
+                break
+        elif paths or not half & ~futures[i]:
+            cands = itertools.combinations(bit_list(adj[i] & avail), 2)
+            pairs.append(path_pairs(cands) if paths else cands)
+            saved.append((avail, half))
+        # the deepest X-vertex with a pair left takes it
+        while pairs:
+            avail, half = saved[-1]
+            pair = next(pairs[-1], None)
+            if pair is not None:
+                break
+            pairs.pop()
+            saved.pop()
+        else:
+            return None
+        choice[len(pairs) - 1] = pair
+        for y in pair:
+            if half >> y & 1:
+                avail ^= 1 << y
+            half ^= 1 << y
+
+    at: dict[int, list[int]] = defaultdict(list)  # the positions in xs taking each Y-vertex
+    for i, pair in enumerate(choice):
+        for y in pair:
+            at[y].append(i)
+    starts = [(y, at[y][0]) for y in sorted(at) if len(at[y]) == 1]
+    starts += [(min(pair), i) for i, pair in enumerate(choice)]
+    walked = [False] * n
+    walks: list[list[int]] = []
+    for y, i in starts:
+        if walked[i]:
+            continue
+        walk = [y]
+        while not walked[i]:
+            walked[i] = True
+            y1, y2 = choice[i]
+            y = y2 if y == y1 else y1
+            walk += (xs[i], y)
+            i = at[y][-1] if at[y][0] == i else at[y][0]
+        walks.append(walk)
+    return walks
+
+
 def find_disjoint_cycle_cover(
     g: Bigraph, *, budget: int | WorkBudget | None = None
 ) -> list[CycleWitness] | None:
@@ -312,78 +405,14 @@ def find_disjoint_cycle_cover(
     pair of Y-slots (capacity 2 per y) and rejects leftover degree-1 y's.
     """
     b = as_budget(budget, NODE_BUDGET_DEFAULT, "node")
-    n = g.nx
-    if n == 0:
+    if g.nx == 0:
         return []
-    adj = g.adj_x
-    if any(row.bit_count() < 2 for row in adj):
+    if any(row.bit_count() < 2 for row in g.adj_x):
         return None
-
-    futures = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        futures[i] = futures[i + 1] | adj[i]
-
-    avail_mask = (1 << g.ny) - 1  # y's used at most once so far
-    half_mask = 0  # y's used exactly once so far
-    choice: list[tuple[int, int]] = [(0, 0)] * n
-    # Depth-first over X-vertices, one node unit per node, on an explicit
-    # stack so that depth n does not meet Python's recursion limit: for
-    # each X-vertex given a pair, the pairs it has left and the masks
-    # before it took one.
-    pairs: list[Iterator[tuple[int, int]]] = []
-    saved: list[tuple[int, int]] = []
-    while True:
-        i = len(pairs)
-        b.spend()
-        if i == n:
-            if half_mask == 0:
-                break
-        elif not half_mask & ~futures[i]:  # every half-used y can still reach degree 2
-            pairs.append(itertools.combinations(bit_list(adj[i] & avail_mask), 2))
-            saved.append((avail_mask, half_mask))
-        # the deepest X-vertex with a pair left takes it
-        while pairs:
-            avail_mask, half_mask = saved[-1]
-            pair = next(pairs[-1], None)
-            if pair is not None:
-                break
-            pairs.pop()
-            saved.pop()
-        else:
-            return None
-        choice[len(pairs) - 1] = pair
-        for j in pair:
-            if half_mask >> j & 1:
-                avail_mask ^= 1 << j
-            half_mask ^= 1 << j
-
-    y_to_x: dict[int, list[int]] = defaultdict(list)
-    for i, (j1, j2) in enumerate(choice):
-        y_to_x[j1].append(i)
-        y_to_x[j2].append(i)
-    visited = [False] * n
-    cycles: list[CycleWitness] = []
-    for start in range(n):
-        if visited[start]:
-            continue
-        visited[start] = True
-        xs_seq = [start]
-        ys_seq: list[int] = []
-        cur_x = start
-        cur_y = min(choice[start])
-        while True:
-            ys_seq.append(cur_y)
-            a, c = y_to_x[cur_y]
-            nxt_x = c if a == cur_x else a
-            if nxt_x == start:
-                break
-            visited[nxt_x] = True
-            xs_seq.append(nxt_x)
-            j1, j2 = choice[nxt_x]
-            cur_y = j2 if j1 == cur_y else j1
-            cur_x = nxt_x
-        cycles.append(_checked(CycleWitness(tuple(xs_seq), tuple(ys_seq)).canonical(), g))
-    return cycles
+    walks = _pair_search(g, list(range(g.nx)), b, paths=False)
+    if walks is None:
+        return None
+    return [_checked(CycleWitness(tuple(w[1::2]), tuple(w[2::2])).canonical(), g) for w in walks]
 
 
 # -- endpoint-pivot rotation and edge absorption ------------------------------
@@ -522,76 +551,6 @@ def absorb_virtual_edge(
 # -- high-minimum-Y-degree pipeline -------------------------------------------
 
 
-def _yy_path_system(
-    g: Bigraph, xs_list: list[int], budget: WorkBudget
-) -> list[list[tuple[str, int]]] | None:
-    """Disjoint nontrivial Y..Y paths covering exactly ``xs_list``, using
-    only those X-vertices and their neighbours.
-
-    Viewing each x as an edge between its two chosen Y-vertices, a path
-    system is a forest over Y with maximum degree 2, so the search keeps a
-    capacity per y and a union-find over Y-components.
-    """
-    t = len(xs_list)
-    choices: list[tuple[int, int]] = [(0, 0)] * t
-
-    def find(par: dict[int, int], a: int) -> int:
-        while par[a] != a:
-            a = par[a]
-        return a
-
-    def assign(i: int, par: dict[int, int], cap: dict[int, int]) -> bool:
-        budget.spend()
-        if i == t:
-            return True
-        x = xs_list[i]
-        avail = [j for j in bits(g.adj_x[x]) if cap.get(j, 2) > 0]
-        for ai in range(len(avail)):
-            for bi in range(ai + 1, len(avail)):
-                y1, y2 = avail[ai], avail[bi]
-                par2 = dict(par)
-                par2.setdefault(y1, y1)
-                par2.setdefault(y2, y2)
-                r1, r2 = find(par2, y1), find(par2, y2)
-                if r1 == r2:
-                    continue  # would close a cycle instead of a path
-                par2[r1] = r2
-                cap2 = dict(cap)
-                cap2[y1] = cap2.get(y1, 2) - 1
-                cap2[y2] = cap2.get(y2, 2) - 1
-                choices[i] = (y1, y2)
-                if assign(i + 1, par2, cap2):
-                    return True
-        return False
-
-    if not assign(0, {}, {}):
-        return None
-
-    inc: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    for i, (y1, y2) in enumerate(choices):
-        x = xs_list[i]
-        inc[y1].append((x, y2))
-        inc[y2].append((x, y1))
-    paths: list[list[tuple[str, int]]] = []
-    used_x: set[int] = set()
-    for y_start in sorted(j for j in inc if len(inc[j]) == 1):
-        if all(xv in used_x for xv, _ in inc[y_start]):
-            continue
-        verts: list[tuple[str, int]] = [(Y_SIDE, y_start)]
-        cur = y_start
-        while True:
-            step = [(xv, oy) for xv, oy in inc[cur] if xv not in used_x]
-            if not step:
-                break
-            xv, oy = step[0]
-            used_x.add(xv)
-            verts.append((X_SIDE, xv))
-            verts.append((Y_SIDE, oy))
-            cur = oy
-        paths.append(verts)
-    return paths
-
-
 def solve_high_degree(
     g: Bigraph,
     k: int,
@@ -642,7 +601,7 @@ def solve_high_degree(
     if not xs_small:
         cyc = CycleWitness(tuple(range(n)), tuple(range(n)))
     else:
-        paths = _yy_path_system(g, xs_small, b)
+        paths = _pair_search(g, xs_small, b, paths=True)
         if paths is None:
             if diagnostics is not None:
                 diagnostics["stage"] = "path-system"
@@ -656,21 +615,20 @@ def solve_high_degree(
             raise ContractViolationError(
                 "too few high-degree X-vertices to join and close the paths"
             )
-        joiners = xl[: m - 1]
+        big = paths[0]
+        for joiner, path in zip(xl, paths[1:]):
+            big += [joiner, *path]
         rest = xl[m - 1 :]
-        big: list[tuple[str, int]] = list(paths[0])
-        for t in range(1, m):
-            big.append((X_SIDE, joiners[t - 1]))
-            big.extend(paths[t])
-        path_y = {v for s, v in big if s == Y_SIDE}
+        path_y = set(big[0::2])
         unused_ys = [j for j in range(g.ny) if j not in path_y]
         if len(unused_ys) < len(rest) - 1:
             raise ContractViolationError("not enough spare Y-vertices to close the cycle")
-        cross: list[tuple[str, int]] = [(X_SIDE, rest[0])]
-        for idx in range(1, len(rest)):
-            cross.append((Y_SIDE, unused_ys[idx - 1]))
-            cross.append((X_SIDE, rest[idx]))
-        cyc = _cycle_from_ring(cross + big)
+        # rest[0], a spare Y-vertex, rest[1], ..., rest[-1], then the joined paths
+        ring = [rest[0]]
+        for y, xv in zip(unused_ys, rest[1:]):
+            ring += (y, xv)
+        ring += big
+        cyc = CycleWitness(tuple(ring[0::2]), tuple(ring[1::2]))
 
     cyc = _checked(cyc.canonical(), helper)
 

@@ -49,8 +49,8 @@ from dhp.cycles import (
     CYCLE_TARGET_LIMIT,
     _min_path_cover_exact,
     _min_path_cover_greedy,
+    _pair_search,
     _search_exact_cycle,
-    _yy_path_system,
 )
 
 
@@ -598,7 +598,7 @@ class TestHighDegreeSolver:
 
     def test_paths_joined_through_high_degree_vertex(self) -> None:
         g = _two_path_instance()
-        assert len(_yy_path_system(g, [0, 1], WorkBudget(100))) == 2
+        assert len(_pair_search(g, [0, 1], WorkBudget(100), paths=True)) == 2
         cyc = solve_high_degree(g, 4)
         cyc.validate(g)
         assert cyc.x_set() == g.full_x()
