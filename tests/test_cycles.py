@@ -21,6 +21,7 @@ from strategies import bigraphs, dense_bigraphs, graph_with_xs
 from dhp import (
     Bigraph,
     BudgetExceededError,
+    CycleWitness,
     DomainError,
     GraphInputError,
     PathWitness,
@@ -553,6 +554,64 @@ class TestAbsorption:
         assert absorb_virtual_edge(g, 0, 1, cyc, diagnostics=diag) is None
         assert diag["case"] == "failed"
         assert diag["degree_pair_ok"] is False
+
+
+def _random_yy_path(rng: random.Random) -> tuple[Bigraph, PathWitness]:
+    """A random bigraph with a planted Y..Y path through every X-vertex and
+    no degree premise, so that some rotations find no pivot."""
+    n = rng.randrange(2, 8)
+    ny = n + 1 + rng.randrange(3)
+    g = genutil.rand_bigraph(rng, n, ny, rng.choice((0.3, 0.5, 0.7)))
+    xs = rng.sample(range(n), n)
+    ys = rng.sample(range(ny), n + 1)
+    rows = list(g.adj_x)
+    for t, x in enumerate(xs):
+        rows[x] |= (1 << ys[t]) | (1 << ys[t + 1])
+    verts = [(Y_SIDE, ys[0])]
+    for t, x in enumerate(xs):
+        verts += [(X_SIDE, x), (Y_SIDE, ys[t + 1])]
+    return Bigraph(n, ny, tuple(rows)), PathWitness(tuple(verts))
+
+
+def test_rotation_and_absorption_outputs_are_pinned() -> None:
+    """sha256 over seeded results: 400 rotations, on planted paths and on
+    random Y..Y paths, some without a pivot; then the absorption of every
+    non-edge of 150 small dense graphs whose helper graph has a covering
+    cycle, given as the canonical cycle and rotated by one slot, each with
+    its diagnostics dict."""
+    rng = random.Random(2525)
+    out: list = []
+    unclosed = 0
+    for i in range(400):
+        if i % 2:
+            g, path = genutil.planted_path_instance(rng, rng.randrange(2, 9))
+        else:
+            g, path = _random_yy_path(rng)
+        cyc = rotate_path_to_cycle(g, path)
+        unclosed += cyc is None
+        out.append(None if cyc is None else [cyc.xs, cyc.ys])
+    cases: dict[str, int] = {}
+    for _ in range(150):
+        nx = rng.randrange(2, 6)
+        g = genutil.rand_bigraph(rng, nx, nx + rng.randrange(3), rng.choice((0.6, 0.75, 0.9)))
+        for x in range(g.nx):
+            for y in range(g.ny):
+                if g.has_edge(x, y):
+                    continue
+                aug = g.with_edge(x, y)
+                cyc = find_cycle_covering(aug, aug.full_x())
+                if cyc is None:
+                    continue
+                turned = CycleWitness(cyc.xs[1:] + cyc.xs[:1], cyc.ys[1:] + cyc.ys[:1])
+                for c in (cyc, turned):
+                    diag: dict = {}
+                    got = absorb_virtual_edge(g, x, y, c, diagnostics=diag)
+                    cases[diag["case"]] = cases.get(diag["case"], 0) + 1
+                    out.append([None if got is None else [got.xs, got.ys], diag])
+    assert unclosed == 84
+    assert cases == {"unused": 498, "off-path": 136, "on-path": 146, "failed": 228}
+    blob = json.dumps(out).encode()
+    assert hashlib.sha256(blob).hexdigest() == "dfc9bf1d39a35c766bfd50b5bca8ae4bf48d7ff1394478801486f8b98cadb27a"
 
 
 class TestHighDegreeSolver:
