@@ -80,6 +80,12 @@ def _checked(cyc: CycleWitness, g: Bigraph) -> CycleWitness:
     return cyc
 
 
+def _ring_cycle(g: Bigraph, ring: list[int]) -> CycleWitness:
+    """The cycle x, y, x, y, ... read off the alternating int list ``ring``,
+    in canonical form and validated against ``g``."""
+    return _checked(CycleWitness(tuple(ring[0::2]), tuple(ring[1::2])).canonical(), g)
+
+
 def _verified_budget(g: Bigraph, budget: int | WorkBudget | None) -> WorkBudget:
     """The one budget of a solver call, already charged for deciding that
     ``g`` is dHp; a graph that is not raises DomainError."""
@@ -412,41 +418,26 @@ def find_disjoint_cycle_cover(
     walks = _pair_search(g, list(range(g.nx)), b, paths=False)
     if walks is None:
         return None
-    return [_checked(CycleWitness(tuple(w[1::2]), tuple(w[2::2])).canonical(), g) for w in walks]
+    return [_ring_cycle(g, w[1:]) for w in walks]
 
 
 # -- endpoint-pivot rotation and edge absorption ------------------------------
 
 
-def _cycle_from_ring(ring: list[tuple[str, int]]) -> CycleWitness:
-    if ring[0][0] != X_SIDE:
-        ring = ring[1:] + ring[:1]
-    return CycleWitness(
-        tuple(v for _, v in ring[0::2]), tuple(v for _, v in ring[1::2])
-    )
-
-
-def _close_yy_path(g: Bigraph, verts: list[tuple[str, int]]) -> CycleWitness | None:
-    """Close an alternating Y..Y path covering all of X into a cycle on the
-    same X-vertices, by the endpoint pivot rule: find a path position whose
-    X-vertex sees the far endpoint while its successor X-vertex sees the
-    near endpoint, then reroute, dropping one interior Y-vertex.
+def _close_yy_walk(g: Bigraph, walk: list[int]) -> CycleWitness | None:
+    """Close an alternating walk y0, x1, y1, ..., xn, yn covering all of X
+    into a cycle on the same X-vertices, by the endpoint pivot rule: find
+    the first X-vertex walk[t] seen by y0 whose predecessor X-vertex
+    walk[t - 2] sees yn, then reroute, dropping the Y-vertex between them.
 
     Whenever the endpoint degrees sum to at least (number of X's) + 2 such
     a pivot must exist by counting; the search runs regardless and simply
     reports None when there is no pivot.
     """
-    n = (len(verts) - 1) // 2
-    y_first = verts[0][1]
-    y_last = verts[-1][1]
-    adj_yf = g.adj_y[y_first]
-    adj_yl = g.adj_y[y_last]
-    for i in range(2, n + 1):
-        x_i = verts[2 * i - 1][1]
-        x_prev = verts[2 * i - 3][1]
-        if (adj_yf >> x_i) & 1 and (adj_yl >> x_prev) & 1:
-            combined = list(verts[: 2 * i - 2]) + list(reversed(verts[2 * i - 1 :]))
-            return _cycle_from_ring(combined).canonical()
+    adj_first, adj_last = g.adj_y[walk[0]], g.adj_y[walk[-1]]
+    for t in range(3, len(walk) - 1, 2):
+        if adj_first >> walk[t] & 1 and adj_last >> walk[t - 2] & 1:
+            return _ring_cycle(g, walk[1 : t - 1] + walk[: t - 1 : -1] + walk[:1])
     return None
 
 
@@ -464,8 +455,7 @@ def rotate_path_to_cycle(g: Bigraph, p: PathWitness) -> CycleWitness | None:
     covered = set(p.x_indices())
     if covered != set(range(g.nx)):
         raise GraphInputError("rotation needs a path covering every X-vertex")
-    cyc = _close_yy_path(g, list(p.vertices))
-    return None if cyc is None else _checked(cyc, g)
+    return _close_yy_walk(g, [v for _, v in p.vertices])
 
 
 def absorb_virtual_edge(
@@ -497,54 +487,35 @@ def absorb_virtual_edge(
     if c.x_set().mask != (1 << g.nx) - 1:
         raise GraphInputError("absorption needs a cycle covering every X-vertex")
     n = g.nx
+    diag = {} if diagnostics is None else diagnostics
     if diagnostics is not None:
-        diagnostics["degree_pair_ok"] = g.degree_x(x) + g.degree_y(y) >= n + 1
-        diagnostics["y_degrees_ok"] = all(
-            2 * g.degree_y(j) > n + 1 for j in range(g.ny)
-        )
+        diag["degree_pair_ok"] = g.degree_x(x) + g.degree_y(y) >= n + 1
+        diag["y_degrees_ok"] = all(2 * g.degree_y(j) > n + 1 for j in range(g.ny))
 
-    ring = c.vertices()
-    two_m = len(ring)
-    cut = None
-    for a in range(two_m):
-        va, vb = ring[a], ring[(a + 1) % two_m]
-        if {va, vb} == {(X_SIDE, x), (Y_SIDE, y)}:
-            cut = a
-            break
-    if cut is None:
-        if diagnostics is not None:
-            diagnostics["case"] = "unused"
-        return _checked(c, g)
-
-    if ring[cut][0] == Y_SIDE:
-        path = [ring[(cut - t) % two_m] for t in range(two_m)]
+    # the ring from x, with x's two ring neighbours c.ys[p] and c.ys[p - 1]
+    p = c.xs.index(x)
+    ring = [v for t in range(p - n, p) for v in (c.xs[t], c.ys[t])]
+    if ring[1] == y:
+        walk = ring[1:] + ring[:1]
+    elif ring[-1] == y:
+        walk = ring[::-1]
     else:
-        path = [ring[(cut + 1 + t) % two_m] for t in range(two_m)]
-    # path now runs y, x_1, y_2, ..., y_n, x with every X-vertex on it
+        diag["case"] = "unused"
+        return _checked(c, g)
+    # walk runs y, x_1, y_1, ..., y_{n-1}, x through every X-vertex
 
-    path_y_mask = mask_of(v for s, v in path if s == Y_SIDE)
-    for y2 in bits(g.adj_x[x] & ~path_y_mask):
-        cyc = _close_yy_path(g, path + [(Y_SIDE, y2)])
+    for y2 in bits(g.adj_x[x] & ~mask_of(c.ys)):
+        cyc = _close_yy_walk(g, walk + [y2])
         if cyc is not None:
-            if diagnostics is not None:
-                diagnostics["case"] = "off-path"
-                diagnostics["pivot_y"] = y2
-            return _checked(cyc, g)
+            diag["case"], diag["pivot_y"] = "off-path", y2
+            return cyc
 
-    adj_y_end = g.adj_y[y]
-    adj_x_end = g.adj_x[x]
-    for i in range(2, n):
-        x_i = path[2 * i - 1][1]
-        y_i = path[2 * (i - 1)][1]
-        if (adj_y_end >> x_i) & 1 and (adj_x_end >> y_i) & 1:
-            combined = list(path[: 2 * i - 1]) + list(reversed(path[2 * i - 1 :]))
-            cyc = _cycle_from_ring(combined).canonical()
-            if diagnostics is not None:
-                diagnostics["case"] = "on-path"
-                diagnostics["pivot_y"] = y_i
-            return _checked(cyc, g)
-    if diagnostics is not None:
-        diagnostics["case"] = "failed"
+    adj_y_end, adj_x_end = g.adj_y[y], g.adj_x[x]
+    for t in range(3, len(walk) - 1, 2):
+        if adj_y_end >> walk[t] & 1 and adj_x_end >> walk[t - 1] & 1:
+            diag["case"], diag["pivot_y"] = "on-path", walk[t - 1]
+            return _ring_cycle(g, walk[1:t] + walk[: t - 1 : -1] + walk[:1])
+    diag["case"] = "failed"
     return None
 
 
@@ -599,7 +570,7 @@ def solve_high_degree(
     helper = Bigraph(n, g.ny, tuple(helper_rows))
 
     if not xs_small:
-        cyc = CycleWitness(tuple(range(n)), tuple(range(n)))
+        ring = [v for xv in range(n) for v in (xv, xv)]
     else:
         paths = _pair_search(g, xs_small, b, paths=True)
         if paths is None:
@@ -628,9 +599,7 @@ def solve_high_degree(
         for y, xv in zip(unused_ys, rest[1:]):
             ring += (y, xv)
         ring += big
-        cyc = CycleWitness(tuple(ring[0::2]), tuple(ring[1::2]))
-
-    cyc = _checked(cyc.canonical(), helper)
+    cyc = _ring_cycle(helper, ring)
 
     current = helper
     while True:
@@ -801,23 +770,21 @@ def solve_degree_split(
         if diagnostics is not None:
             diagnostics["paths_best_effort"] = True
 
+    # each path as an X..X walk x, y, x, ..., x, in ring order
     used_ys: set[int] = set()
-    paths: list[tuple[list[int], list[int]]] = []
+    walks: list[list[int]] = []
     for p in paths_x:
-        ylist = []
+        walk = p[:1]
         for u, w in zip(p, p[1:]):
-            key = (u, w) if u < w else (w, u)
-            j = next(jj for jj in pair_ys[key] if jj not in used_ys)
+            j = next(jj for jj in pair_ys[(min(u, w), max(u, w))] if jj not in used_ys)
             used_ys.add(j)
-            ylist.append(j)
-        paths.append((p, ylist))
-    m = len(paths)
+            walk += (j, w)
+        walks.append(walk)
+    m = len(walks)
 
     if m == 1:
-        xs_list, ys_list = paths[0]
-        closers = (
-            g.adj_x[xs_list[0]] & g.adj_x[xs_list[-1]] & ~mask_of(ys_list)
-        )
+        walk = walks[0]
+        closers = g.adj_x[walk[0]] & g.adj_x[walk[-1]] & ~mask_of(walk[1::2])
         if closers == 0:
             if diagnostics is not None:
                 diagnostics["stage"] = "close-single-path"
@@ -826,19 +793,7 @@ def solve_degree_split(
                 "close on; contradicts the covering theorem for dHp inputs"
             )
             return None
-        y_close = (closers & -closers).bit_length() - 1
-        return _checked(CycleWitness(tuple(xs_list), tuple(ys_list + [y_close])).canonical(), g)
-
-    arrangement = list(range(m))
-    flipped = [False] * m
-
-    def left(t: int) -> int:
-        xs_list, _ = paths[arrangement[t]]
-        return xs_list[-1] if flipped[t] else xs_list[0]
-
-    def right(t: int) -> int:
-        xs_list, _ = paths[arrangement[t]]
-        return xs_list[0] if flipped[t] else xs_list[-1]
+        return _ring_cycle(g, walk + [(closers & -closers).bit_length() - 1])
 
     def common_yl(a: int, c: int) -> int:
         return (g.adj_x[a] & g.adj_x[c] & yl_mask).bit_count()
@@ -851,18 +806,17 @@ def solve_degree_split(
                 if i == 0 and j == m - 1:
                     continue  # reversing everything changes no junction
                 b.spend()
-                pi, nj = (i - 1) % m, (j + 1) % m
-                old = common_yl(right(pi), left(i)) + common_yl(right(j), left(nj))
-                new = common_yl(right(pi), right(j)) + common_yl(left(i), left(nj))
+                prev, nxt = walks[i - 1][-1], walks[(j + 1) % m][0]
+                old = common_yl(prev, walks[i][0]) + common_yl(walks[j][-1], nxt)
+                new = common_yl(prev, walks[j][-1]) + common_yl(walks[i][0], nxt)
                 if new > old:
-                    arrangement[i : j + 1] = arrangement[i : j + 1][::-1]
-                    flipped[i : j + 1] = [not f for f in flipped[i : j + 1]][::-1]
+                    walks[i : j + 1] = [w[::-1] for w in reversed(walks[i : j + 1])]
                     improved = True
                     break
             if improved:
                 break
 
-    junctions = [(right(t), left((t + 1) % m)) for t in range(m)]
+    junctions = [(walks[t][-1], walks[(t + 1) % m][0]) for t in range(m)]
     rows = [g.adj_x[a] & g.adj_x[c] & yl_mask for a, c in junctions]
     assignment = max_matching(rows)
     if len(assignment) < m:
@@ -878,15 +832,4 @@ def solve_degree_split(
             violator,
         )
         return None
-
-    ring: list[tuple[str, int]] = []
-    for t in range(m):
-        xs_list, ys_list = paths[arrangement[t]]
-        if flipped[t]:
-            xs_list, ys_list = xs_list[::-1], ys_list[::-1]
-        for pos, xv in enumerate(xs_list):
-            ring.append((X_SIDE, xv))
-            if pos < len(ys_list):
-                ring.append((Y_SIDE, ys_list[pos]))
-        ring.append((Y_SIDE, assignment[t]))
-    return _checked(_cycle_from_ring(ring).canonical(), g)
+    return _ring_cycle(g, [v for t in range(m) for v in (*walks[t], assignment[t])])
