@@ -409,11 +409,13 @@ def find_disjoint_cycle_cover(
     Such a cover is exactly a spanning subgraph where every x has degree 2
     and every y degree 0 or 2, so the search assigns each x an unordered
     pair of Y-slots (capacity 2 per y) and rejects leftover degree-1 y's.
+    Its cycles pass through exactly |X| Y-vertices, so a graph with fewer
+    is answered None at no cost.
     """
     b = as_budget(budget, NODE_BUDGET_DEFAULT, "node")
     if g.nx == 0:
         return []
-    if any(row.bit_count() < 2 for row in g.adj_x):
+    if g.ny < g.nx or any(row.bit_count() < 2 for row in g.adj_x):
         return None
     walks = _pair_search(g, list(range(g.nx)), b, paths=False)
     if walks is None:

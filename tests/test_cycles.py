@@ -390,6 +390,14 @@ class TestDisjointCycleCover:
         assert 10**6 - b.remaining == nodes
         assert (None if found is None else [(c.xs, c.ys) for c in found]) == cover
 
+    def test_fewer_y_than_x_is_answered_at_no_cost(self) -> None:
+        # its search spent 597,264 units before answering None
+        g = sample_bipartite(8, 7, 0.85, 3622760345)
+        assert min(g.degrees_x()) >= 2
+        b = WorkBudget(10, "node")
+        assert find_disjoint_cycle_cover(g, budget=b) is None
+        assert b.remaining == 10
+
     def test_search_depth_is_not_bounded_by_the_recursion_limit(self) -> None:
         # one 2n-cycle, so the search runs n = 1100 X-vertices deep
         n = 1100
@@ -693,7 +701,10 @@ def test_pair_assignment_searches_are_pinned() -> None:
     """sha256 over seeded inputs of each outcome, its units and whether one
     unit less raises: the disjoint cycle cover on 600 random bigraphs, and
     ``solve_high_degree`` at k = 2, whose instances plant a degree-2
-    X-vertex half the time, so that its Y..Y path search runs."""
+    X-vertex half the time, so that its Y..Y path search runs.  Recorded
+    again when the cover began to answer |Y| < |X| at no cost: 51 of those
+    inputs then spent 1,011,319 units on a None, and every outcome is
+    unchanged."""
     rng = random.Random(2424)
     out = []
     for _ in range(600):
@@ -718,7 +729,7 @@ def test_pair_assignment_searches_are_pinned() -> None:
         )
     assert planted == 30
     blob = json.dumps(out).encode()
-    assert hashlib.sha256(blob).hexdigest() == "6fb0e35c92ecb968e908d834f82d348e749bd9b67e6a211ae23557b918e305e8"
+    assert hashlib.sha256(blob).hexdigest() == "d1d0ddab5052044e9861f8ae487d625b5b0876b72d234bb0349f936f1ea51207"
 
 
 class TestDegreeSplitSolver:
