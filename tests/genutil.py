@@ -103,13 +103,15 @@ def high_degree_instances(seed: int, k: int, count: int) -> list[Bigraph]:
     Y-degree at nx - k or above.  For k >= 2 a degree-2 X-vertex is
     planted half the time so the sparse-side path machinery gets real
     work; the double Hall property then forces every other X-vertex to
-    see both of its neighbours, which the construction respects.
+    see both of its neighbours, which the construction respects.  |X| is
+    drawn from the size floor up to 12, or up to floor + 2 for k >= 3,
+    whose floor is 13 or more.
     """
     floor = max(2 * k + 2, k * (k + 1) + 1)
     rng = random.Random(seed)
     out: list[Bigraph] = []
     while len(out) < count:
-        nx = rng.randrange(floor, 13)
+        nx = rng.randrange(floor, max(13, floor + 3))
         ny = nx + rng.randrange(0, 3)
         rows = [(1 << ny) - 1] * nx
         protected: tuple[int, ...] = ()

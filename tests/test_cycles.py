@@ -635,7 +635,7 @@ class TestHighDegreeSolver:
         assert cyc.x_set() == g.full_x()
 
     def test_generated_conforming_instances(self) -> None:
-        for k in (0, 1, 2):
+        for k in (0, 1, 2, 3):
             for g in genutil.high_degree_instances(400 + k, k, 25):
                 cyc = solve_high_degree(g, k)
                 cyc.validate(g)
