@@ -391,7 +391,7 @@ class TestDisjointCycleCover:
         assert (None if found is None else [(c.xs, c.ys) for c in found]) == cover
 
     def test_fewer_y_than_x_is_answered_at_no_cost(self) -> None:
-        # its search spent 597,264 units before answering None
+        # a search over its X-vertices would spend 597,264 units on the None
         g = sample_bipartite(8, 7, 0.85, 3622760345)
         assert min(g.degrees_x()) >= 2
         b = WorkBudget(10, "node")
