@@ -27,7 +27,6 @@ __all__ = [
     "Bigraph",
     "VertexSet",
     "CycleWitness",
-    "PathWitness",
     "neighborhood_at_least",
     "induced_subgraph",
     "is_two_connected",
@@ -491,13 +490,6 @@ class CycleWitness:
     def x_set(self) -> VertexSet:
         return VertexSet.xs(self.xs)
 
-    def vertices(self) -> list[tuple[Side, int]]:
-        out: list[tuple[Side, int]] = []
-        for x, y in zip(self.xs, self.ys):
-            out.append((X_SIDE, x))
-            out.append((Y_SIDE, y))
-        return out
-
     def validate(self, g: Bigraph) -> None:
         m = len(self.xs)
         if m != len(self.ys):
@@ -542,60 +534,5 @@ class CycleWitness:
         return CycleWitness(tuple(best[0::2]), tuple(best[1::2]))
 
     def to_json_obj(self) -> dict:
-        return {"cycle": [[side.lower(), i] for side, i in self.vertices()]}
+        return {"cycle": [v for x, y in zip(self.xs, self.ys) for v in (["x", x], ["y", y])]}
 
-
-@dataclass(frozen=True, slots=True)
-class PathWitness:
-    """An alternating path given as a (side, index) sequence.
-
-    Endpoints may lie on either side; a single-vertex (trivial) path is
-    representable but only accepted where an operation says so.
-    """
-
-    vertices: tuple[tuple[Side, int], ...]
-
-    @property
-    def is_trivial(self) -> bool:
-        return len(self.vertices) == 1
-
-    def endpoint_sides(self) -> tuple[Side, Side]:
-        return (self.vertices[0][0], self.vertices[-1][0])
-
-    def x_indices(self) -> tuple[int, ...]:
-        return tuple(i for side, i in self.vertices if side == X_SIDE)
-
-    def y_indices(self) -> tuple[int, ...]:
-        return tuple(i for side, i in self.vertices if side == Y_SIDE)
-
-    def validate(self, g: Bigraph, allow_trivial: bool = False) -> None:
-        if not self.vertices:
-            raise WitnessError("empty path")
-        if len(self.vertices) == 1:
-            if not allow_trivial:
-                raise WitnessError("trivial single-vertex path not allowed here")
-            side, idx = self.vertices[0]
-            _check_index(side, idx, g)
-            return
-        for side, idx in self.vertices:
-            _check_index(side, idx, g)
-        for (s1, v1), (s2, v2) in zip(self.vertices, self.vertices[1:]):
-            if s1 == s2:
-                raise WitnessError("path must alternate sides")
-            x, y = (v1, v2) if s1 == X_SIDE else (v2, v1)
-            if not g.has_edge(x, y):
-                raise WitnessError(f"missing edge (x{x}, y{y})")
-        xs = self.x_indices()
-        ys = self.y_indices()
-        if len(set(xs)) != len(xs) or len(set(ys)) != len(ys):
-            raise WitnessError("path vertices must be distinct within each side")
-
-    def is_valid(self, g: Bigraph, allow_trivial: bool = False) -> bool:
-        try:
-            self.validate(g, allow_trivial=allow_trivial)
-        except WitnessError:
-            return False
-        return True
-
-    def to_json_obj(self) -> dict:
-        return {"path": [[side.lower(), idx] for side, idx in self.vertices]}

@@ -31,10 +31,8 @@ from .checkers import check_dhp
 from .core import (
     Bigraph,
     CycleWitness,
-    PathWitness,
     VertexSet,
     X_SIDE,
-    Y_SIDE,
     bit_list,
     bits,
     is_two_connected,
@@ -443,21 +441,34 @@ def _close_yy_walk(g: Bigraph, walk: list[int]) -> CycleWitness | None:
     return None
 
 
-def rotate_path_to_cycle(g: Bigraph, p: PathWitness) -> CycleWitness | None:
-    """Turn a Y-to-Y path covering all of X into a cycle covering all of X
-    using the endpoint pivot rule; the cycle keeps every X-vertex and all
-    but one Y-vertex of the path.
+def rotate_path_to_cycle(g: Bigraph, walk: list[int]) -> CycleWitness | None:
+    """Turn a Y-to-Y path covering all of X, given as the alternating walk
+    y0, x1, y1, ..., xn, yn, into a cycle covering all of X using the
+    endpoint pivot rule; the cycle keeps every X-vertex and all but one
+    Y-vertex of the path.
 
-    Guaranteed to succeed when deg(y_start) + deg(y_end) >= |X| + 2; the
-    pivot search is attempted regardless of degrees.
+    A walk that does not end on Y or does not pass every X-vertex exactly
+    once raises GraphInputError; a repeated or out-of-range Y-vertex or a
+    missing edge raises WitnessError.  Guaranteed to succeed when
+    deg(y0) + deg(yn) >= |X| + 2; the pivot search is attempted regardless
+    of degrees.
     """
-    p.validate(g)
-    if p.endpoint_sides() != (Y_SIDE, Y_SIDE):
-        raise GraphInputError("rotation needs a path with two Y endpoints")
-    covered = set(p.x_indices())
-    if covered != set(range(g.nx)):
-        raise GraphInputError("rotation needs a path covering every X-vertex")
-    return _close_yy_walk(g, [v for _, v in p.vertices])
+    if len(walk) % 2 == 0:
+        raise GraphInputError("rotation needs a walk y0, x1, ..., xn, yn with two Y endpoints")
+    if sorted(walk[1::2]) != list(range(g.nx)):
+        raise GraphInputError("rotation needs a walk through every X-vertex exactly once")
+    seen = 0
+    for t in range(0, len(walk), 2):
+        y = walk[t]
+        if not 0 <= y < g.ny:
+            raise WitnessError(f"Y-vertex {y} out of range 0..{g.ny - 1}")
+        if seen >> y & 1:
+            raise WitnessError(f"Y-vertex {y} appears twice in the walk")
+        seen |= 1 << y
+        for x in walk[t - 1 : t + 2 : 2] if t else walk[1:2]:
+            if not g.adj_y[y] >> x & 1:
+                raise WitnessError(f"missing edge (x{x}, y{y})")
+    return _close_yy_walk(g, walk)
 
 
 def absorb_virtual_edge(

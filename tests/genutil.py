@@ -13,9 +13,6 @@ from collections.abc import Iterator
 from dhp import (
     Bigraph,
     DesignSpec,
-    PathWitness,
-    X_SIDE,
-    Y_SIDE,
     check_dhp,
     check_snp,
 )
@@ -136,8 +133,9 @@ def high_degree_instances(seed: int, k: int, count: int) -> list[Bigraph]:
 
 def planted_path_instance(
     rng: random.Random, n: int
-) -> tuple[Bigraph, PathWitness]:
-    """Dense graph plus a Y-to-Y path covering X, endpoints degree-rich.
+) -> tuple[Bigraph, list[int]]:
+    """Dense graph plus a Y-to-Y walk y0, x1, ..., xn, yn covering X,
+    endpoints degree-rich.
 
     Retries internally until the rotation guarantee
     deg(first) + deg(last) >= n + 2 holds.
@@ -158,12 +156,7 @@ def planted_path_instance(
         g = Bigraph(n, ny, tuple(rows))
         if g.degree_y(ys[0]) + g.degree_y(ys[n]) < n + 2:
             continue
-        verts: list[tuple[str, int]] = []
-        for t in range(n):
-            verts.append((Y_SIDE, ys[t]))
-            verts.append((X_SIDE, xs[t]))
-        verts.append((Y_SIDE, ys[n]))
-        return g, PathWitness(tuple(verts))
+        return g, [v for t in range(n) for v in (ys[t], xs[t])] + [ys[n]]
 
 
 def iter_design_specs(seed: int, count: int, max_v: int = 13) -> Iterator[DesignSpec]:

@@ -24,12 +24,10 @@ from dhp import (
     CycleWitness,
     DomainError,
     GraphInputError,
-    PathWitness,
     ResourceLimitError,
     VertexSet,
+    WitnessError,
     WorkBudget,
-    X_SIDE,
-    Y_SIDE,
     absorb_virtual_edge,
     builtin_biplane,
     check_dhp,
@@ -408,32 +406,31 @@ class TestDisjointCycleCover:
         assert 10**6 - b.remaining == n + 1
 
 
-def _any_covering_yy_path(g: Bigraph) -> PathWitness | None:
-    """First Y-to-Y path through every X-vertex, by plain backtracking."""
+def _any_covering_yy_path(g: Bigraph) -> list[int] | None:
+    """First Y-to-Y walk y0, x1, y1, ..., xn, yn through every X-vertex, by
+    plain backtracking."""
 
-    def extend(seq: list[tuple[str, int]], used_x: set[int], used_y: set[int]):
+    def extend(walk: list[int], used_x: set[int], used_y: set[int]):
         if len(used_x) == g.nx:
-            return list(seq)
-        last_y = seq[-1][1]
+            return list(walk)
+        last_y = walk[-1]
         for x in range(g.nx):
             if x in used_x or not g.has_edge(x, last_y):
                 continue
             for y in range(g.ny):
                 if y in used_y or not g.has_edge(x, y):
                     continue
-                seq.append((X_SIDE, x))
-                seq.append((Y_SIDE, y))
-                got = extend(seq, used_x | {x}, used_y | {y})
+                walk += [x, y]
+                got = extend(walk, used_x | {x}, used_y | {y})
                 if got is not None:
                     return got
-                seq.pop()
-                seq.pop()
+                del walk[-2:]
         return None
 
     for y0 in range(g.ny):
-        got = extend([(Y_SIDE, y0)], set(), {y0})
+        got = extend([y0], set(), {y0})
         if got is not None:
-            return PathWitness(tuple(got))
+            return got
     return None
 
 
@@ -442,32 +439,54 @@ class TestRotation:
         rng = random.Random(2024)
         for _ in range(60):
             n = rng.randrange(3, 9)
-            g, path = genutil.planted_path_instance(rng, n)
-            cyc = rotate_path_to_cycle(g, path)
+            g, walk = genutil.planted_path_instance(rng, n)
+            cyc = rotate_path_to_cycle(g, walk)
             cyc.validate(g)
             assert cyc.x_set() == g.full_x()
 
     def test_trivial_two_vertex_case(self) -> None:
         g = Bigraph.complete(2, 3)
-        path = PathWitness(
-            ((Y_SIDE, 0), (X_SIDE, 0), (Y_SIDE, 1), (X_SIDE, 1), (Y_SIDE, 2))
-        )
-        cyc = rotate_path_to_cycle(g, path)
+        # y0 sees x1 and y2 sees x0, so the pivot drops y1
+        cyc = rotate_path_to_cycle(g, [0, 0, 1, 1, 2])
+        assert cyc == CycleWitness((0, 1), (0, 2))
         cyc.validate(g)
 
     def test_requires_y_endpoints(self) -> None:
+        # an even length means the walk ends on an X-vertex
         g = Bigraph.complete(2, 2)
-        bad = PathWitness(((X_SIDE, 0), (Y_SIDE, 0), (X_SIDE, 1)))
-        with pytest.raises(GraphInputError):
-            rotate_path_to_cycle(g, bad)
+        for walk in ([0, 0, 1, 1], [0, 0], []):
+            with pytest.raises(GraphInputError, match="two Y endpoints"):
+                rotate_path_to_cycle(g, walk)
 
     def test_requires_full_x_coverage(self) -> None:
-        g = Bigraph.complete(3, 3)
-        partial = PathWitness(
-            ((Y_SIDE, 0), (X_SIDE, 0), (Y_SIDE, 1), (X_SIDE, 1), (Y_SIDE, 2))
-        )
-        with pytest.raises(GraphInputError):
-            rotate_path_to_cycle(g, partial)
+        g = Bigraph.complete(3, 5)
+        for walk in (
+            [0, 0, 1, 1, 2],  # x2 missing
+            [0, 0, 1, 1, 2, 0, 3, 2, 4],  # x0 twice
+            [0, 0, 1, 1, 2, 3, 3],  # x3 out of range
+            [0, 0, 1, 1, 2, -1, 3],  # negative X-index
+            [0],  # a single Y-vertex
+        ):
+            with pytest.raises(GraphInputError, match="every X-vertex exactly once"):
+                rotate_path_to_cycle(g, walk)
+
+    def test_rejects_repeated_y(self) -> None:
+        g = Bigraph.complete(2, 3)
+        with pytest.raises(WitnessError, match="appears twice"):
+            rotate_path_to_cycle(g, [0, 0, 1, 1, 0])
+
+    def test_rejects_out_of_range_y(self) -> None:
+        g = Bigraph.complete(2, 3)
+        for walk in ([0, 0, 1, 1, 3], [-1, 0, 1, 1, 2]):
+            with pytest.raises(WitnessError, match="out of range"):
+                rotate_path_to_cycle(g, walk)
+
+    def test_rejects_missing_edge(self) -> None:
+        # an X-vertex must see the Y-vertex before it and the one after it
+        for x, y in ((0, 0), (0, 1), (1, 1), (1, 2)):
+            g = Bigraph.complete(2, 3).without_edge(x, y)
+            with pytest.raises(WitnessError, match=f"missing edge \\(x{x}, y{y}\\)"):
+                rotate_path_to_cycle(g, [0, 0, 1, 1, 2])
 
     def test_degree_starved_path_yields_none(self) -> None:
         # endpoints of degree 1 each: the guarantee premise fails, no
@@ -475,22 +494,17 @@ class TestRotation:
         g = Bigraph.from_edges(
             2, 3, [(0, 0), (0, 1), (1, 1), (1, 2)]
         )
-        path = PathWitness(
-            ((Y_SIDE, 0), (X_SIDE, 0), (Y_SIDE, 1), (X_SIDE, 1), (Y_SIDE, 2))
-        )
-        assert rotate_path_to_cycle(g, path) is None
+        assert rotate_path_to_cycle(g, [0, 0, 1, 1, 2]) is None
 
     @given(dense_bigraphs(min_nx=3, max_nx=6, min_ny=4, max_ny=7))
     @settings(deadline=None)
     def test_guarantee_premise_forces_success(self, g: Bigraph) -> None:
-        # build any covering Y-Y path, then only keep cases meeting the
+        # build any covering Y-Y walk, then only keep cases meeting the
         # endpoint degree premise; rotation must then always close it
-        path = _any_covering_yy_path(g)
-        assume(path is not None)
-        first = path.vertices[0][1]
-        last = path.vertices[-1][1]
-        assume(g.degree_y(first) + g.degree_y(last) >= g.nx + 2)
-        cyc = rotate_path_to_cycle(g, path)
+        walk = _any_covering_yy_path(g)
+        assume(walk is not None)
+        assume(g.degree_y(walk[0]) + g.degree_y(walk[-1]) >= g.nx + 2)
+        cyc = rotate_path_to_cycle(g, walk)
         assert cyc is not None
         cyc.validate(g)
         assert cyc.x_set() == g.full_x()
@@ -564,7 +578,7 @@ class TestAbsorption:
         assert diag["degree_pair_ok"] is False
 
 
-def _random_yy_path(rng: random.Random) -> tuple[Bigraph, PathWitness]:
+def _random_yy_path(rng: random.Random) -> tuple[Bigraph, list[int]]:
     """A random bigraph with a planted Y..Y path through every X-vertex and
     no degree premise, so that some rotations find no pivot."""
     n = rng.randrange(2, 8)
@@ -575,10 +589,10 @@ def _random_yy_path(rng: random.Random) -> tuple[Bigraph, PathWitness]:
     rows = list(g.adj_x)
     for t, x in enumerate(xs):
         rows[x] |= (1 << ys[t]) | (1 << ys[t + 1])
-    verts = [(Y_SIDE, ys[0])]
+    walk = [ys[0]]
     for t, x in enumerate(xs):
-        verts += [(X_SIDE, x), (Y_SIDE, ys[t + 1])]
-    return Bigraph(n, ny, tuple(rows)), PathWitness(tuple(verts))
+        walk += [x, ys[t + 1]]
+    return Bigraph(n, ny, tuple(rows)), walk
 
 
 def test_rotation_and_absorption_outputs_are_pinned() -> None:
@@ -592,10 +606,10 @@ def test_rotation_and_absorption_outputs_are_pinned() -> None:
     unclosed = 0
     for i in range(400):
         if i % 2:
-            g, path = genutil.planted_path_instance(rng, rng.randrange(2, 9))
+            g, walk = genutil.planted_path_instance(rng, rng.randrange(2, 9))
         else:
-            g, path = _random_yy_path(rng)
-        cyc = rotate_path_to_cycle(g, path)
+            g, walk = _random_yy_path(rng)
+        cyc = rotate_path_to_cycle(g, walk)
         unclosed += cyc is None
         out.append(None if cyc is None else [cyc.xs, cyc.ys])
     cases: dict[str, int] = {}
