@@ -519,6 +519,10 @@ class CycleWitness:
         """Rotation/reflection-normal form: the lexicographically least
         flattened sequence over both traversal directions."""
         m = len(self.xs)
+        if m != len(self.ys):
+            raise WitnessError("cycle must alternate equally many x and y vertices")
+        if not m:
+            raise WitnessError("an empty cycle has no canonical form")
         flat = []
         for x, y in zip(self.xs, self.ys):
             flat.extend((x, y))

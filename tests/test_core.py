@@ -280,6 +280,15 @@ class TestCycleWitness:
         c = CycleWitness(xs=(2, 1, 3), ys=(5, 0, 4))
         assert c.canonical().canonical() == c.canonical()
 
+    def test_canonical_rejects_unequal_sides(self) -> None:
+        # zip would drop x1 and return the 2-vertex "cycle" x0 y0
+        with pytest.raises(WitnessError, match="equally many"):
+            CycleWitness((0, 1), (0,)).canonical()
+
+    def test_canonical_rejects_empty(self) -> None:
+        with pytest.raises(WitnessError, match="empty"):
+            CycleWitness((), ()).canonical()
+
     def test_json_shape(self) -> None:
         c = CycleWitness(xs=(0, 1), ys=(2, 3))
         obj = c.to_json_obj()
