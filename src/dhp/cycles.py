@@ -482,12 +482,12 @@ def absorb_virtual_edge(
     """Rewrite a cycle that is valid in g plus the helper edge (x, y) into a
     cycle covering all of X that is valid in g itself.
 
-    If the cycle never uses the helper edge it is returned unchanged.
-    Otherwise the cycle is cut at the helper edge, giving a path from y to
-    x through every X-vertex, and one of two reroutes applies: extend the
-    path by an off-path neighbour of x and close it with the endpoint
-    pivot rule, or pivot on an on-path Y-vertex seen by x whose successor
-    X-vertex is seen by y.  Both reroutes exist whenever
+    A cycle that never uses the helper edge is returned in canonical form,
+    like every cycle this module returns.  Otherwise the cycle is cut at
+    the helper edge, giving a path from y to x through every X-vertex, and
+    one of two reroutes applies: extend the path by an off-path neighbour
+    of x and close it with the endpoint pivot rule, or pivot on an on-path
+    Y-vertex seen by x whose successor X-vertex is seen by y.  Both reroutes exist whenever
     deg(x) + deg(y) >= |X| + 1 and every Y-degree exceeds (|X| + 1) / 2;
     outside those hypotheses None is possible.
     """
@@ -514,7 +514,7 @@ def absorb_virtual_edge(
         walk = ring[::-1]
     else:
         diag["case"] = "unused"
-        return _checked(c, g)
+        return _ring_cycle(g, ring)
     # walk runs y, x_1, y_1, ..., y_{n-1}, x through every X-vertex
 
     for y2 in bits(g.adj_x[x] & ~mask_of(c.ys)):

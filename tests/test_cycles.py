@@ -633,7 +633,7 @@ def test_rotation_and_absorption_outputs_are_pinned() -> None:
     assert unclosed == 84
     assert cases == {"unused": 498, "off-path": 136, "on-path": 146, "failed": 228}
     blob = json.dumps(out).encode()
-    assert hashlib.sha256(blob).hexdigest() == "dfc9bf1d39a35c766bfd50b5bca8ae4bf48d7ff1394478801486f8b98cadb27a"
+    assert hashlib.sha256(blob).hexdigest() == "a22e90ec73c64224723b71026d7a7a4cd8b300a1a3051b36d7a993421d1fed2e"
 
 
 class TestHighDegreeSolver:
