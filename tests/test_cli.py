@@ -22,7 +22,7 @@ from dhp import (
     load_bigraph,
     serialize_bigraph,
 )
-from dhp.cli import _build_parser, main
+from dhp.cli import _COMMANDS, _build_parser, main
 
 
 LONG = "9" * 5000  # past the default int-string digit limit of 4300
@@ -884,3 +884,20 @@ def test_readme_flag_table_matches_every_leaf() -> None:
         if not any(isinstance(a, argparse._SubParsersAction) for a in p._actions)
     }
     assert _readme_flag_rows() == leaves
+
+
+def test_console_script_smoke_calls_every_leaf() -> None:
+    # the workflow is read as plain text: its smoke step runs one shell
+    # command per line, some as `code=0; dhp ... || code=$?`
+    workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+    text = workflow.read_text(encoding="utf-8")
+    step = text.split("- name: Console-script smoke", 1)[1].split("\n      - name: ", 1)[0]
+    lines = [line.strip() for line in step.splitlines()]
+    missing = []
+    for command, (_, dest, _, leaves) in _COMMANDS.items():
+        for leaf in leaves:
+            call = f"dhp {command}" if dest is None else f"dhp {command} {leaf}"
+            called = re.compile(rf"(^|; ){re.escape(call)}( |$)")
+            if not any(called.search(line) for line in lines):
+                missing.append(call)
+    assert missing == []
