@@ -519,10 +519,8 @@ class CycleWitness:
         """Rotation/reflection-normal form: the lexicographically least
         flattened sequence over both traversal directions."""
         m = len(self.xs)
-        if m != len(self.ys):
-            raise WitnessError("cycle must alternate equally many x and y vertices")
-        if not m:
-            raise WitnessError("an empty cycle has no canonical form")
+        if not m or m != len(self.ys):
+            raise WitnessError("a cycle needs equally many x and y vertices, at least one of each")
         flat = []
         for x, y in zip(self.xs, self.ys):
             flat.extend((x, y))

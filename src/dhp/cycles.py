@@ -465,7 +465,7 @@ def rotate_path_to_cycle(g: Bigraph, walk: list[int]) -> CycleWitness | None:
         if seen >> y & 1:
             raise WitnessError(f"Y-vertex {y} appears twice in the walk")
         seen |= 1 << y
-        for x in walk[t - 1 : t + 2 : 2] if t else walk[1:2]:
+        for x in walk[max(t - 1, 1) : t + 2 : 2]:
             if not g.adj_y[y] >> x & 1:
                 raise WitnessError(f"missing edge (x{x}, y{y})")
     return _close_yy_walk(g, walk)
@@ -487,9 +487,9 @@ def absorb_virtual_edge(
     the helper edge, giving a path from y to x through every X-vertex, and
     one of two reroutes applies: extend the path by an off-path neighbour
     of x and close it with the endpoint pivot rule, or pivot on an on-path
-    Y-vertex seen by x whose successor X-vertex is seen by y.  Both reroutes exist whenever
-    deg(x) + deg(y) >= |X| + 1 and every Y-degree exceeds (|X| + 1) / 2;
-    outside those hypotheses None is possible.
+    Y-vertex seen by x whose successor X-vertex is seen by y.  Both
+    reroutes exist whenever deg(x) + deg(y) >= |X| + 1 and every Y-degree
+    exceeds (|X| + 1) / 2; outside those hypotheses None is possible.
     """
     if not (0 <= x < g.nx and 0 <= y < g.ny):
         raise GraphInputError(f"vertex pair ({x}, {y}) out of range")

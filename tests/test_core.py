@@ -281,12 +281,11 @@ class TestCycleWitness:
         assert c.canonical().canonical() == c.canonical()
 
     def test_canonical_rejects_unequal_sides(self) -> None:
-        # zip would drop x1 and return the 2-vertex "cycle" x0 y0
         with pytest.raises(WitnessError, match="equally many"):
             CycleWitness((0, 1), (0,)).canonical()
 
     def test_canonical_rejects_empty(self) -> None:
-        with pytest.raises(WitnessError, match="empty"):
+        with pytest.raises(WitnessError, match="at least one"):
             CycleWitness((), ()).canonical()
 
     def test_json_shape(self) -> None:
