@@ -4,6 +4,7 @@ constructive covering-cycle solvers."""
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 
@@ -450,6 +451,25 @@ class TestRotation:
         cyc = rotate_path_to_cycle(g, [0, 0, 1, 1, 2])
         assert cyc == CycleWitness((0, 1), (0, 2))
         cyc.validate(g)
+
+    def test_closes_every_valid_walk(self) -> None:
+        # in K_{2,3} the two ends see |X| + 2 X-vertices between them
+        g = Bigraph.complete(2, 3)
+        for x1, x2 in itertools.permutations(range(2)):
+            for y0, y1, y2 in itertools.permutations(range(3)):
+                cyc = rotate_path_to_cycle(g, [y0, x1, y1, x2, y2])
+                cyc.validate(g)
+                assert cyc.x_set() == g.full_x()
+                assert set(cyc.ys) < {y0, y1, y2}
+
+    def test_single_vertex_walk_is_no_path(self) -> None:
+        g = Bigraph.complete(1, 1)
+        with pytest.raises(GraphInputError, match="every X-vertex exactly once"):
+            rotate_path_to_cycle(g, [0])
+        with pytest.raises(GraphInputError, match="two Y endpoints"):
+            rotate_path_to_cycle(g, [0, 0])
+        # with no X-vertex a lone Y-vertex covers X, but closes no cycle
+        assert rotate_path_to_cycle(Bigraph.complete(0, 1), [0]) is None
 
     def test_requires_y_endpoints(self) -> None:
         # an even length means the walk ends on an X-vertex
