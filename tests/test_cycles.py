@@ -102,6 +102,27 @@ class TestMatching:
             union = set().union(*(sets[i] for i in bad))
             assert len(union) < len(bad)
 
+    def test_hall_violator_is_every_exposable_vertex(self) -> None:
+        """The violator is exactly the left vertices some maximum matching
+        leaves exposed, a set no choice of maximum matching changes: s is
+        in it when removing s leaves the maximum matching size unchanged."""
+        rng = random.Random(2718)
+        proper = 0
+        for _ in range(400):
+            sets = [
+                set(rng.sample(range(7), rng.randrange(0, 4)))
+                for _ in range(rng.randrange(1, 8))
+            ]
+            size = oracles.max_matching_bruteforce(sets)
+            exposable = tuple(
+                s
+                for s in range(len(sets))
+                if oracles.max_matching_bruteforce(sets[:s] + sets[s + 1 :]) == size
+            )
+            assert hall_violator(self._instance(sets)) == (exposable or None)
+            proper += 0 < len(exposable) < len(sets)
+        assert proper > 100
+
     def test_outputs_pinned(self) -> None:
         """sha256 of both results on 300 seeded row lists, recorded while
         the matching ran on ``MatchingInstance``'s ranked right side."""
