@@ -108,7 +108,7 @@ class VertexSet:
     """A subset of one side of a bigraph, tagged with that side.
 
     The side tag exists to catch the classic bug of feeding an X-subset to
-    an operation expecting Y-vertices; all set algebra requires matching
+    an operation expecting Y-vertices; ``issubset`` requires matching
     sides.
     """
 
@@ -151,26 +151,11 @@ class VertexSet:
     def __iter__(self) -> Iterator[int]:
         return bits(self.mask)
 
-    def _require_same_side(self, other: "VertexSet") -> None:
+    def issubset(self, other: "VertexSet") -> bool:
         if self.side != other.side:
             raise GraphInputError(
                 f"cannot combine a {self.side}-set with a {other.side}-set"
             )
-
-    def union(self, other: "VertexSet") -> "VertexSet":
-        self._require_same_side(other)
-        return VertexSet(self.side, self.mask | other.mask)
-
-    def intersection(self, other: "VertexSet") -> "VertexSet":
-        self._require_same_side(other)
-        return VertexSet(self.side, self.mask & other.mask)
-
-    def difference(self, other: "VertexSet") -> "VertexSet":
-        self._require_same_side(other)
-        return VertexSet(self.side, self.mask & ~other.mask)
-
-    def issubset(self, other: "VertexSet") -> bool:
-        self._require_same_side(other)
         return self.mask & ~other.mask == 0
 
 
@@ -353,11 +338,6 @@ def neighborhood_at_least(g: Bigraph, s: VertexSet, i: int) -> VertexSet:
         )
     own_adj = g.adj_x if s.side == X_SIDE else g.adj_y
     opp_adj = g.adj_y if s.side == X_SIDE else g.adj_x
-    if i == 1:
-        out = 0
-        for v in bits(s.mask):
-            out |= own_adj[v]
-        return VertexSet(_opposite(s.side), out)
     if i == 2:
         seen_once = 0
         seen_twice = 0
@@ -507,13 +487,6 @@ class CycleWitness:
             nxt = self.xs[(t + 1) % m]
             if not g.has_edge(nxt, self.ys[t]):
                 raise WitnessError(f"missing edge (x{nxt}, y{self.ys[t]})")
-
-    def is_valid(self, g: Bigraph) -> bool:
-        try:
-            self.validate(g)
-        except WitnessError:
-            return False
-        return True
 
     def canonical(self) -> "CycleWitness":
         """Rotation/reflection-normal form: the lexicographically least

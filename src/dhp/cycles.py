@@ -152,24 +152,21 @@ def hall_violator(rows: list[int]) -> tuple[int, ...] | None:
     """A set of left indices S with fewer than |S| joint Y-neighbours, the
     left vertices reachable by alternating paths from those a maximum
     matching leaves exposed.  None when the matching saturates the left
-    side."""
+    side.
+
+    Each exposed vertex's augmenting step fails, and the Y-set it returns
+    is passed on to the next: the last one holds every Y-vertex reachable
+    from an exposed vertex, and S is their holders and the exposed
+    vertices."""
     y_slot = _matched(rows)
     matched = set(y_slot)
     exposed = [s for s in range(len(rows)) if s not in matched]
     if not exposed:
         return None
-    reach_left = set(exposed)
-    frontier = list(exposed)
-    seen_y = 0
-    while frontier:
-        s = frontier.pop()
-        for y in bits(rows[s] & ~seen_y):
-            seen_y |= 1 << y
-            t = y_slot[y]
-            if t >= 0 and t not in reach_left:
-                reach_left.add(t)
-                frontier.append(t)
-    return tuple(sorted(reach_left))
+    reach_y = 0
+    for s in exposed:
+        reach_y = _augment(rows, y_slot, s, reach_y, [])
+    return tuple(sorted({*exposed, *(y_slot[y] for y in bits(reach_y))}))
 
 
 # -- exact covering-cycle search ----------------------------------------------

@@ -76,7 +76,6 @@ __all__ = [
     "check_hamiltonian",
     "PoissonReport",
     "poisson_gof",
-    "chernoff_degree_check",
     "trial_seed",
     "SweepConfig",
     "TrialRecord",
@@ -515,29 +514,6 @@ def poisson_gof(samples: Sequence[int], rate: float) -> PoissonReport:
         {"k": "4+", "empirical": emp_tail, "expected": max(0.0, 1.0 - tail_cdf)}
     )
     return PoissonReport(rate, n, tv, tuple(table))
-
-
-def chernoff_degree_check(g: Bigraph, p: float) -> dict:
-    """Compare the maximum degree against the concentration bound
-    (1 + delta) * n * p with delta = 3 (ln n / n)^(1/4).
-
-    Meant for square samples with known p; n is taken as the larger side.
-    """
-    n = max(g.nx, g.ny)
-    if n < 2:
-        raise DomainError("need at least 2 vertices per side")
-    if not (0.0 <= p <= 1.0):
-        raise DomainError(f"edge probability must be in [0, 1], got {p}")
-    mean = n * p
-    delta = 3.0 * (math.log(n) / n) ** 0.25
-    maxdeg = g.max_degree()
-    return {
-        "max_degree": maxdeg,
-        "mean": mean,
-        "ratio": maxdeg / mean if mean > 0 else None,
-        "delta": delta,
-        "within_bound": maxdeg <= (1.0 + delta) * mean,
-    }
 
 
 # -- sweeps --------------------------------------------------------------------

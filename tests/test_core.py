@@ -45,15 +45,10 @@ class TestVertexSet:
     def test_algebra(self) -> None:
         a = VertexSet.ys([0, 1, 2])
         b = VertexSet.ys([2, 4])
-        assert a.union(b).indices == (0, 1, 2, 4)
-        assert a.intersection(b).indices == (2,)
-        assert a.difference(b).indices == (0, 1)
-        assert b.issubset(a.union(b))
+        assert b.issubset(VertexSet.ys([0, 1, 2, 4]))
         assert not a.issubset(b)
 
     def test_side_mismatch_rejected(self) -> None:
-        with pytest.raises(GraphInputError):
-            VertexSet.xs([0]).union(VertexSet.ys([0]))
         with pytest.raises(GraphInputError):
             VertexSet.xs([1]).issubset(VertexSet.ys([1]))
 
@@ -257,7 +252,6 @@ class TestCycleWitness:
         c = CycleWitness(xs=(0, 1), ys=(0, 1))
         with pytest.raises(WitnessError):
             c.validate(g)
-        assert not c.is_valid(g)
 
     def test_validate_rejects_repeats(self) -> None:
         g = Bigraph.complete(3, 3)

@@ -24,7 +24,6 @@ from dhp import (
     SweepConfig,
     check_dhp,
     check_hamiltonian,
-    chernoff_degree_check,
     count_bad_pairs,
     builtin_biplane,
     poisson_gof,
@@ -339,24 +338,6 @@ class TestPoissonGof:
         rep = poisson_gof([bad] * 100, math.exp(10))
         assert rep.tv == pytest.approx(1.0)
         assert len(randlab._poisson_support(math.exp(10), bad)) < 20_000
-
-
-class TestChernoff:
-    def test_complete_graph_ratio(self) -> None:
-        rep = chernoff_degree_check(Bigraph.complete(9, 9), 1.0)
-        assert rep["max_degree"] == 9
-        assert rep["ratio"] == pytest.approx(1.0)
-        assert rep["within_bound"]
-
-    def test_zero_probability(self) -> None:
-        rep = chernoff_degree_check(Bigraph.empty(5, 5), 0.0)
-        assert rep["max_degree"] == 0
-        assert rep["ratio"] is None
-
-    @pytest.mark.parametrize("p", [-0.1, 1.5, 2.0, math.inf, math.nan])
-    def test_probability_outside_unit_interval_rejected(self, p: float) -> None:
-        with pytest.raises(DomainError):
-            chernoff_degree_check(Bigraph.complete(9, 9), p)
 
 
 @pytest.fixture
