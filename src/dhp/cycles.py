@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import sys
 from collections import defaultdict
 from typing import Iterator
 
@@ -133,18 +134,31 @@ def _augment(
     return seen
 
 
+def _too_deep(rows: list[int]) -> ResourceLimitError:
+    """The error for an alternating path, which ``_augment`` follows one
+    call deeper per slot, that passes the interpreter's recursion limit."""
+    return ResourceLimitError(
+        f"an alternating path over {len(rows)} rows passes the recursion limit "
+        f"of {sys.getrecursionlimit()} (sys.getrecursionlimit())"
+    )
+
+
 def _matched(rows: list[int]) -> list[int]:
     """``y_slot`` of a maximum matching of the left vertices, whose
     Y-neighbourhoods are the masks ``rows``, found by Kuhn's algorithm."""
     y_slot = [-1] * max(rows, default=0).bit_length()
-    for s in range(len(rows)):
-        _augment(rows, y_slot, s, 0, [])
+    try:
+        for s in range(len(rows)):
+            _augment(rows, y_slot, s, 0, [])
+    except RecursionError:
+        raise _too_deep(rows) from None
     return y_slot
 
 
 def max_matching(rows: list[int]) -> dict[int, int]:
     """Maximum matching of left vertices with Y-neighbourhood masks
-    ``rows``, as {left index: matched Y index}."""
+    ``rows``, as {left index: matched Y index}.  Raises ResourceLimitError
+    when an alternating path passes the recursion limit."""
     return dict(sorted((s, y) for y, s in enumerate(_matched(rows)) if s >= 0))
 
 
@@ -157,15 +171,18 @@ def hall_violator(rows: list[int]) -> tuple[int, ...] | None:
     Each exposed vertex's augmenting step fails, and the Y-set it returns
     is passed on to the next: the last one holds every Y-vertex reachable
     from an exposed vertex, and S is their holders and the exposed
-    vertices."""
+    vertices.  Raises ResourceLimitError as ``max_matching`` does."""
     y_slot = _matched(rows)
     matched = set(y_slot)
     exposed = [s for s in range(len(rows)) if s not in matched]
     if not exposed:
         return None
     reach_y = 0
-    for s in exposed:
-        reach_y = _augment(rows, y_slot, s, reach_y, [])
+    try:
+        for s in exposed:
+            reach_y = _augment(rows, y_slot, s, reach_y, [])
+    except RecursionError:
+        raise _too_deep(rows) from None
     return tuple(sorted({*exposed, *(y_slot[y] for y in bits(reach_y))}))
 
 

@@ -7,8 +7,11 @@ import argparse
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -321,6 +324,39 @@ class TestSolve:
         payload = json.loads(out)
         assert payload["result"] == "found"
         assert payload["diagnostics"] == {"paths_best_effort": True}
+
+    def test_degree_split_past_the_recursion_limit_exits_two(self, tmp_path) -> None:
+        # K(200, 200) is dHp, and its junction matching follows alternating
+        # paths up to 200 slots long; under a recursion limit of 150 the
+        # RecursionError traceback exited 1, the code for "no witness"
+        path = write_graph(tmp_path, "k200.txt", Bigraph.complete(200, 200))
+        script = textwrap.dedent(
+            """
+            import sys
+
+            # numpy and every dhp submodule load before the limit is lowered
+            import numpy
+            import dhp
+
+            dhp.__all__
+            from dhp.cli import main
+
+            sys.setrecursionlimit(150)
+            sys.exit(main(sys.argv[1:]))
+            """
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "solve", "degree-split", "-i", path],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "200 rows passes the recursion limit of 150" in proc.stderr
 
     def test_budget_exhaustion_exits_three(self, tmp_path, capsys) -> None:
         path = write_graph(tmp_path, "k9.txt", Bigraph.complete(9, 9))

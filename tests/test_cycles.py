@@ -123,6 +123,23 @@ class TestMatching:
             proper += 0 < len(exposable) < len(sets)
         assert proper > 100
 
+    @staticmethod
+    def _chain(n: int) -> list[int]:
+        """n rows whose last one, {y0}, is matched only along an
+        alternating path through all n: ``_augment`` recurses n deep."""
+        return [(1 << i) | (1 << (i + 1)) for i in range(n - 1)] + [1]
+
+    @pytest.mark.parametrize("solve", [max_matching, hall_violator])
+    def test_path_past_the_recursion_limit_is_a_resource_limit(self, solve) -> None:
+        # under the default limit of 1000 this raised RecursionError
+        with pytest.raises(ResourceLimitError, match="1100 rows passes the recursion limit"):
+            solve(self._chain(1100))
+
+    def test_long_chain_below_the_recursion_limit_is_matched(self) -> None:
+        rows = self._chain(900)
+        assert len(max_matching(rows)) == 900
+        assert hall_violator(rows) is None
+
     def test_outputs_pinned(self) -> None:
         """sha256 of both results on 300 seeded row lists, recorded while
         the matching ran on ``MatchingInstance``'s ranked right side."""
