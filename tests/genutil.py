@@ -70,8 +70,11 @@ def snp_samples(seed: int, nx: int, count: int) -> list[Bigraph]:
     return out
 
 
-def degree_class_instances(seed: int, count: int) -> list[Bigraph]:
-    """dHp graphs whose Y-degrees all lie in {2, nx-2, nx-1, nx}.
+def degree_class_instances(
+    seed: int, count: int, min_nx: int = 4, max_nx: int = 8
+) -> list[Bigraph]:
+    """dHp graphs whose Y-degrees all lie in {2, nx-2, nx-1, nx}, with nx
+    drawn from min_nx..max_nx.
 
     Built column-wise so the degree classes hold by construction, then
     filtered for the double Hall property.
@@ -79,7 +82,7 @@ def degree_class_instances(seed: int, count: int) -> list[Bigraph]:
     rng = random.Random(seed)
     out: list[Bigraph] = []
     while len(out) < count:
-        nx = rng.randrange(4, 9)
+        nx = rng.randrange(min_nx, max_nx + 1)
         ny = rng.randrange(nx, 2 * nx + 1)
         classes = (2, nx - 2, nx - 1, nx, nx - 1, nx)
         rows = [0] * nx

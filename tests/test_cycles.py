@@ -846,6 +846,44 @@ class TestDegreeSplitSolver:
         blob = json.dumps(out).encode()
         assert hashlib.sha256(blob).hexdigest() == "c95684d9e028c6209489f65acbdae5cbd8456c661dbdfa5f06b935e45d085198"
 
+    def test_greedy_branch_outputs_pinned(self, monkeypatch) -> None:
+        """sha256 on the greedy path-cover branch (|X| = 13..16): for 60
+        seeded degree-class graphs, 53 of which make a reversal, and
+        ``pair_gadget(13..16)``, each cycle, node count, diagnostics dict
+        and the junction rows the matching is given, then the diagnostics
+        of the same call with the matching forced to fail, which names
+        every junction as violating."""
+        from dhp import cycles
+
+        graphs = genutil.degree_class_instances(2828, 60, min_nx=13, max_nx=16)
+        graphs += [pair_gadget(n) for n in range(13, 17)]
+        real = cycles.max_matching
+        seen: list[list[int]] = []
+
+        def recorded(rows):
+            seen.append(list(rows))
+            return real(rows)
+
+        out = []
+        for g in graphs:
+            seen.clear()
+            monkeypatch.setattr(cycles, "max_matching", recorded)
+            b = WorkBudget(10**6, "node")
+            diag: dict = {}
+            cyc = solve_degree_split(g, budget=b, diagnostics=diag)
+            out.append(
+                [None if cyc is None else [cyc.xs, cyc.ys], 10**6 - b.remaining, diag, seen[:]]
+            )
+            monkeypatch.setattr(cycles, "max_matching", lambda rows: {})
+            monkeypatch.setattr(cycles, "hall_violator", lambda rows: tuple(range(len(rows))))
+            diag = {}
+            out.append([solve_degree_split(g, diagnostics=diag) is None, diag])
+            monkeypatch.undo()
+        assert all(r[2] == {"paths_best_effort": True} for r in out[::2])
+        assert sum(1 for r in out[::2] if r[3]) == 60
+        blob = json.dumps(out).encode()
+        assert hashlib.sha256(blob).hexdigest() == "62e155f87d3435578745b4a68a6bd0203588a9ab6940b91f9cb08b0c7a59ce41"
+
     def test_degree_class_enforced(self) -> None:
         # a Y-vertex of degree 3 in a 6-X graph sits in no allowed class
         g = Bigraph.complete(6, 6).without_edge(0, 0).without_edge(1, 0)
@@ -927,3 +965,20 @@ class TestMinPathCover:
         for piece in pieces:
             for u, v in zip(piece, piece[1:]):
                 assert (xadj[u] >> v) & 1
+
+    def test_greedy_cover_pinned(self) -> None:
+        """sha256 of the greedy cover, paths in order, on 400 seeded graphs
+        with n = 1..16 and edge densities from 0.05 to 0.5."""
+        rng = random.Random(28)
+        out = []
+        for _ in range(400):
+            n = rng.randrange(1, 17)
+            p = rng.choice((0.05, 0.1, 0.2, 0.3, 0.5))
+            xadj = [0] * n
+            for a, b in itertools.combinations(range(n), 2):
+                if rng.random() < p:
+                    xadj[a] |= 1 << b
+                    xadj[b] |= 1 << a
+            out.append(_min_path_cover_greedy(n, xadj))
+        blob = json.dumps(out).encode()
+        assert hashlib.sha256(blob).hexdigest() == "399436ca993d6a808ce46eae6f1d7cfcd73f3a3ebc72ab7f3a7db4bee44e7b0c"
