@@ -720,28 +720,23 @@ def _min_path_cover_greedy(n: int, xadj: list[int]) -> list[list[int]]:
     splice paths whose endpoints are adjacent until stuck.  Not guaranteed
     minimal."""
     paths = [[v] for v in range(n)]
-    merged = True
-    while merged:
-        merged = False
-        for i in range(len(paths)):
-            for j in range(i + 1, len(paths)):
-                a, bp = paths[i], paths[j]
-                if (xadj[a[-1]] >> bp[0]) & 1:
-                    paths[i] = a + bp
-                elif (xadj[a[-1]] >> bp[-1]) & 1:
-                    paths[i] = a + bp[::-1]
-                elif (xadj[a[0]] >> bp[-1]) & 1:
-                    paths[i] = bp + a
-                elif (xadj[a[0]] >> bp[0]) & 1:
-                    paths[i] = bp[::-1] + a
-                else:
-                    continue
-                del paths[j]
-                merged = True
-                break
-            if merged:
-                break
-    return sorted(paths, key=lambda p: min(p))
+    while True:
+        for i, j in itertools.combinations(range(len(paths)), 2):
+            a, bp = paths[i], paths[j]
+            if (xadj[a[-1]] >> bp[0]) & 1:
+                paths[i] = a + bp
+            elif (xadj[a[-1]] >> bp[-1]) & 1:
+                paths[i] = a + bp[::-1]
+            elif (xadj[a[0]] >> bp[-1]) & 1:
+                paths[i] = bp + a
+            elif (xadj[a[0]] >> bp[0]) & 1:
+                paths[i] = bp[::-1] + a
+            else:
+                continue
+            del paths[j]
+            break  # restart the scan from the first pair
+        else:
+            return sorted(paths, key=lambda p: min(p))
 
 
 def solve_degree_split(
@@ -766,7 +761,11 @@ def solve_degree_split(
 
     Path-count minimisation is exact for |X| <= 12; beyond that a greedy
     merge is used and the result is best-effort.  The dHp check and the
-    search share ``budget``.
+    reversal search share ``budget``, and the search spends one node unit
+    on each segment (i, j) it tries.  The junction matching raises
+    ``ResourceLimitError`` when an alternating path passes
+    ``sys.getrecursionlimit()``, as on K(1100, 1100) under the default
+    limit of 1000.
     """
     n = g.nx
     if n < 2:
@@ -783,12 +782,12 @@ def solve_degree_split(
     yl_mask = ((1 << g.ny) - 1) & ~mask_of(ys_small)
 
     xadj = [0] * n
-    pair_ys: dict[tuple[int, int], list[int]] = defaultdict(list)
+    pair_y: dict[tuple[int, int], int] = {}  # the least degree-2 Y of an X-pair
     for j in ys_small:
         a, c = bit_list(g.adj_y[j])
         xadj[a] |= 1 << c
         xadj[c] |= 1 << a
-        pair_ys[(a, c)].append(j)
+        pair_y.setdefault((a, c), j)
 
     if n <= _EXACT_PATH_COVER_MAX_X:
         paths_x = _min_path_cover_exact(n, xadj)
@@ -797,15 +796,13 @@ def solve_degree_split(
         if diagnostics is not None:
             diagnostics["paths_best_effort"] = True
 
-    # each path as an X..X walk x, y, x, ..., x, in ring order
-    used_ys: set[int] = set()
+    # each path as an X..X walk x, y, x, ..., x, in ring order; the paths
+    # are vertex-disjoint, so no X-pair joins two steps
     walks: list[list[int]] = []
     for p in paths_x:
         walk = p[:1]
         for u, w in zip(p, p[1:]):
-            j = next(jj for jj in pair_ys[(min(u, w), max(u, w))] if jj not in used_ys)
-            used_ys.add(j)
-            walk += (j, w)
+            walk += (pair_y[(min(u, w), max(u, w))], w)
         walks.append(walk)
     m = len(walks)
 
@@ -822,36 +819,36 @@ def solve_degree_split(
             return None
         return _ring_cycle(g, walk + [(closers & -closers).bit_length() - 1])
 
-    def common_yl(a: int, c: int) -> int:
-        return (g.adj_x[a] & g.adj_x[c] & yl_mask).bit_count()
+    # rows[t]: the high-degree Y-vertices that can join junction t, the end
+    # of walk t to the start of walk t + 1
+    adj = g.adj_x
+    rows = [adj[walks[t][-1]] & adj[walks[(t + 1) % m][0]] & yl_mask for t in range(m)]
+    while True:
+        for i, j in itertools.combinations_with_replacement(range(m), 2):
+            if i == 0 and j == m - 1:
+                continue  # reversing everything changes no junction
+            b.spend()
+            # reversing walks i..j replaces junctions i - 1 and j
+            prev, nxt = adj[walks[i - 1][-1]], adj[walks[(j + 1) % m][0]]
+            new_in = prev & adj[walks[j][-1]] & yl_mask
+            new_out = adj[walks[i][0]] & nxt & yl_mask
+            if new_in.bit_count() + new_out.bit_count() > (
+                rows[i - 1].bit_count() + rows[j].bit_count()
+            ):
+                walks[i : j + 1] = [w[::-1] for w in reversed(walks[i : j + 1])]
+                rows[i:j] = rows[i:j][::-1]
+                rows[i - 1], rows[j] = new_in, new_out
+                break  # restart the scan from the first pair
+        else:
+            break
 
-    improved = True
-    while improved:
-        improved = False
-        for i in range(m):
-            for j in range(i, m):
-                if i == 0 and j == m - 1:
-                    continue  # reversing everything changes no junction
-                b.spend()
-                prev, nxt = walks[i - 1][-1], walks[(j + 1) % m][0]
-                old = common_yl(prev, walks[i][0]) + common_yl(walks[j][-1], nxt)
-                new = common_yl(prev, walks[j][-1]) + common_yl(walks[i][0], nxt)
-                if new > old:
-                    walks[i : j + 1] = [w[::-1] for w in reversed(walks[i : j + 1])]
-                    improved = True
-                    break
-            if improved:
-                break
-
-    junctions = [(walks[t][-1], walks[(t + 1) % m][0]) for t in range(m)]
-    rows = [g.adj_x[a] & g.adj_x[c] & yl_mask for a, c in junctions]
     assignment = max_matching(rows)
     if len(assignment) < m:
         violator = hall_violator(rows)
         if diagnostics is not None:
             diagnostics["stage"] = "hall-matching"
             diagnostics["violating_junctions"] = [
-                junctions[t] for t in (violator or ())
+                (walks[t][-1], walks[(t + 1) % m][0]) for t in (violator or ())
             ]
         logger.warning(
             "junction matching is not saturating after reversal search; "
