@@ -159,12 +159,44 @@ class TestBiplanes:
         with pytest.raises(ConstructionError):
             biplane_from_difference_set(11, {0, 1, 2, 3, 4})
         with pytest.raises(ConstructionError):
-            # counting identity k(k-1) = 2(v-1) fails
+            # 6 differences cannot hit 10 residues twice each
             biplane_from_difference_set(11, {1, 3, 4})
         with pytest.raises(ConstructionError):
             biplane_from_difference_set(5, {0, 1, 7})
         with pytest.raises(ConstructionError):
             biplane_from_difference_set(4, {0, 1, 1})
+
+        with pytest.raises(ConstructionError):
+            biplane_from_difference_set(1, set())
+
+    def test_accepts_exactly_the_sets_whose_development_is_a_biplane(self) -> None:
+        # every subset of Z_v for v <= 11: the one residue check against the
+        # design axioms of the development
+        for v in range(1, 12):
+            for k in range(v + 1):
+                for base in itertools.combinations(range(v), k):
+                    blocks = tuple(tuple(sorted((x + t) % v for x in base)) for t in range(v))
+                    valid = DesignSpec(v, k, 2, blocks).violation() is None
+                    try:
+                        spec = biplane_from_difference_set(v, base)
+                    except ConstructionError:
+                        assert not valid, (v, base)
+                    else:
+                        assert valid, (v, base)
+                        assert spec == DesignSpec(v, k, 2, blocks)
+
+    def test_large_bad_sets_rejected_before_development(self, monkeypatch) -> None:
+        from dhp import constructions
+
+        def never(*args):
+            raise AssertionError("developed a rejected set")
+
+        monkeypatch.setattr(constructions, "_development", never)
+        with pytest.raises(ConstructionError, match="difference 2 arises 1 times"):
+            biplane_from_difference_set(10**12, {0, 1, 2})
+        # 200 elements and v = C(200, 2) + 1, so only the residues can fail
+        with pytest.raises(ConstructionError, match="difference 1 arises 199 times"):
+            biplane_from_difference_set(19901, range(200))
 
 
 class TestDesignRoundTrip:
