@@ -165,7 +165,6 @@ class TestBiplanes:
             biplane_from_difference_set(5, {0, 1, 7})
         with pytest.raises(ConstructionError):
             biplane_from_difference_set(4, {0, 1, 1})
-
         with pytest.raises(ConstructionError):
             biplane_from_difference_set(1, set())
 
@@ -194,7 +193,7 @@ class TestBiplanes:
         monkeypatch.setattr(constructions, "_development", never)
         with pytest.raises(ConstructionError, match="difference 2 arises 1 times"):
             biplane_from_difference_set(10**12, {0, 1, 2})
-        # 200 elements and v = C(200, 2) + 1, so only the residues can fail
+        # 200 elements and v = C(200, 2) + 1: as many differences as two per residue
         with pytest.raises(ConstructionError, match="difference 1 arises 199 times"):
             biplane_from_difference_set(19901, range(200))
 
