@@ -982,3 +982,20 @@ class TestMinPathCover:
             out.append(_min_path_cover_greedy(n, xadj))
         blob = json.dumps(out).encode()
         assert hashlib.sha256(blob).hexdigest() == "399436ca993d6a808ce46eae6f1d7cfcd73f3a3ebc72ab7f3a7db4bee44e7b0c"
+
+    def test_exact_cover_pinned(self) -> None:
+        """sha256 of the exact cover, paths in order, on 200 seeded graphs
+        with n = 1..12 and edge densities from 0.05 to 0.5."""
+        rng = random.Random(29)
+        out = []
+        for _ in range(200):
+            n = rng.randrange(1, 13)
+            p = rng.choice((0.05, 0.1, 0.2, 0.3, 0.5))
+            xadj = [0] * n
+            for a, b in itertools.combinations(range(n), 2):
+                if rng.random() < p:
+                    xadj[a] |= 1 << b
+                    xadj[b] |= 1 << a
+            out.append(_min_path_cover_exact(n, xadj))
+        blob = json.dumps(out).encode()
+        assert hashlib.sha256(blob).hexdigest() == "bd6544b9db9ef3460a916a346c7623370011ea56def3b9f1253978873d0c37f9"
