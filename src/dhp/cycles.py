@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import logging
 import sys
-from collections import defaultdict
+from collections import defaultdict, deque
 from typing import Iterator
 
 from .budget import NODE_BUDGET_DEFAULT, WorkBudget, as_budget
@@ -656,13 +656,14 @@ def solve_high_degree(
 
 # -- split-Y-degree pipeline ----------------------------------------------------
 
-_EXACT_PATH_COVER_MAX_X = 12  # the subset DP costs about 3^|X| steps
+_EXACT_PATH_COVER_MAX_X = 12  # the subset DP tries (3^|X| - 1)/2 pieces
 
 
 def _min_path_cover_exact(n: int, xadj: list[int]) -> list[list[int]]:
     """Minimum number of vertex-disjoint paths covering all n vertices of a
     graph given by adjacency masks, via subset DP.  Exponential in n; the
-    caller gates on size."""
+    caller gates on size.  Each path holds the least vertex the paths
+    before it leave, so the paths come out ordered by their least vertex."""
     size = 1 << n
     end = [0] * size
     for v in range(n):
@@ -675,33 +676,26 @@ def _min_path_cover_exact(n: int, xadj: list[int]) -> list[list[int]]:
             for u in bits(xadj[v] & ~mask):
                 end[mask | (1 << u)] |= 1 << u
 
-    inf = n + 1
-    best = [inf] * size
+    # a mask's first piece holds its least vertex; among the pieces of a
+    # minimum cover the smallest wins, since they are visited largest first
+    best = [mask.bit_count() for mask in range(size)]  # one path per vertex
     parent = [0] * size
-    best[0] = 0
     for mask in range(1, size):
         low = mask & -mask
-        sub = mask
-        choice = 0
-        while sub:
-            if sub & low and end[sub] and best[mask ^ sub] < inf:
-                cand = best[mask ^ sub] + 1
-                if cand < best[mask] or (cand == best[mask] and sub < choice):
-                    best[mask] = cand
-                    choice = sub
-            sub = (sub - 1) & mask
-        parent[mask] = choice
-
-    full = size - 1
-    pieces = []
-    mask = full
-    while mask:
-        piece = parent[mask]
-        pieces.append(piece)
-        mask ^= piece
+        rest = sub = mask ^ low
+        while True:
+            if end[sub | low] and best[rest ^ sub] < best[mask]:
+                best[mask] = best[rest ^ sub] + 1
+                parent[mask] = sub | low
+            if not sub:
+                break
+            sub = (sub - 1) & rest
 
     paths = []
-    for piece in pieces:
+    mask = size - 1
+    while mask:
+        piece = parent[mask]
+        mask ^= piece
         v = (end[piece] & -end[piece]).bit_length() - 1
         seq = [v]
         rest = piece ^ (1 << v)
@@ -712,31 +706,29 @@ def _min_path_cover_exact(n: int, xadj: list[int]) -> list[list[int]]:
             rest ^= 1 << u
         seq.reverse()
         paths.append(seq)
-    return sorted(paths, key=lambda p: min(p))
+    return paths
 
 
 def _min_path_cover_greedy(n: int, xadj: list[int]) -> list[list[int]]:
-    """Greedy merge heuristic for larger instances: start from singletons and
-    splice paths whose endpoints are adjacent until stuck.  Not guaranteed
-    minimal."""
-    paths = [[v] for v in range(n)]
-    while True:
-        for i, j in itertools.combinations(range(len(paths)), 2):
-            a, bp = paths[i], paths[j]
-            if (xadj[a[-1]] >> bp[0]) & 1:
-                paths[i] = a + bp
-            elif (xadj[a[-1]] >> bp[-1]) & 1:
-                paths[i] = a + bp[::-1]
-            elif (xadj[a[0]] >> bp[-1]) & 1:
-                paths[i] = bp + a
-            elif (xadj[a[0]] >> bp[0]) & 1:
-                paths[i] = bp[::-1] + a
+    """Maximal path cover for larger instances, not necessarily minimum.
+    Each path starts at the least unused vertex and takes the least unused
+    vertex adjacent to either of its ends, at the tail when the tail sees
+    it, until no unused vertex is.  So no end of one path is adjacent to an
+    end of another, and the paths come out ordered by their least vertex."""
+    paths = []
+    left = (1 << n) - 1
+    while left:
+        path = deque([(left & -left).bit_length() - 1])
+        left &= left - 1
+        while near := (xadj[path[0]] | xadj[path[-1]]) & left:
+            u = near & -near
+            left ^= u
+            if xadj[path[-1]] & u:
+                path.append(u.bit_length() - 1)
             else:
-                continue
-            del paths[j]
-            break  # restart the scan from the first pair
-        else:
-            return sorted(paths, key=lambda p: min(p))
+                path.appendleft(u.bit_length() - 1)
+        paths.append(list(path))
+    return paths
 
 
 def solve_degree_split(
