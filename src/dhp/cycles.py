@@ -581,6 +581,7 @@ def solve_high_degree(
     if g.ny < n:
         raise DomainError(f"|Y| = {g.ny} < |X| = {n}; the graph cannot be dHp")
     b = _verified_budget(g, budget)
+    diag = {} if diagnostics is None else diagnostics
 
     xs_small = [xv for xv in range(n) if g.degree_x(xv) <= k]
     xl = [xv for xv in range(n) if g.degree_x(xv) > k]
@@ -601,8 +602,7 @@ def solve_high_degree(
     else:
         paths = _pair_search(g, xs_small, b, paths=True)
         if paths is None:
-            if diagnostics is not None:
-                diagnostics["stage"] = "path-system"
+            diag["stage"] = "path-system"
             logger.warning(
                 "no disjoint Y..Y path system covers the low-degree side; "
                 "for k <= 7 this contradicts the covering theorem"
@@ -645,9 +645,8 @@ def solve_high_degree(
         current = current.without_edge(xv, yv)
         nxt = absorb_virtual_edge(current, xv, yv, cyc)
         if nxt is None:
-            if diagnostics is not None:
-                diagnostics["stage"] = "absorption"
-                diagnostics["edge"] = (xv, yv)
+            diag["stage"] = "absorption"
+            diag["edge"] = (xv, yv)
             logger.warning("absorption of helper edge (%d, %d) failed", xv, yv)
             return None
         cyc = nxt
@@ -769,6 +768,7 @@ def solve_degree_split(
                 f"Y-vertex {j} has degree {g.degree_y(j)}, outside {{2, n-2, n-1, n}}"
             )
     b = _verified_budget(g, budget)
+    diag = {} if diagnostics is None else diagnostics
 
     ys_small = [j for j in range(g.ny) if g.degree_y(j) == 2]
     yl_mask = ((1 << g.ny) - 1) & ~mask_of(ys_small)
@@ -785,8 +785,7 @@ def solve_degree_split(
         paths_x = _min_path_cover_exact(n, xadj)
     else:
         paths_x = _min_path_cover_greedy(n, xadj)
-        if diagnostics is not None:
-            diagnostics["paths_best_effort"] = True
+        diag["paths_best_effort"] = True
 
     # each path as an X..X walk x, y, x, ..., x, in ring order; the paths
     # are vertex-disjoint, so no X-pair joins two steps
@@ -802,8 +801,7 @@ def solve_degree_split(
         walk = walks[0]
         closers = g.adj_x[walk[0]] & g.adj_x[walk[-1]] & ~mask_of(walk[1::2])
         if closers == 0:
-            if diagnostics is not None:
-                diagnostics["stage"] = "close-single-path"
+            diag["stage"] = "close-single-path"
             logger.warning(
                 "single covering path has no off-path common neighbour to "
                 "close on; contradicts the covering theorem for dHp inputs"
@@ -837,11 +835,10 @@ def solve_degree_split(
     assignment = max_matching(rows)
     if len(assignment) < m:
         violator = hall_violator(rows)
-        if diagnostics is not None:
-            diagnostics["stage"] = "hall-matching"
-            diagnostics["violating_junctions"] = [
-                (walks[t][-1], walks[(t + 1) % m][0]) for t in (violator or ())
-            ]
+        diag["stage"] = "hall-matching"
+        diag["violating_junctions"] = [
+            (walks[t][-1], walks[(t + 1) % m][0]) for t in (violator or ())
+        ]
         logger.warning(
             "junction matching is not saturating after reversal search; "
             "violating junction set %s (research-interest instance)",
