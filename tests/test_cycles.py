@@ -965,6 +965,10 @@ class TestMinPathCover:
         for piece in pieces:
             for u, v in zip(piece, piece[1:]):
                 assert (xadj[u] >> v) & 1
+        # maximal: no end of one path sees an end of another
+        for a, b in itertools.combinations(pieces, 2):
+            for u, v in itertools.product({a[0], a[-1]}, {b[0], b[-1]}):
+                assert not (xadj[u] >> v) & 1
 
     def test_greedy_cover_pinned(self) -> None:
         """sha256 of the greedy cover, paths in order, on 400 seeded graphs
