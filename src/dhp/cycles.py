@@ -9,9 +9,10 @@ The solvers here come in two flavours:
   assemble a covering cycle from structured pieces: path systems through
   the low-degree part, endpoint-pivot rotations that close a Y-to-Y path
   into a cycle, and absorption of helper edges that were never really
-  there.  Under their documented degree preconditions these pipelines
-  cannot fail; a failure is reported as None plus a diagnostics entry and
-  means either the preconditions were not checked or there is a bug.
+  there.  A failure is reported as None plus a diagnostics entry.  Under
+  the documented degree preconditions it means a bug, except that above
+  |X| = 12 solve_degree_split covers X by a maximal rather than a minimum
+  path cover, and a failure there may come from that cover.
 
 Every witness returned by any function in this module has been validated
 against the input graph.  Input witnesses that fail validation raise
@@ -739,7 +740,7 @@ def solve_degree_split(
     """Covering cycle for a dHp graph whose Y-degrees all lie in
     {2, |X|-2, |X|-1, |X|}.
 
-    The degree-2 Y-vertices act as edges of a multigraph on X; a minimum
+    The degree-2 Y-vertices act as edges of a multigraph on X; a
     collection of disjoint X-to-X paths covering X is lifted back to the
     bigraph.  One path closes directly through two common neighbours of
     its endpoints.  Several paths are arranged in a ring, the arrangement
@@ -747,11 +748,11 @@ def solve_degree_split(
     high-degree common neighbour) incidences grows, and a matching that
     assigns a distinct high-degree Y-vertex to every junction splices the
     ring into one cycle.  A Hall violation after the reversal search stops
-    would contradict the covering theorem; it is reported via
-    ``diagnostics`` and None.
-
-    Path-count minimisation is exact for |X| <= 12; beyond that a greedy
-    merge is used and the result is best-effort.  The dHp check and the
+    is reported via ``diagnostics`` and None.  For |X| <= 12 the path
+    cover is minimum and a violation would contradict the covering
+    theorem.  Beyond that the cover is the greedy one, maximal but not
+    necessarily minimum, the result is flagged best-effort, and a failure
+    may come from the cover rather than from a bug.  The dHp check and the
     reversal search share ``budget``, and the search spends one node unit
     on each segment (i, j) it tries.  The junction matching raises
     ``ResourceLimitError`` when an alternating path passes
