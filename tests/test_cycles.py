@@ -32,6 +32,7 @@ from dhp import (
     absorb_virtual_edge,
     builtin_biplane,
     check_dhp,
+    check_hamiltonian,
     check_supercyclic,
     find_cycle_covering,
     find_disjoint_cycle_cover,
@@ -280,6 +281,25 @@ class TestExactCycleSearch:
         assert _capped_search(_search_exact_cycle, g, targets, 10**6) == ((xs, ys), nodes)
         assert _capped_search(_search_exact_cycle, g, targets, nodes - 1) == "exhausted"
 
+    # sha256 of the JSON list of (cycle X-order and Y-vertices or None, nodes
+    # spent), or "exhausted", of the benchmark corpus's 48 n = 14 searches
+    CORPUS_SEARCHES = "f82a883fd44947859766bfc05a850b19d934cfa15f13cf065a4a313ec904c5ff"
+
+    def test_corpus_searches_pinned(self) -> None:
+        """``check_hamiltonian`` on the c = 0 samples at seeds 0-39, and
+        ``find_cycle_covering`` on the c = 2 samples at seeds
+        1000000-1000007 under the corpus's 4,000-node cap."""
+        searches = (
+            (0.0, range(40), 10**6, lambda g, _, b: check_hamiltonian(g, limit=14, budget=b)),
+            (2.0, range(10**6, 10**6 + 8), 4_000, lambda g, _, b: find_cycle_covering(g, g.full_x(), budget=b)),
+        )
+        outcomes = [
+            _capped_search(search, _ham_sample(14, c, seed), [], cap)
+            for c, seeds, cap, search in searches
+            for seed in seeds
+        ]
+        assert hashlib.sha256(json.dumps(outcomes).encode()).hexdigest() == self.CORPUS_SEARCHES
+
     # (``_augment`` calls of the search, calls before it took a free first
     # Y-vertex inline); before its dead Y-set they were 2658 and 17255
     AUGMENT_CALLS = {"ham n=14 c=0 seed 28": (1628, 2088), "ham n=14 c=0 seed 34": (5305, 7022)}
@@ -341,6 +361,20 @@ class TestExactCycleSearch:
         assert left[-1] == 0 and max(left[:-1]) < 0
         assert hashlib.sha256(json.dumps(left).encode()).hexdigest() == digest
 
+    @staticmethod
+    def _reference_outcome(g: Bigraph, targets: list[int], cap: int):
+        """The reference search's outcome under ``cap``, after checking that
+        the search under test gives the same, and that both run out one
+        node short of a search's units."""
+        ref = _capped_search(oracles.exact_cycle_search_reference, g, targets, cap)
+        assert _capped_search(_search_exact_cycle, g, targets, cap) == ref
+        if ref != "exhausted" and ref[1]:
+            units = ref[1]
+            for search in (oracles.exact_cycle_search_reference, _search_exact_cycle):
+                assert _capped_search(search, g, targets, units - 1) == "exhausted"
+                assert _capped_search(search, g, targets, units) == ref
+        return ref
+
     def test_matches_reference_search(self) -> None:
         rng = random.Random(4002)
         found = 0
@@ -352,15 +386,21 @@ class TestExactCycleSearch:
                 targets = list(range(nx))
             else:
                 targets = sorted(rng.sample(range(nx), rng.randrange(2, nx + 1)))
-            ref = _capped_search(oracles.exact_cycle_search_reference, g, targets, 10**6)
-            assert _capped_search(_search_exact_cycle, g, targets, 10**6) == ref
-            units = ref[1]
-            if units:
-                for search in (oracles.exact_cycle_search_reference, _search_exact_cycle):
-                    assert _capped_search(search, g, targets, units - 1) == "exhausted"
-                    assert _capped_search(search, g, targets, units) == ref
-            found += ref[0] is not None
+            found += self._reference_outcome(g, targets, 10**6)[0] is not None
         assert 300 <= found <= 700
+        # square threshold samples, whose searches reach many nodes where
+        # no placed pair sees a free Y-vertex; capped, so some run out
+        rng = random.Random(4003)
+        found = exhausted = 0
+        for _ in range(200):
+            n = rng.randrange(9, 13)
+            g = _ham_sample(n, rng.choice((1.0, 2.0, 3.0)), rng.randrange(10**6))
+            ref = self._reference_outcome(g, list(range(n)), 5_000)
+            if ref == "exhausted":
+                exhausted += 1
+            else:
+                found += ref[0] is not None
+        assert (found, exhausted) == (145, 11)
 
     def test_target_cap_rejects_a_larger_search(self) -> None:
         g = Bigraph.complete(500, 500)  # raised RecursionError before the cap
