@@ -218,6 +218,16 @@ def _search_exact_cycle(
     child.  Kuhn's search only skips branches that would fail, so the
     cycle, the Y-vertices and the node count are those of a search
     without it.
+
+    A node where no placed pair sees a free Y-vertex takes all the held
+    Y-vertices as its dead set.  Each is held by a placed slot, which sees
+    only held ones, so the set is closed under alternating paths and holds
+    no free Y-vertex: it is a dead set.  Every step of such a node is then
+    the inline first try, since Kuhn's step would fail through each held
+    candidate and take the pair's least free Y-vertex.  Each node is
+    passed ``held``, the matched Y-vertices, and ``reach``, the OR of the
+    placed slots' ``avail`` masks; an ``_augment`` success adds the free
+    Y-vertex its path ended at, the first entry it logged.
     """
     m = len(targets)
     if m > CYCLE_TARGET_LIMIT:
@@ -238,11 +248,13 @@ def _search_exact_cycle(
     undo: list[tuple[int, int]] = []
     limit, nodes = budget.remaining, 0
 
-    def extend(depth: int, last: int, dead: int, unused: int) -> bool:
+    def extend(depth: int, last: int, dead: int, unused: int, held: int, reach: int) -> bool:
         nonlocal nodes
         nodes += 1
         if nodes > limit:
             budget.spend(nodes)  # raises at the node a per-node charge would
+        if not reach & ~held:
+            dead = held  # no placed pair sees a free Y-vertex
         c = (unused or 1) & meets[last]  # with every target placed, close at the anchor
         row = common[last]
         if depth == m - 1 and m >= 3:
@@ -257,7 +269,8 @@ def _search_exact_cycle(
             if not free:
                 continue  # its step would fail at once
             avail[s] = r
-            y = (free & -free).bit_length() - 1
+            bit = free & -free
+            y = bit.bit_length() - 1
             if y_slot[y] < 0:
                 y_slot[y] = s  # _augment's first try, taken inline and logged nowhere
                 mark = -1
@@ -267,10 +280,11 @@ def _search_exact_cycle(
                 if seen >= 0:
                     dead = seen
                     continue
+                bit = 1 << undo[mark][0]  # the free Y-vertex the path ended at
             if depth == m:
                 return True
             order[depth] = j
-            if extend(depth + 1, j, dead, unused ^ low):
+            if extend(depth + 1, j, dead, unused ^ low, held | bit, reach | r):
                 return True
             if mark < 0:
                 y_slot[y] = -1  # a failed child leaves the undo log as it found it
@@ -280,7 +294,7 @@ def _search_exact_cycle(
                 y_slot[y] = holder
         return False
 
-    found = extend(1, 0, 0, (1 << m) - 2)
+    found = extend(1, 0, 0, (1 << m) - 2, 0, 0)
     budget.spend(nodes)
     if not found:
         return None
