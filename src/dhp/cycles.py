@@ -825,9 +825,10 @@ def solve_degree_split(
         return _ring_cycle(g, walk + [(closers & -closers).bit_length() - 1])
 
     # rows[t]: the high-degree Y-vertices that can join junction t, the end
-    # of walk t to the start of walk t + 1
+    # of walk t to the start of walk t + 1; counts[t] is its size
     adj = g.adj_x
     rows = [adj[walks[t][-1]] & adj[walks[(t + 1) % m][0]] & yl_mask for t in range(m)]
+    counts = [r.bit_count() for r in rows]
     while True:
         for i, j in itertools.combinations_with_replacement(range(m), 2):
             if i == 0 and j == m - 1:
@@ -837,12 +838,13 @@ def solve_degree_split(
             prev, nxt = adj[walks[i - 1][-1]], adj[walks[(j + 1) % m][0]]
             new_in = prev & adj[walks[j][-1]] & yl_mask
             new_out = adj[walks[i][0]] & nxt & yl_mask
-            if new_in.bit_count() + new_out.bit_count() > (
-                rows[i - 1].bit_count() + rows[j].bit_count()
-            ):
+            k_in, k_out = new_in.bit_count(), new_out.bit_count()
+            if k_in + k_out > counts[i - 1] + counts[j]:
                 walks[i : j + 1] = [w[::-1] for w in reversed(walks[i : j + 1])]
                 rows[i:j] = rows[i:j][::-1]
+                counts[i:j] = counts[i:j][::-1]
                 rows[i - 1], rows[j] = new_in, new_out
+                counts[i - 1], counts[j] = k_in, k_out
                 break  # restart the scan from the first pair
         else:
             break
