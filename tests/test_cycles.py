@@ -156,6 +156,17 @@ class TestMatching:
         blob = json.dumps(out).encode()
         assert hashlib.sha256(blob).hexdigest() == "25fd548c732c97067dc97a3d707161e11d4951a162248f860107d83bac6fafca"
 
+    def test_long_inputs_pinned(self) -> None:
+        """sha256 of both results on the 900-row chain and on the 300
+        all-Y junction rows of K(300, 300), whose alternating paths run
+        hundreds of slots long; recorded from the recursive step."""
+        out = [
+            [sorted(max_matching(rows).items()), hall_violator(rows)]
+            for rows in (self._chain(900), [(1 << 300) - 1] * 300)
+        ]
+        blob = json.dumps(out).encode()
+        assert hashlib.sha256(blob).hexdigest() == "ae044fdde078af6b3f54d7e9fef9238af1edfc61a1ff89da4487a9894a65334e"
+
 
 class TestFindCycleCovering:
     @given(graph_with_xs())
@@ -925,6 +936,14 @@ class TestDegreeSplitSolver:
         assert sum(1 for r in out[::2] if r[3]) == 60
         blob = json.dumps(out).encode()
         assert hashlib.sha256(blob).hexdigest() == "62e155f87d3435578745b4a68a6bd0203588a9ab6940b91f9cb08b0c7a59ce41"
+
+    def test_complete_graph_cycle_pinned(self) -> None:
+        """sha256 of the cycle on K(300, 300): 300 one-vertex paths, so the
+        junction matching runs on 300 all-Y rows; recorded from the
+        recursive augmenting step."""
+        cyc = solve_degree_split(Bigraph.complete(300, 300))
+        blob = json.dumps([cyc.xs, cyc.ys]).encode()
+        assert hashlib.sha256(blob).hexdigest() == "cacf7a09567fa9fae80938993c020e3106613cd598f2df2bf1489c9f87fb05e6"
 
     def test_degree_class_enforced(self) -> None:
         # a Y-vertex of degree 3 in a 6-X graph sits in no allowed class
