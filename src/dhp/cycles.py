@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import logging
-import sys
 from collections import defaultdict, deque
 from typing import Iterator
 
@@ -63,8 +62,8 @@ __all__ = [
 ]
 
 # Cap on the X-vertices of one exact covering-cycle search.  The search
-# recurses once per target and its augmenting path once per slot, so a
-# larger search could overflow Python's default recursion limit of 1000.
+# recurses once per target, so a larger search could overflow Python's
+# default recursion limit of 1000.
 CYCLE_TARGET_LIMIT = 384
 
 
@@ -107,59 +106,58 @@ def _augment(
     undo: list[tuple[int, int]],
 ) -> int:
     """Kuhn's augmenting-path step: give slot ``s`` a Y-vertex of the mask
-    ``avail[s]`` outside the mask ``seen``, re-matching the earlier holders
-    recursively.  ``y_slot[y]`` is the slot holding y, or -1 when y is
-    free; every change is logged in ``undo`` as (y, previous holder).
-    Candidates are tried by increasing Y index.
+    ``avail[s]`` outside the mask ``seen``, re-matching the earlier holders.
+    ``y_slot[y]`` is the slot holding y, or -1 when y is free; every change
+    is logged in ``undo`` as (y, previous holder).  Candidates are tried by
+    increasing Y index.
 
-    Returns -1 on success.  On failure the matching is unchanged and the
-    result is ``seen`` grown by every Y-vertex the step visited: a set
-    that holds no free Y-vertex and is closed under alternating paths (the
-    holder of each of its Y-vertices sees only Y-vertices inside it) when
-    ``seen`` was one too, as the empty set is.  Candidates a deeper call
-    already visited are not tried again, since they lead back into that
-    set."""
-    c = avail[s] & ~seen
-    while c:
-        low = c & -c
-        seen |= low
-        y = low.bit_length() - 1
-        holder = y_slot[y]
-        if holder >= 0:
-            seen = _augment(avail, y_slot, holder, seen, undo)
-        if holder < 0 or seen < 0:
+    The step is one loop, and ``undo`` is its path: each Y-vertex tried
+    goes to the trying slot at once, is logged, and the step goes on from
+    its previous holder.  A holder with no candidate left pops that entry,
+    gives the Y-vertex back, and the slot that tried it resumes.  Every
+    slot's candidates are ``avail[s]`` outside the Y-vertices visited so
+    far, so a candidate a later slot already visited is not tried again,
+    since it leads back into the set a failure returns.
+
+    Returns -1 on success, with the free Y-vertex the path ended at as the
+    last entry logged.  On failure the matching and ``undo`` are as they
+    were, and the result is ``seen`` grown by every Y-vertex the step
+    visited: a set that holds no free Y-vertex and is closed under
+    alternating paths (the holder of each of its Y-vertices sees only
+    Y-vertices inside it) when ``seen`` was one too, as the empty set is."""
+    mark = len(undo)
+    while True:
+        c = avail[s] & ~seen
+        if c:
+            low = c & -c
+            seen |= low
+            y = low.bit_length() - 1
+            holder = y_slot[y]
             undo.append((y, holder))
             y_slot[y] = s
-            return -1
-        c &= ~seen
-    return seen
-
-
-def _too_deep(rows: list[int]) -> ResourceLimitError:
-    """The error for an alternating path, which ``_augment`` follows one
-    call deeper per slot, that passes the interpreter's recursion limit."""
-    return ResourceLimitError(
-        f"an alternating path over {len(rows)} rows passes the recursion limit "
-        f"of {sys.getrecursionlimit()} (sys.getrecursionlimit())"
-    )
+            if holder < 0:
+                return -1
+            s = holder
+        elif len(undo) > mark:
+            y, holder = undo.pop()
+            s = y_slot[y]
+            y_slot[y] = holder
+        else:
+            return seen
 
 
 def _matched(rows: list[int]) -> list[int]:
     """``y_slot`` of a maximum matching of the left vertices, whose
     Y-neighbourhoods are the masks ``rows``, found by Kuhn's algorithm."""
     y_slot = [-1] * max(rows, default=0).bit_length()
-    try:
-        for s in range(len(rows)):
-            _augment(rows, y_slot, s, 0, [])
-    except RecursionError:
-        raise _too_deep(rows) from None
+    for s in range(len(rows)):
+        _augment(rows, y_slot, s, 0, [])
     return y_slot
 
 
 def max_matching(rows: list[int]) -> dict[int, int]:
     """Maximum matching of left vertices with Y-neighbourhood masks
-    ``rows``, as {left index: matched Y index}.  Raises ResourceLimitError
-    when an alternating path passes the recursion limit."""
+    ``rows``, as {left index: matched Y index}."""
     return dict(sorted((s, y) for y, s in enumerate(_matched(rows)) if s >= 0))
 
 
@@ -172,18 +170,15 @@ def hall_violator(rows: list[int]) -> tuple[int, ...] | None:
     Each exposed vertex's augmenting step fails, and the Y-set it returns
     is passed on to the next: the last one holds every Y-vertex reachable
     from an exposed vertex, and S is their holders and the exposed
-    vertices.  Raises ResourceLimitError as ``max_matching`` does."""
+    vertices."""
     y_slot = _matched(rows)
     matched = set(y_slot)
     exposed = [s for s in range(len(rows)) if s not in matched]
     if not exposed:
         return None
     reach_y = 0
-    try:
-        for s in exposed:
-            reach_y = _augment(rows, y_slot, s, reach_y, [])
-    except RecursionError:
-        raise _too_deep(rows) from None
+    for s in exposed:
+        reach_y = _augment(rows, y_slot, s, reach_y, [])
     return tuple(sorted({*exposed, *(y_slot[y] for y in bits(reach_y))}))
 
 
@@ -227,7 +222,7 @@ def _search_exact_cycle(
     candidate and take the pair's least free Y-vertex.  Each node is
     passed ``held``, the matched Y-vertices, and ``reach``, the OR of the
     placed slots' ``avail`` masks; an ``_augment`` success adds the free
-    Y-vertex its path ended at, the first entry it logged.
+    Y-vertex its path ended at, the last entry it logged.
     """
     m = len(targets)
     if m > CYCLE_TARGET_LIMIT:
@@ -280,7 +275,7 @@ def _search_exact_cycle(
                 if seen >= 0:
                     dead = seen
                     continue
-                bit = 1 << undo[mark][0]  # the free Y-vertex the path ended at
+                bit = 1 << undo[-1][0]  # the free Y-vertex the path ended at
             if depth == m:
                 return True
             order[depth] = j
@@ -768,10 +763,7 @@ def solve_degree_split(
     necessarily minimum, the result is flagged best-effort, and a failure
     may come from the cover rather than from a bug.  The dHp check and the
     reversal search share ``budget``, and the search spends one node unit
-    on each segment (i, j) it tries.  The junction matching raises
-    ``ResourceLimitError`` when an alternating path passes
-    ``sys.getrecursionlimit()``, as on K(1100, 1100) under the default
-    limit of 1000.
+    on each segment (i, j) it tries.
     """
     n = g.nx
     if n < 2:

@@ -48,6 +48,7 @@ from dhp import (
 )
 from dhp.cycles import (
     CYCLE_TARGET_LIMIT,
+    _augment,
     _min_path_cover_exact,
     _min_path_cover_greedy,
     _pair_search,
@@ -127,23 +128,17 @@ class TestMatching:
     @staticmethod
     def _chain(n: int) -> list[int]:
         """n rows whose last one, {y0}, is matched only along an
-        alternating path through all n: ``_augment`` recurses n deep."""
+        alternating path through all n."""
         return [(1 << i) | (1 << (i + 1)) for i in range(n - 1)] + [1]
 
-    @pytest.mark.parametrize("solve", [max_matching, hall_violator])
-    def test_path_past_the_recursion_limit_is_a_resource_limit(self, solve) -> None:
-        # under the default limit of 1000 this raised RecursionError
-        with pytest.raises(ResourceLimitError, match="1100 rows passes the recursion limit"):
-            solve(self._chain(1100))
-
-    def test_long_chain_below_the_recursion_limit_is_matched(self) -> None:
-        rows = self._chain(900)
-        assert len(max_matching(rows)) == 900
+    @pytest.mark.parametrize("n", [1100, 5000])
+    def test_long_chain_is_matched_in_full(self, n: int) -> None:
+        # the recursive step passed the default recursion limit of 1000 here
+        rows = self._chain(n)
+        assert len(max_matching(rows)) == n
         assert hall_violator(rows) is None
 
-    def test_outputs_pinned(self) -> None:
-        """sha256 of both results on 300 seeded row lists, recorded while
-        the matching ran on ``MatchingInstance``'s ranked right side."""
+    def _seeded_rows(self) -> list[list[int]]:
         rng = random.Random(1415)
         out = []
         for _ in range(300):
@@ -151,10 +146,38 @@ class TestMatching:
                 set(rng.sample(range(8), rng.randrange(0, 5)))
                 for _ in range(rng.randrange(1, 8))
             ]
-            inst = self._instance(sets)
-            out.append([sorted(max_matching(inst).items()), hall_violator(inst)])
+            out.append(self._instance(sets))
+        return out
+
+    def test_outputs_pinned(self) -> None:
+        """sha256 of both results on 300 seeded row lists, recorded while
+        the matching ran on ``MatchingInstance``'s ranked right side."""
+        out = [[sorted(max_matching(r).items()), hall_violator(r)] for r in self._seeded_rows()]
         blob = json.dumps(out).encode()
         assert hashlib.sha256(blob).hexdigest() == "25fd548c732c97067dc97a3d707161e11d4951a162248f860107d83bac6fafca"
+
+    def test_candidates_tried_pinned(self) -> None:
+        """The Y-vertices ``_augment`` tries on the 300 seeded row lists, run
+        as ``max_matching`` and ``hall_violator`` run it: each try is one
+        append to the undo log.  A step whose slots kept the candidates
+        they had on entry, and so retried those a later slot visited, made
+        1,377 tries with the same outputs."""
+        tried = 0
+
+        class Log(list):
+            def append(self, entry) -> None:
+                nonlocal tried
+                tried += 1
+                super().append(entry)
+
+        for rows in self._seeded_rows():
+            y_slot = [-1] * max(rows, default=0).bit_length()
+            for s in range(len(rows)):
+                _augment(rows, y_slot, s, 0, Log())
+            reach_y = 0
+            for s in sorted(set(range(len(rows))) - set(y_slot)):
+                reach_y = _augment(rows, y_slot, s, reach_y, Log())
+        assert tried == 1373
 
     def test_long_inputs_pinned(self) -> None:
         """sha256 of both results on the 900-row chain and on the 300
@@ -311,16 +334,17 @@ class TestExactCycleSearch:
         ]
         assert hashlib.sha256(json.dumps(outcomes).encode()).hexdigest() == self.CORPUS_SEARCHES
 
-    # (``_augment`` calls of the search, calls before a node where no placed
-    # pair sees a free Y-vertex took every held one as dead); before the
-    # inline first try they were 2088 and 7022, before the dead Y-set 2658
-    # and 17255
-    AUGMENT_CALLS = {"ham n=14 c=0 seed 28": (973, 1628), "ham n=14 c=0 seed 34": (917, 5305)}
+    # (``_augment`` calls of the search, calls while the step recursed and
+    # its inner calls went through the module global too); before a node
+    # where no placed pair sees a free Y-vertex took every held one as dead
+    # they were 1628 and 5305, before the inline first try 2088 and 7022,
+    # before the dead Y-set 2658 and 17255
+    AUGMENT_CALLS = {"ham n=14 c=0 seed 28": (430, 973), "ham n=14 c=0 seed 34": (422, 917)}
 
     @pytest.mark.parametrize("name", sorted(AUGMENT_CALLS))
     def test_augment_calls_pinned(self, name: str, monkeypatch) -> None:
         """The matching work of a search is deterministic: count its steps
-        through the module global, which the step's recursion also uses."""
+        through the module global."""
         import dhp.cycles
 
         calls = 0
