@@ -107,19 +107,18 @@ def _augment(
 ) -> int:
     """Kuhn's augmenting-path step: give slot ``s`` a Y-vertex of the mask
     ``avail[s]`` outside the mask ``seen``, re-matching the earlier holders.
-    ``y_slot[y]`` is the slot holding y, or -1 when y is free; every change
-    is logged in ``undo`` as (y, previous holder).  Candidates are tried by
-    increasing Y index.
+    ``y_slot[y]`` is the slot holding y, or -1 when y is free.  Candidates
+    are tried by increasing Y index.
 
-    The step is one loop, and ``undo`` is its path: each Y-vertex tried
-    goes to the trying slot at once, is logged, and the step goes on from
-    its previous holder.  A holder with no candidate left pops that entry,
-    gives the Y-vertex back, and the slot that tried it resumes.  Every
-    slot's candidates are ``avail[s]`` outside the Y-vertices visited so
-    far, so a candidate a later slot already visited is not tried again,
-    since it leads back into the set a failure returns.
+    The undo log ``undo`` holds the path: each Y-vertex tried goes to the
+    trying slot at once, is logged as (y, previous holder), and the step
+    goes on from that holder.  A holder with no candidate left pops its
+    entry, gives the Y-vertex back, and the slot that tried it resumes.  A
+    slot's candidates are ``avail[s]`` outside every Y-vertex visited so
+    far: one that a later slot visited leads back into the set a failure
+    returns.
 
-    Returns -1 on success, with the free Y-vertex the path ended at as the
+    Returns -1 on success, the free Y-vertex the path ended at being the
     last entry logged.  On failure the matching and ``undo`` are as they
     were, and the result is ``seen`` grown by every Y-vertex the step
     visited: a set that holds no free Y-vertex and is closed under
