@@ -138,6 +138,11 @@ class TestMatching:
         assert len(max_matching(rows)) == n
         assert hall_violator(rows) is None
 
+    def test_long_chain_below_the_recursion_limit_is_matched(self) -> None:
+        rows = self._chain(900)
+        assert len(max_matching(rows)) == 900
+        assert hall_violator(rows) is None
+
     def _seeded_rows(self) -> list[list[int]]:
         rng = random.Random(1415)
         out = []
