@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
+import re
 import time
 
 import numpy as np
@@ -281,6 +284,61 @@ class TestCycleWitness:
     def test_canonical_rejects_empty(self) -> None:
         with pytest.raises(WitnessError, match="at least one"):
             CycleWitness((), ()).canonical()
+
+    def test_canonical_pinned(self) -> None:
+        # values from small ranges, so that X-vertices repeat, the least
+        # one included, as they do in witnesses that validate rejects
+        rng = random.Random(3232)
+        out = []
+        least_repeats = 0
+        for _ in range(3000):
+            m = rng.randint(1, 9)
+            hi = rng.choice((2, 3, 5, 12))
+            xs = tuple(rng.randrange(hi) for _ in range(m))
+            ys = tuple(rng.randrange(hi) for _ in range(m))
+            least_repeats += xs.count(min(xs)) > 1
+            c = CycleWitness(xs, ys).canonical()
+            out.append([c.xs, c.ys])
+        assert least_repeats > 1000
+        blob = json.dumps(out).encode()
+        assert hashlib.sha256(blob).hexdigest() == "734c824c6b197df256c92346cc6d6f273aded486405135ba542f7e0f32b3a67d"
+
+    def test_validate_outcomes_pinned(self) -> None:
+        # None or the exception's type and message, on witnesses drawn
+        # distinct and in range half the time, so that some validate
+        rng = random.Random(3233)
+        out = []
+        sites = set()
+        for _ in range(4000):
+            nx, ny = rng.randint(1, 6), rng.randint(1, 6)
+            top = (1 << ny) - 1
+            dense = rng.random() < 0.5
+            g = Bigraph(nx, ny, tuple(
+                top & ~(rng.getrandbits(ny) & rng.getrandbits(ny) if dense else rng.getrandbits(ny))
+                for _ in range(nx)
+            ))
+            m = rng.randint(0, 5)
+            if rng.random() < 0.5:
+                xs = rng.sample(range(nx), min(m, nx))
+                ys = rng.sample(range(ny), min(m, ny))
+            else:
+                xs = [rng.randrange(-1, nx + 1) for _ in range(m)]
+                ys = [rng.randrange(-1, ny + 1) for _ in range(m + (rng.random() < 0.2))]
+            try:
+                CycleWitness(tuple(xs), tuple(ys)).validate(g)
+            except WitnessError as e:
+                out.append([type(e).__name__, str(e)])
+                site = re.sub(r"-?\d+", "#", str(e))
+                if site.startswith("missing"):
+                    x, y = map(int, re.findall(r"\d+", str(e)))
+                    site += " own" if xs[ys.index(y)] == x else " next"
+                sites.add(site)
+            else:
+                out.append(None)
+                sites.add(None)
+        assert len(sites) == 8, sites
+        blob = json.dumps(out).encode()
+        assert hashlib.sha256(blob).hexdigest() == "600426d58a43f1271ecbb7f7c1cb88085030f0832f87d5620ee5836a44294286"
 
     def test_json_shape(self) -> None:
         c = CycleWitness(xs=(0, 1), ys=(2, 3))

@@ -687,6 +687,11 @@ class TestSweepOutputPinned:
             SweepConfig((60,), (2.0, -2.0, 0.0, -2.0), 20, master_seed=9, jobs=2),
             "709de478a0eef425219ce182769ad90e18147c0dbf0cc2bbc1e89267adbec5a6",
         ),
+        # 100 trials per cell, the fewest that give a cell its tv_poisson
+        "tv_poisson_n12": (
+            SweepConfig((12,), (-1.0, 0.0, 1.0), 100, master_seed=13),
+            "9b6ab80f37843f3feb9cb141c9df7073448fc00725d007d92ac1c5c6116e7e80",
+        ),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
