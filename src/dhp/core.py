@@ -445,12 +445,6 @@ def two_connected_on(g: Bigraph, xmask: int, ymask: int) -> bool:
 # -- witnesses ---------------------------------------------------------------
 
 
-def _check_index(side: Side, idx: int, g: Bigraph) -> None:
-    bound = g.nx if side == X_SIDE else g.ny
-    if not (0 <= idx < bound):
-        raise WitnessError(f"{side}-vertex {idx} out of range 0..{bound - 1}")
-
-
 @dataclass(frozen=True, slots=True)
 class CycleWitness:
     """A cycle x_0, y_0, x_1, y_1, ..., x_{m-1}, y_{m-1} (closing back to x_0).
@@ -478,35 +472,33 @@ class CycleWitness:
             raise WitnessError("a bipartite cycle needs at least two X-vertices")
         if len(set(self.xs)) != m or len(set(self.ys)) != m:
             raise WitnessError("cycle vertices must be distinct within each side")
-        for side, seq in ((X_SIDE, self.xs), (Y_SIDE, self.ys)):
+        for side, seq, bound in ((X_SIDE, self.xs, g.nx), (Y_SIDE, self.ys, g.ny)):
             for v in seq:
-                _check_index(side, v, g)
-        for t in range(m):
-            if not g.has_edge(self.xs[t], self.ys[t]):
-                raise WitnessError(f"missing edge (x{self.xs[t]}, y{self.ys[t]})")
-            nxt = self.xs[(t + 1) % m]
-            if not g.has_edge(nxt, self.ys[t]):
-                raise WitnessError(f"missing edge (x{nxt}, y{self.ys[t]})")
+                if not 0 <= v < bound:
+                    raise WitnessError(f"{side}-vertex {v} out of range 0..{bound - 1}")
+        for t, y in enumerate(self.ys):
+            for x in (self.xs[t], self.xs[(t + 1) % m]):
+                if not g.adj_x[x] >> y & 1:
+                    raise WitnessError(f"missing edge (x{x}, y{y})")
 
     def canonical(self) -> "CycleWitness":
         """Rotation/reflection-normal form: the lexicographically least
-        flattened sequence over both traversal directions."""
+        flattened sequence over both traversal directions.  Every rotation
+        starts at an X-vertex, so the least starts at the least one."""
         m = len(self.xs)
         if not m or m != len(self.ys):
             raise WitnessError("a cycle needs equally many x and y vertices, at least one of each")
-        flat = []
-        for x, y in zip(self.xs, self.ys):
-            flat.extend((x, y))
-        # Reverse traversal starting from the same x: x0, y_{m-1}, x_{m-1}, ...
-        rev = [flat[0]] + flat[:0:-1]
-        best: list[int] | None = None
-        for seq in (flat, rev):
-            for r in range(m):
-                cand = seq[2 * r:] + seq[:2 * r]
-                if best is None or cand < best:
-                    best = cand
-        assert best is not None
-        return CycleWitness(tuple(best[0::2]), tuple(best[1::2]))
+        fwd = list(zip(self.xs, self.ys))
+        # (x_t, y_{t-1}): the reverse traversal from x_t is back[t], back[t-1], ...
+        back = [(x, self.ys[t - 1]) for t, x in enumerate(self.xs)]
+        lo = min(self.xs)
+        best = min(
+            seq
+            for t, x in enumerate(self.xs)
+            if x == lo
+            for seq in (fwd[t:] + fwd[:t], back[t::-1] + back[:t:-1])
+        )
+        return CycleWitness(tuple(x for x, _ in best), tuple(y for _, y in best))
 
     def to_json_obj(self) -> dict:
         return {"cycle": [v for x, y in zip(self.xs, self.ys) for v in (["x", x], ["y", y])]}

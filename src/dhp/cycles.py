@@ -306,22 +306,22 @@ def find_cycle_covering(
     """A cycle whose X-vertices are exactly ``xs`` (exact_x=True) or a
     superset of it (exact_x=False); None when no such cycle exists.
 
-    Cover mode tries candidate X-supersets by increasing size, then
-    lexicographically, so the returned cycle is the first the canonical
-    order finds.
+    Cover mode tries candidate X-supersets of at least two vertices by
+    increasing size, then lexicographically, so the returned cycle is the
+    first the canonical order finds; ``xs`` may then have fewer than two.
     """
     if xs.side != X_SIDE:
         raise GraphInputError("find_cycle_covering expects an X-set")
     if xs.mask >> g.nx:
         raise GraphInputError("xs mentions vertices outside X")
     targets = list(xs.indices)
-    if len(targets) < 2:
-        raise DomainError("a covering cycle needs at least two X-vertices")
     b = as_budget(budget, NODE_BUDGET_DEFAULT, "node")
     if exact_x:
+        if len(targets) < 2:
+            raise DomainError("a covering cycle needs at least two X-vertices")
         return _search_exact_cycle(g, targets, b)
     others = [x for x in range(g.nx) if not xs.mask >> x & 1]
-    for extra in range(len(others) + 1):
+    for extra in range(max(0, 2 - len(targets)), len(others) + 1):
         for added in itertools.combinations(others, extra):
             cyc = _search_exact_cycle(g, sorted(targets + list(added)), b)
             if cyc is not None:

@@ -74,7 +74,6 @@ __all__ = [
     "scan_obstacles_size3",
     "surrogate_dhp",
     "check_hamiltonian",
-    "PoissonReport",
     "poisson_gof",
     "trial_seed",
     "SweepConfig",
@@ -465,21 +464,9 @@ def _poisson_support(rate: float, kmax: int) -> range:
     return range(lo, hi + 1)
 
 
-@dataclass(frozen=True)
-class PoissonReport:
-    rate: float
-    n_samples: int
-    tv: float
-    table: tuple[dict, ...]
-
-    def to_json_obj(self) -> dict:
-        return {**asdict(self), "table": list(self.table)}
-
-
-def poisson_gof(samples: Sequence[int], rate: float) -> PoissonReport:
+def poisson_gof(samples: Sequence[int], rate: float) -> float:
     """Total-variation distance between the empirical distribution of the
-    samples and Poisson(rate), with a bucketed comparison table for
-    k in {0, 1, 2, 3, >=4}."""
+    samples and Poisson(rate)."""
     n = len(samples)
     if n < 100:
         raise DomainError(f"need at least 100 samples, got {n}")
@@ -500,20 +487,7 @@ def poisson_gof(samples: Sequence[int], rate: float) -> PoissonReport:
         pk = _poisson_pmf(rate, k)
         cdf += pk
         total += abs(counts.get(k, 0) / n - pk)
-    tv = 0.5 * (total + max(0.0, 1.0 - cdf))
-    table = []
-    tail_cdf = 0.0
-    for k in range(4):
-        pk = _poisson_pmf(rate, k)
-        tail_cdf += pk
-        table.append(
-            {"k": str(k), "empirical": counts.get(k, 0) / n, "expected": pk}
-        )
-    emp_tail = sum(v for k, v in counts.items() if k >= 4) / n
-    table.append(
-        {"k": "4+", "empirical": emp_tail, "expected": max(0.0, 1.0 - tail_cdf)}
-    )
-    return PoissonReport(rate, n, tv, tuple(table))
+    return 0.5 * (total + max(0.0, 1.0 - cdf))
 
 
 # -- sweeps --------------------------------------------------------------------
@@ -864,7 +838,7 @@ def _aggregate_cell(
     if trials >= 100:
         # far below the threshold exp(-c) overflows; the TV distance to
         # Poisson(rate) tends to 1 as the rate grows without bound
-        tv = 1.0 if -c > _LOG_MAX_FLOAT else poisson_gof(nbads, math.exp(-c)).tv
+        tv = 1.0 if -c > _LOG_MAX_FLOAT else poisson_gof(nbads, math.exp(-c))
     pr_obs = pr_sur = pr_exact = pr_ham = ratio_mean = None
     if "obstacle3" in measures:
         pr_obs = sum(1 for r in records if r.obstacle3 is not None) / trials

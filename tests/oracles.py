@@ -450,6 +450,40 @@ def disjoint_cover_exists(g: Bigraph) -> bool:
     return False
 
 
+def yy_path_system_exists(g: Bigraph, xs) -> bool:
+    """Can each x in ``xs`` take a pair of its Y-neighbours, no Y-vertex
+    taken more than twice, so that the pairs, read as edges on Y, form
+    disjoint paths?
+
+    Backtracks over the pairs of each x in turn.  With every Y-degree at
+    most 2, the pairs form paths exactly when they close no cycle, which a
+    union-find over Y rejects pair by pair.
+    """
+    xs = list(xs)
+
+    def root(parent: list[int], y: int) -> int:
+        while parent[y] != y:
+            y = parent[y]
+        return y
+
+    def rec(i: int, parent: list[int], used: list[int]) -> bool:
+        if i == len(xs):
+            return True
+        for y1, y2 in itertools.combinations(sorted(neighbors(g, xs[i])), 2):
+            r1, r2 = root(parent, y1), root(parent, y2)
+            if used[y1] == 2 or used[y2] == 2 or r1 == r2:
+                continue
+            joined, taken = list(parent), list(used)
+            joined[r1] = r2
+            taken[y1] += 1
+            taken[y2] += 1
+            if rec(i + 1, joined, taken):
+                return True
+        return False
+
+    return rec(0, list(range(g.ny)), [0] * g.ny)
+
+
 def obstacle3_bruteforce(g: Bigraph):
     """First (lex) size-3 S whose lambda2 fits in a 2-element T, minimal."""
     for s in itertools.combinations(range(g.nx), 3):

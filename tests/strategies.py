@@ -54,10 +54,10 @@ def dense_bigraphs(
 
 
 @st.composite
-def graph_with_xs(draw, max_nx: int = 5, max_ny: int = 5):
-    """A dense bigraph together with a target X-subset of size >= 2."""
+def graph_with_xs(draw, max_nx: int = 5, max_ny: int = 5, min_size: int = 2):
+    """A dense bigraph together with a target X-subset of size >= min_size."""
     g = draw(dense_bigraphs(min_nx=2, max_nx=max_nx, min_ny=2, max_ny=max_ny))
-    size = draw(st.integers(2, g.nx))
+    size = draw(st.integers(min_size, g.nx))
     xs = draw(
         st.lists(
             st.integers(0, g.nx - 1), min_size=size, max_size=size, unique=True

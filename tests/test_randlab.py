@@ -281,16 +281,10 @@ class TestPoissonGof:
                 acc *= rate / k
                 total += acc
             samples.append(k)
-        rep = poisson_gof(samples, rate)
-        assert rep.tv < 0.02
-        assert rep.n_samples == 20000
-        assert [row["k"] for row in rep.table] == ["0", "1", "2", "3", "4+"]
-        for row in rep.table:
-            assert row["empirical"] == pytest.approx(row["expected"], abs=0.02)
+        assert poisson_gof(samples, rate) < 0.02
 
     def test_wrong_rate_is_visible(self) -> None:
-        rep = poisson_gof([0] * 500, rate=2.0)
-        assert rep.tv > 0.5
+        assert poisson_gof([0] * 500, rate=2.0) > 0.5
 
     def test_needs_enough_samples(self) -> None:
         with pytest.raises(DomainError):
@@ -299,9 +293,7 @@ class TestPoissonGof:
     def test_rate_too_large_for_float_powers(self) -> None:
         # far below the threshold every pair of a 20-vertex side is bad:
         # rate**k and k! overflow a float long before the pmf is small
-        rep = poisson_gof([190] * 100, math.exp(10))
-        assert rep.tv == pytest.approx(1.0)
-        assert rep.table[-1]["expected"] == pytest.approx(1.0)
+        assert poisson_gof([190] * 100, math.exp(10)) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("rate", [math.nan, math.inf, -1.0])
     def test_rate_must_be_finite_and_non_negative(self, rate: float) -> None:
@@ -329,14 +321,13 @@ class TestPoissonGof:
                 samples = [1770 - rng.randrange(3) for _ in range(100)]
             else:
                 samples = [rng.choice((0, 1, 2, 1770, round(rate))) for _ in range(150)]
-            assert poisson_gof(samples, rate).tv == oracles.poisson_tv_reference(samples, rate)
+            assert poisson_gof(samples, rate) == oracles.poisson_tv_reference(samples, rate)
 
     def test_far_below_threshold_is_quick(self) -> None:
         # every pair of a 2000-vertex side bad: the full-range sum made
         # about two million pmf calls; the support is about ten thousand
         bad = 2000 * 1999 // 2
-        rep = poisson_gof([bad] * 100, math.exp(10))
-        assert rep.tv == pytest.approx(1.0)
+        assert poisson_gof([bad] * 100, math.exp(10)) == pytest.approx(1.0)
         assert len(randlab._poisson_support(math.exp(10), bad)) < 20_000
 
 
