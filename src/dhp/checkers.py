@@ -99,11 +99,11 @@ class Verdict:
 class Obstacle:
     """A certificate (S, T) that the double Hall property fails:
     S is an X-set with |S| >= 2 whose twice-seen neighbourhood fits inside
-    T with |T| < |S|."""
+    T with |T| < |S|, and no obstacle inside (S, T) has a smaller
+    |S| + |T|.  Both producers report minimal obstacles only."""
 
     s: VertexSet
     t: VertexSet
-    minimal: bool
 
     def validate(self, g: Bigraph) -> None:
         _check_obstacle_sets(g, self.s, self.t)
@@ -114,15 +114,11 @@ class Obstacle:
         lam2 = neighborhood_at_least(g, self.s, 2)
         if not lam2.issubset(self.t):
             raise DomainError("obstacle needs T to contain the twice-seen neighbourhood of S")
-        if self.minimal and not obstacle_is_minimal(g, self.s, self.t):
-            raise DomainError("obstacle marked minimal is not minimal")
+        if not obstacle_is_minimal(g, self.s, self.t):
+            raise DomainError("obstacle is not minimal")
 
     def to_json_obj(self) -> dict[str, Any]:
-        return {
-            "S": list(self.s.indices),
-            "T": list(self.t.indices),
-            "minimal": self.minimal,
-        }
+        return {"S": list(self.s.indices), "T": list(self.t.indices)}
 
 
 @dataclass(frozen=True)
@@ -691,7 +687,7 @@ def find_minimal_obstacle(
     if hit is None:
         return None
     chosen, lam2 = hit
-    return Obstacle(s=VertexSet.xs(chosen), t=VertexSet(Y_SIDE, lam2), minimal=True)
+    return Obstacle(s=VertexSet.xs(chosen), t=VertexSet(Y_SIDE, lam2))
 
 
 def check_degree_bound(

@@ -230,8 +230,8 @@ _FLAGS = {
     "output": _flag("-o", "--output", default="-", help="output file (default stdout)"),
     "format": _flag(
         "--format",
-        choices=("auto", "edge-list", "json"),
-        default="auto",
+        choices=("edge-list", "json"),
+        default="edge-list",
         help="encoding for graph output (default edge-list); "
         "input format is always auto-detected",
     ),

@@ -380,7 +380,6 @@ def _scan_thin(
             return Obstacle(
                 s=VertexSet.xs(int(xs[v]) for v in (a[i], b[i], third[i].argmax())),
                 t=VertexSet.ys((int(t1[i]), int(t2[i]))),
-                minimal=True,
             )
     return None
 
@@ -517,7 +516,6 @@ class SweepConfig:
     measures: tuple[str, ...] = ("pair", "obstacle3", "maxdeg")
     jobs: int = 1
     crn: bool = True
-    exact_limit: int = EXACT_MEASURE_LIMIT
 
     def validate(self) -> None:
         if not self.n_list:
@@ -548,11 +546,11 @@ class SweepConfig:
             )
         for m in ("exact", "hamiltonian"):
             if m in self.measures:
-                big = [n for n in self.n_list if n > self.exact_limit]
+                big = [n for n in self.n_list if n > EXACT_MEASURE_LIMIT]
                 if big:
                     raise ConfigError(
                         f"measure {m!r} is exact and capped at "
-                        f"n <= {self.exact_limit}; infeasible for n = {big}"
+                        f"n <= {EXACT_MEASURE_LIMIT}; infeasible for n = {big}"
                     )
 
     def to_json_obj(self) -> dict:
@@ -596,7 +594,7 @@ class TrialRecord:
 
 def _run_seed(task: tuple) -> list[TrialRecord]:
     """The records of one seed at every (c, p) in the task, in that order:
-    (seed, n, ((c, p), ...), measures, exact_limit).
+    (seed, n, ((c, p), ...), measures).
 
     The seed's uniform grid is drawn once and thresholded for each p, in
     increasing p, while a sorted set R of X-rows shrinks.  At each p the
@@ -610,7 +608,7 @@ def _run_seed(task: tuple) -> list[TrialRecord]:
     """
     import numpy as np
 
-    seed, n, cps, measures, exact_limit = task
+    seed, n, cps, measures = task
     grid = _uniform_grid(seed, n, n)
     tri = _not_above_diagonal(n)
     rows = np.arange(n)  # R: increasing, so lexicographic order is kept
@@ -635,7 +633,7 @@ def _run_seed(task: tuple) -> list[TrialRecord]:
             if "exact" in measures:
                 exact = check_dhp(g).holds
             if "hamiltonian" in measures:
-                ham = check_hamiltonian(g, limit=exact_limit) is not None
+                ham = check_hamiltonian(g) is not None
         if "maxdeg" in measures:
             ratio = maxdeg / math.sqrt(2 * n * math.log(n))
         records[k] = TrialRecord(
@@ -910,7 +908,6 @@ def run_sweep(config: SweepConfig) -> SweepReport:
             n,
             tuple((c, params[n, c].p) for c in cs),
             config.measures,
-            config.exact_limit,
         )
         for n, seed_cix, cs in groups
         for t in range(config.trials)

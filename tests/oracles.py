@@ -519,10 +519,10 @@ def obstacle3_thin_scan_reference(g: Bigraph):
 
 
 def sweep_seed_reference(task) -> list:
-    """The records of a sweep task (seed, n, ((c, p), ...), measures,
-    exact_limit), one offset at a time in task order, each from the full
-    sample through the public per-sample functions; nothing is carried
-    from one offset to the next."""
+    """The records of a sweep task (seed, n, ((c, p), ...), measures), one
+    offset at a time in task order, each from the full sample through the
+    public per-sample functions; nothing is carried from one offset to the
+    next."""
     from dhp import (
         check_dhp,
         check_hamiltonian,
@@ -532,7 +532,7 @@ def sweep_seed_reference(task) -> list:
     )
     from dhp.randlab import TrialRecord
 
-    seed, n, cps, measures, exact_limit = task
+    seed, n, cps, measures = task
     records = []
     for c, p in cps:
         g = sample_gnnp(n, p, seed)
@@ -554,9 +554,7 @@ def sweep_seed_reference(task) -> list:
                 surrogate=pair_ok and obstacle is None if "obstacle3" in measures else None,
                 exact_dhp=check_dhp(g).holds if "exact" in measures else None,
                 hamiltonian=(
-                    check_hamiltonian(g, limit=exact_limit) is not None
-                    if "hamiltonian" in measures
-                    else None
+                    check_hamiltonian(g) is not None if "hamiltonian" in measures else None
                 ),
                 maxdeg_ratio=(
                     maxdeg / math.sqrt(2 * n * math.log(n)) if "maxdeg" in measures else None

@@ -810,14 +810,14 @@ class TestObstacles:
         with pytest.raises(GraphInputError):
             is_obstacle(g, s, t)
         with pytest.raises(GraphInputError):
-            Obstacle(s, t, False).validate(g)
+            Obstacle(s, t).validate(g)
 
     def test_range_checked_before_size(self) -> None:
         g = Bigraph.empty(3, 3)
         with pytest.raises(GraphInputError):
             is_obstacle(g, VertexSet.xs([99]), VertexSet.ys([]))
         with pytest.raises(GraphInputError):
-            Obstacle(VertexSet.xs([99]), VertexSet.ys([]), False).validate(g)
+            Obstacle(VertexSet.xs([99]), VertexSet.ys([])).validate(g)
 
     @given(bigraphs(min_nx=2, max_nx=5, max_ny=5))
     def test_find_minimal_obstacle_agrees_with_dhp(self, g: Bigraph) -> None:
@@ -825,7 +825,6 @@ class TestObstacles:
         assert (obst is None) == check_dhp(g).holds
         if obst is not None:
             obst.validate(g)
-            assert obst.minimal
             assert obstacle_is_minimal(g, obst.s, obst.t)
 
     def test_found_obstacle_is_first_in_order(self) -> None:
@@ -842,11 +841,26 @@ class TestObstacles:
 
     def test_validate_rejects_non_obstacle(self) -> None:
         g = Bigraph.complete(3, 3)
-        bad = Obstacle(
-            s=VertexSet.xs([0, 1]), t=VertexSet.ys([0]), minimal=False
-        )
+        bad = Obstacle(s=VertexSet.xs([0, 1]), t=VertexSet.ys([0]))
         with pytest.raises(DomainError):
             bad.validate(g)
+
+    @pytest.mark.parametrize(
+        "s, t",
+        [((0, 1, 2), ()), ((0, 1), (0,)), ((0, 1, 2), (3,))],
+        ids=["deficient-pair-inside", "t-past-twice-seen", "both"],
+    )
+    def test_validate_rejects_non_minimal_obstacle(self, s, t) -> None:
+        # a perfect matching plus an isolated y3: every X-set of two or
+        # more is an obstacle with an empty twice-seen neighbourhood, so
+        # each (S, T) here is one, but the pair (x0, x1) with T empty is
+        # smaller
+        g = Bigraph.from_edges(3, 4, [(0, 0), (1, 1), (2, 2)])
+        s, t = VertexSet.xs(s), VertexSet.ys(t)
+        assert is_obstacle(g, s, t) and not obstacle_is_minimal(g, s, t)
+        with pytest.raises(DomainError, match="obstacle is not minimal"):
+            Obstacle(s, t).validate(g)
+        Obstacle(VertexSet.xs([0, 1]), VertexSet.ys([])).validate(g)
 
 
 class TestDegreeBound:

@@ -174,7 +174,6 @@ class TestObstacleScan:
         obst = scan_obstacles_size3(g)
         assert obst is not None
         obst.validate(g)
-        assert obst.minimal
         assert obst.s.indices == (0, 1, 2)
         assert obst.t.indices == (0, 1)
 
@@ -357,6 +356,11 @@ class TestSweeps:
             SweepConfig(
                 (300,), (0.0,), 5, 1, measures=("pair", "exact")
             ).validate()
+        # the exact measures are capped at EXACT_MEASURE_LIMIT = 16
+        for measure in ("exact", "hamiltonian"):
+            SweepConfig((16,), (0.0,), 5, 1, measures=("pair", measure)).validate()
+            with pytest.raises(ConfigError, match=r"n <= 16; infeasible for n = \[17\]"):
+                SweepConfig((8, 17), (0.0,), 5, 1, measures=("pair", measure)).validate()
 
     def test_sweep_repeatability(self) -> None:
         cfg = SweepConfig((12,), (-1.0, 1.0), 40, master_seed=77)
@@ -511,7 +515,6 @@ class TestSweeps:
             obstacle = Obstacle(
                 s=VertexSet.xs(rec["obstacle3"]["S"]),
                 t=VertexSet.ys(rec["obstacle3"]["T"]),
-                minimal=rec["obstacle3"]["minimal"],
             )
             obstacle.validate(sample_gnnp(rec["n"], rec["p"], rec["seed"]))
 
@@ -569,7 +572,7 @@ class TestNestedKernel:
                 elif t % 5 == 2 and n <= 7:
                     measures = ("pair", "obstacle3", "exact", "hamiltonian")
                 cps = tuple((c, threshold_p(n, c).p) for c in cs)
-                task = (rng.getrandbits(64), n, cps, measures, 16)
+                task = (rng.getrandbits(64), n, cps, measures)
                 want = oracles.sweep_seed_reference(task)
                 start = len(sizes)
                 assert randlab._run_seed(task) == want, task
@@ -638,21 +641,23 @@ class TestSweepRecordCap:
 
 class TestSweepOutputPinned:
     """sha256 of the CSV plus the sorted records JSON, recorded before the
-    sweep kernel worked from the dense sample and re-recorded when
-    ``trial_seed`` began mixing each field of the cell key on its own."""
+    sweep kernel worked from the dense sample, re-recorded when
+    ``trial_seed`` began mixing each field of the cell key on its own, and
+    again when the config lost its exact-measure cap field and an obstacle
+    its minimal flag (the CSV bytes did not move)."""
 
     CASES = {
         "crn_jobs1_n12_n40": (
             SweepConfig((12, 40), (-1.0, 0.0, 1.0), 30, master_seed=7, jobs=1, crn=True),
-            "55d2d8c006ef279dbacdce1c6904763dc54254283f1844d6fca04e5a955279ce",
+            "fd8bada6144500916e5fd392ff9e7826429457df7413f356d85b7960751c07a1",
         ),
         "nocrn_jobs2_n13": (
             SweepConfig((13,), (-2.0, 2.0), 25, master_seed=11, jobs=2, crn=False),
-            "a840c52589e062a2a6493a288f3aa0a15b67c4b200b4b71be15851850ce86c3a",
+            "c4409fdfc752d3ef24a7eae5de231351b5b2170dd91943d1a5cede0dfa3c95d7",
         ),
         "clamped_n5": (
             SweepConfig((5,), (-30.0, 50.0), 20, master_seed=3),
-            "57256a24b05e76542458df19f3bb0fee3704297872991707ed2bf78a2e32e76a",
+            "facd1d858ff3984192ee70fd17cc843890d0c88c0d9853339adb4dd4736d3f03",
         ),
         "exact_ham_n10": (
             SweepConfig(
@@ -663,25 +668,25 @@ class TestSweepOutputPinned:
                 jobs=2,
                 measures=("pair", "obstacle3", "exact", "hamiltonian", "maxdeg"),
             ),
-            "69dd805425a1f6dc34954712ef4a29055111b1f84725bfe52bf7dcbdc7ee8442",
+            "600bf06ca67d4a85f028a9ff61ad92cbb04bcacdf40427504d8fbae34e8c127e",
         ),
         "crn_jobs2_n100": (
             SweepConfig((100,), (-2.0, 0.0, 2.0), 10, master_seed=5, jobs=2, crn=True),
-            "c32263cc8d6e5243e624191ff2cb05f1b2c9d8abfcba78b408aa40686bb13de0",
+            "0e25d1664426b2e14274658529dadf5657b068c8f724cb3f4740e819617de92d",
         ),
         # first recorded before the kernel visited a seed's offsets in increasing p
         "bench_shape_n300": (
             SweepConfig((300,), (-2.0, 0.0, 2.0), 5, master_seed=1),
-            "8c724244b4d18d1fd8d869df3c9c5c149e694e67c8b3c38b3fefeed9c1f92457",
+            "56adf84282de59e88a9946d1ae770c96f191c4878a586d7f271fd8a9fe426037",
         ),
         "unsorted_repeat_jobs2_n60": (
             SweepConfig((60,), (2.0, -2.0, 0.0, -2.0), 20, master_seed=9, jobs=2),
-            "709de478a0eef425219ce182769ad90e18147c0dbf0cc2bbc1e89267adbec5a6",
+            "68b3568c693c6a0b89bb6cf963b258ad68a0f8d04c1c6967f30a135c68d1e639",
         ),
         # 100 trials per cell, the fewest that give a cell its tv_poisson
         "tv_poisson_n12": (
             SweepConfig((12,), (-1.0, 0.0, 1.0), 100, master_seed=13),
-            "9b6ab80f37843f3feb9cb141c9df7073448fc00725d007d92ac1c5c6116e7e80",
+            "9b81b6c350064b418f02ed8cdd3f30f8e5caa9a8c7bcc370d3204af10a703a24",
         ),
     }
 
