@@ -140,8 +140,8 @@ def pair_gadget(n: int) -> Bigraph:
     check_side_limit(n, n * (n - 1), "pair gadget")
     ny = n * (n - 1)
     # Pair p of combinations(range(n), 2) owns Y-vertices 2p and 2p + 1,
-    # bits 3 << 2(p % 4) of byte p // 4.  Rows are packed as bytes and the
-    # mirror is written down, so the build is linear in the output.
+    # bits 3 << 2(p % 4) of byte p // 4.  Rows are packed as bytes, so the
+    # build is linear in the output.
     first = list(itertools.accumulate(range(n - 1, 0, -1), initial=0))  # pair (a, a + 1)
     rows = []
     for i in range(n):
@@ -150,8 +150,7 @@ def pair_gadget(n: int) -> Bigraph:
         for p in below + list(range(first[i], first[i] + n - 1 - i)):
             row[p >> 2] |= 3 << 2 * (p & 3)
         rows.append(int.from_bytes(row, "little"))
-    cols = [(1 << i) | (1 << j) for i, j in itertools.combinations(range(n), 2) for _ in range(2)]
-    return Bigraph._from_both(n, ny, tuple(rows), tuple(cols))
+    return Bigraph(n, ny, tuple(rows))
 
 
 def _development(v: int, base: tuple[int, ...], add) -> tuple[tuple[int, ...], ...]:

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Literal
 
 from .errors import DomainError, GraphInputError, ResourceLimitError, WitnessError
@@ -164,15 +165,15 @@ class Bigraph:
     """An immutable bipartite graph on vertex sets X = 0..nx-1, Y = 0..ny-1.
 
     ``adj_x[i]`` is the neighbourhood of x_i as a bitmask over Y.  The
-    mirror ``adj_y`` is derived at construction time, so the two directions
-    can never disagree.  There are no parallel edges by construction
-    (edge lists are treated with set semantics).
+    mirror ``adj_y`` is derived from ``adj_x`` on its first read and then
+    cached, so the two directions can never disagree and a graph read only
+    by its X-rows never builds it.  There are no parallel edges by
+    construction (edge lists are treated with set semantics).
     """
 
     nx: int
     ny: int
     adj_x: tuple[int, ...]
-    adj_y: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.nx < 0 or self.ny < 0:
@@ -185,12 +186,17 @@ class Bigraph:
                 f"adjacency has {len(self.adj_x)} rows, expected nx={self.nx}"
             )
         limit = 1 << self.ny
-        mirror = [0] * self.ny
         for i, row in enumerate(self.adj_x):
             if row < 0 or row >= limit:
                 raise GraphInputError(
                     f"adjacency row for x{i} mentions Y-vertices outside 0..{self.ny - 1}"
                 )
+
+    @cached_property
+    def adj_y(self) -> tuple[int, ...]:
+        """``adj_y[j]`` is the neighbourhood of y_j as a bitmask over X."""
+        mirror = [0] * self.ny
+        for i, row in enumerate(self.adj_x):
             # character j of the reversed binary string is bit j, so one
             # str.find pass visits a row's edges without rewriting the row
             # once per bit (which cost about n^4 on wide sparse rows)
@@ -200,7 +206,7 @@ class Bigraph:
             while j >= 0:
                 mirror[j] |= bit
                 j = digits.find("1", j + 1)
-        object.__setattr__(self, "adj_y", tuple(mirror))
+        return tuple(mirror)
 
     # -- construction ------------------------------------------------------
 
@@ -217,31 +223,14 @@ class Bigraph:
 
     @classmethod
     def from_dense(cls, mat) -> "Bigraph":
-        """Build from an (nx, ny) bool numpy adjacency matrix.
-
-        Both orientations are packed with ``np.packbits``, so the mirror
-        costs one transposed pack; a bool matrix cannot name a vertex out of
-        range.
-        """
+        """Build from an (nx, ny) bool numpy adjacency matrix, its rows
+        packed with ``np.packbits``."""
         import numpy as np
 
         if not isinstance(mat, np.ndarray) or mat.dtype != np.bool_ or mat.ndim != 2:
             raise GraphInputError("from_dense needs a 2-D bool numpy array")
         check_side_limit(mat.shape[0], mat.shape[1], "graph")
-        return cls._from_both(mat.shape[0], mat.shape[1], _packed_rows(mat), _packed_rows(mat.T))
-
-    @classmethod
-    def _from_both(
-        cls, nx: int, ny: int, adj_x: tuple[int, ...], adj_y: tuple[int, ...]
-    ) -> "Bigraph":
-        """Build from rows the caller has already mirrored and range-checked,
-        skipping the per-edge loop of ``__post_init__``."""
-        g = object.__new__(cls)
-        object.__setattr__(g, "nx", nx)
-        object.__setattr__(g, "ny", ny)
-        object.__setattr__(g, "adj_x", adj_x)
-        object.__setattr__(g, "adj_y", adj_y)
-        return g
+        return cls(mat.shape[0], mat.shape[1], _packed_rows(mat))
 
     @classmethod
     def complete(cls, nx: int, ny: int) -> "Bigraph":
@@ -336,9 +325,8 @@ def neighborhood_at_least(g: Bigraph, s: VertexSet, i: int) -> VertexSet:
         raise GraphInputError(
             f"{s.side}-set mentions vertices outside 0..{side_count - 1}"
         )
-    own_adj = g.adj_x if s.side == X_SIDE else g.adj_y
-    opp_adj = g.adj_y if s.side == X_SIDE else g.adj_x
     if i == 2:
+        own_adj = g.adj_x if s.side == X_SIDE else g.adj_y
         seen_once = 0
         seen_twice = 0
         for v in bits(s.mask):
@@ -347,7 +335,7 @@ def neighborhood_at_least(g: Bigraph, s: VertexSet, i: int) -> VertexSet:
             seen_once |= row
         return VertexSet(_opposite(s.side), seen_twice)
     out = 0
-    for w, row in enumerate(opp_adj):
+    for w, row in enumerate(g.adj_y if s.side == X_SIDE else g.adj_x):
         if (row & s.mask).bit_count() >= i:
             out |= 1 << w
     return VertexSet(_opposite(s.side), out)

@@ -507,7 +507,13 @@ def trial_seed(master_seed: int, n: int, c_index: int, trial: int) -> int:
 @dataclass(frozen=True)
 class SweepConfig:
     """Declarative description of a sweep; validation happens before any
-    sampling so infeasible measurement requests fail fast."""
+    sampling so infeasible measurement requests fail fast.
+
+    ``measures`` selects only the optional outputs: the pair statistics
+    (``n0``, ``n1``, ``pair_ok``, ``tv_poisson``) and ``max_degree`` are
+    computed in every trial, so "pair" is accepted and changes nothing, and
+    "maxdeg" only gates ``maxdeg_ratio`` and ``maxdeg_ratio_mean``.
+    """
 
     n_list: tuple[int, ...]
     c_list: tuple[float, ...]

@@ -47,6 +47,24 @@ from dhp.checkers import LOOKAHEAD_TABLE_BITS
 from dhp.core import Y_SIDE, induced_subgraph, is_two_connected
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Obstacle(VertexSet.xs([0]), VertexSet.ys([])).validate(Bigraph.complete(3, 3)),
+        lambda: Obstacle(VertexSet.xs([0, 1]), VertexSet.ys([0, 1])).validate(Bigraph.complete(3, 3)),
+        lambda: check_critical(Bigraph.complete(2, 2)),
+        lambda: find_minimal_obstacle(Bigraph.complete(1, 2), 2),
+        lambda: find_minimal_obstacle(Bigraph.complete(3, 3), 1),
+        lambda: find_minimal_obstacle(Bigraph.complete(3, 3), 4),
+    ],
+    ids=["obstacle-s-below-2", "obstacle-s-not-above-t", "critical-nx-below-3",
+         "minimal-obstacle-nx-below-2", "s-max-below-2", "s-max-above-nx"],
+)
+def test_checker_input_guards_raise_domain_error(call) -> None:
+    with pytest.raises(DomainError):
+        call()
+
+
 class TestDhp:
     @given(bigraphs(min_nx=2))
     def test_matches_oracle(self, g: Bigraph) -> None:

@@ -50,6 +50,23 @@ def cube_file(tmp_path) -> str:
     return write_graph(tmp_path, "cube.txt", builtin_biplane(1))
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fmt", "-i", "{cube}", "-o", "{tmp}/missing/out.txt"], "cannot write"),
+        (["solve", "cover-cycle", "-i", "{cube}", "--xs", ","], "--xs names no vertices"),
+        (["random", "sweep", "--n-list", "10", "--c-list", "0", "--trials", "1", "--jobs", "0"],
+         "jobs must be >= 1"),
+    ],
+    ids=["unwritable-output", "xs-names-nothing", "jobs-zero"],
+)
+def test_bad_request_exits_two(argv, message, cube_file, tmp_path, capsys) -> None:
+    argv = [arg.format(cube=cube_file, tmp=tmp_path) for arg in argv]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 class TestCheck:
     def test_holds_exits_zero(self, tmp_path, capsys) -> None:
         path = write_graph(tmp_path, "k22.txt", Bigraph.complete(2, 2))

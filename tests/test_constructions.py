@@ -68,14 +68,15 @@ class TestPairGadget:
     def test_matches_bit_at_a_time_build(self) -> None:
         # the loop the packed build replaced, which cost about n^4
         for n in range(2, 31):
-            rows, y = [0] * n, 0
+            rows, cols, y = [0] * n, [], 0
             for i, j in itertools.combinations(range(n), 2):
                 for _ in range(2):
                     rows[i] |= 1 << y
                     rows[j] |= 1 << y
+                    cols.append((1 << i) | (1 << j))  # the column's two endpoints
                     y += 1
-            g, ref = pair_gadget(n), Bigraph(n, y, tuple(rows))
-            assert (g, g.adj_y) == (ref, ref.adj_y)
+            g = pair_gadget(n)
+            assert (g, g.adj_y) == (Bigraph(n, y, tuple(rows)), tuple(cols))
 
     def test_side_cap_checked_before_building(self) -> None:
         import tracemalloc
@@ -89,6 +90,28 @@ class TestPairGadget:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: biplane_from_difference_set(7, [1, 1, 2, 4]), ConstructionError),
+        (lambda: import_design(""), ParseError),
+        (lambda: import_design("# a comment alone\n"), ParseError),
+        (lambda: import_design("design 2 2 1\n0 1\n0\n"), ParseError),
+    ],
+    ids=["repeated-difference", "empty-file", "comment-only-file", "block-size-not-k"],
+)
+def test_design_input_guards(call, error) -> None:
+    with pytest.raises(error):
+        call()
+
+
+def test_design_violation_names_an_irregular_y_side() -> None:
+    # every X-degree is 2, but y0 is seen three times
+    g = Bigraph(3, 3, (0b011, 0b011, 0b101))
+    assert design_violation(g) == "not regular: deg(y0) = 3 but deg(x0) = 2"
+    assert verify_design(g) is None
 
 
 class TestBiplanes:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 import re
@@ -29,10 +30,16 @@ from dhp import (
     WitnessError,
     X_SIDE,
     Y_SIDE,
+    bipartite_product,
+    builtin_biplane,
+    check_dhp,
     induced_subgraph,
     is_two_connected,
+    iterated_product,
     neighborhood_at_least,
     pair_gadget,
+    parse_bigraph,
+    serialize_bigraph,
 )
 from dhp.core import bits, two_connected_on
 
@@ -99,10 +106,11 @@ class TestBigraph:
     def test_from_dense_matches_rows(self, nx: int, ny: int) -> None:
         mat = np.random.default_rng(nx * 1000 + ny).random((nx, ny)) < 0.3
         rows = tuple(sum(1 << j for j in range(ny) if mat[i, j]) for i in range(nx))
-        want = Bigraph(nx, ny, rows)
         got = Bigraph.from_dense(mat)
-        assert got == want
-        assert got.adj_y == want.adj_y
+        assert got == Bigraph(nx, ny, rows)
+        # the mirror against the rows of mat.T, packed here rather than by
+        # the one routine every builder shares
+        assert got.adj_y == tuple(sum(1 << i for i, bit in enumerate(col) if bit) for col in mat.T)
         assert Bigraph.from_dense(np.ones((nx, ny), dtype=bool)) == Bigraph.complete(nx, ny)
 
     def test_from_dense_rejects_non_bool_or_non_matrix(self) -> None:
@@ -125,9 +133,11 @@ class TestBigraph:
         # costs about n^4 and took seconds
         g = pair_gadget(500)
         t0 = time.perf_counter()
-        rebuilt = Bigraph(g.nx, g.ny, g.adj_x)
+        mirror = Bigraph(g.nx, g.ny, g.adj_x).adj_y
         assert time.perf_counter() - t0 < 2.0
-        assert rebuilt.adj_y == g.adj_y
+        # pair p of combinations(range(500), 2) owns columns 2p and 2p + 1
+        pairs = itertools.combinations(range(g.nx), 2)
+        assert mirror == tuple((1 << a) | (1 << b) for a, b in pairs for _ in range(2))
 
     def test_side_limit_checked_before_the_mirror(self) -> None:
         import tracemalloc
@@ -161,6 +171,70 @@ class TestBigraph:
         es = list(g.edges())
         assert es == sorted(es)
         assert len(es) == g.num_edges
+
+    def test_list_rows_become_a_tuple(self) -> None:
+        g = Bigraph(2, 2, [1, 3])
+        assert g.adj_x == (1, 3) and isinstance(g.adj_x, tuple)
+        assert g == Bigraph(2, 2, (1, 3)) and hash(g) == hash(Bigraph(2, 2, (1, 3)))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Bigraph(-1, 2, ()),
+            lambda: Bigraph(2, -1, (0, 0)),
+            lambda: Bigraph(2, 2, [1]),  # a list is coerced, then counted
+            lambda: Bigraph(2, 2, (1, 2, 3)),
+            lambda: Bigraph(1, 2, (4,)),
+            lambda: Bigraph(1, 2, (-1,)),
+            lambda: Bigraph.complete(2, 3).has_edge(2, 0),
+            lambda: Bigraph.complete(2, 3).has_edge(0, 3),
+            lambda: Bigraph.empty(2, 3).with_edge(0, 3),
+            lambda: Bigraph.complete(2, 3).without_edge(-1, 0),
+            lambda: induced_subgraph(Bigraph.complete(2, 3), VertexSet.ys([0]), VertexSet.ys([0])),
+            lambda: induced_subgraph(Bigraph.complete(2, 3), VertexSet.xs([2]), VertexSet.ys([0])),
+            lambda: induced_subgraph(Bigraph.complete(2, 3), VertexSet.xs([0]), VertexSet.ys([3])),
+        ],
+    )
+    def test_input_guards_raise_graph_input_error(self, build) -> None:
+        with pytest.raises(GraphInputError):
+            build()
+
+
+class TestLazyMirror:
+    """``adj_y`` is derived on its first read: builders and the X-row
+    readers leave it unbuilt, and the first read matches the transpose."""
+
+    @staticmethod
+    def _transpose(g: Bigraph) -> tuple[int, ...]:
+        return tuple(sum(1 << i for i in range(g.nx) if g.adj_x[i] >> j & 1) for j in range(g.ny))
+
+    def test_builders_leave_the_mirror_unbuilt(self) -> None:
+        g = Bigraph.from_edges(3, 4, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 3)])
+        built = {
+            "from_edges": g,
+            "from_dense": Bigraph.from_dense(np.eye(3, 4, dtype=bool)),
+            "parse_bigraph": parse_bigraph(serialize_bigraph(g)),
+            "pair_gadget": pair_gadget(5),
+            "bipartite_product": bipartite_product(g, g),
+            "with_edge": g.with_edge(2, 0),
+            "without_edge": g.without_edge(0, 0),
+        }
+        assert [name for name, h in built.items() if "adj_y" in h.__dict__] == []
+
+    def test_x_row_readers_leave_the_mirror_unbuilt(self) -> None:
+        g = builtin_biplane(3)
+        check_dhp(g)
+        serialize_bigraph(g)
+        power = iterated_product(g, 2)
+        neighborhood_at_least(g, VertexSet.xs([0, 1, 2]), 2)
+        assert "adj_y" not in g.__dict__ and "adj_y" not in power.__dict__
+
+    @pytest.mark.parametrize("g", [builtin_biplane(3), pair_gadget(6), Bigraph.empty(3, 5)], ids=repr)
+    def test_max_degree_builds_the_mirror(self, g: Bigraph) -> None:
+        assert "adj_y" not in g.__dict__
+        want = self._transpose(g)
+        assert g.max_degree() == max((row.bit_count() for row in g.adj_x + want), default=0)
+        assert g.__dict__["adj_y"] == want
 
 
 class TestNeighborhoods:

@@ -56,6 +56,29 @@ from dhp.cycles import (
 )
 
 
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: absorb_virtual_edge(Bigraph.empty(2, 2), 2, 0, CycleWitness((0, 1), (0, 1))), GraphInputError),
+        (lambda: absorb_virtual_edge(Bigraph.empty(2, 2), 0, -1, CycleWitness((0, 1), (0, 1))), GraphInputError),
+        # K(3, 3) minus (x0, y0): the 4-cycle on x1, x2 misses x0
+        (
+            lambda: absorb_virtual_edge(
+                Bigraph.complete(3, 3).without_edge(0, 0), 0, 0, CycleWitness((1, 2), (1, 2))
+            ),
+            GraphInputError,
+        ),
+        (lambda: solve_high_degree(Bigraph.complete(3, 3), -1), DomainError),
+        (lambda: solve_degree_split(Bigraph.complete(1, 1)), DomainError),
+    ],
+    ids=["absorb-x-out-of-range", "absorb-y-out-of-range", "absorb-cycle-misses-x",
+         "high-degree-negative-k", "degree-split-nx-below-2"],
+)
+def test_solver_input_guards(call, error) -> None:
+    with pytest.raises(error):
+        call()
+
+
 def _two_path_instance() -> Bigraph:
     """n = 21, k = 4: x0 and x1 are the only low-degree X-vertices and
     need two disjoint Y..Y paths, which the solver joins through x2."""
