@@ -347,13 +347,32 @@ def iterated_product(g: Bigraph, k: int) -> Bigraph:
     return out
 
 
+def _columns_all_count(g: Bigraph, d: int) -> bool:
+    """Whether every Y-vertex has degree ``d``.  The X-rows are summed
+    column-wise in bit planes, plane k holding bit k of every column's
+    count, so the Y-side mirror is not built."""
+    planes: list[int] = []
+    for row in g.adj_x:
+        carry = row
+        for k, plane in enumerate(planes):
+            if not carry:
+                break
+            planes[k], carry = plane ^ carry, plane & carry
+        if carry:
+            planes.append(carry)
+    full = (1 << g.ny) - 1
+    return d >> len(planes) == 0 and all(
+        plane == (full if d >> k & 1 else 0) for k, plane in enumerate(planes)
+    )
+
+
 def growth_report(g: Bigraph) -> dict:
     """Size/degree summary: for a d-regular square bigraph, also the growth
     exponent alpha = log(d) / log(n), the figure of merit for how slowly
     degrees may grow while keeping the double Hall property."""
-    degs = g.degrees_x() + g.degrees_y()
-    regular = g.nx == g.ny and len(set(degs)) == 1
-    d = degs[0] if regular and degs else None
+    degs = g.degrees_x()
+    regular = g.nx == g.ny and len(set(degs)) == 1 and _columns_all_count(g, degs[0])
+    d = degs[0] if regular else None
     alpha = None
     if d is not None and g.nx > 1 and d > 0:
         alpha = math.log(d) / math.log(g.nx)

@@ -28,7 +28,12 @@ offset profiles every X-row, and each later one only the rows that were in
 a pair with at most two common neighbours at the offset before, since
 every bad pair (fewer than two) and every thin pair (exactly two) of a
 later sample is among them.  Above the threshold those are a few dozen
-rows of hundreds.  A parallel sweep runs on at most min(jobs, tasks,
+rows of hundreds.  A sweep with one worker runs its seeds in the calling
+process and hands them one set of arrays, written in place: the uniform
+grid, the bool sample, its float32 rows and their pair-count product grow
+when n grows and are freed when the call returns, so a seed neither
+allocates nor page-faults in arrays of its own.  Pool workers allocate
+theirs per task.  A parallel sweep runs on at most min(jobs, tasks,
 usable cores) worker processes, and the process keeps that pool for its
 later sweeps.  Every pair-count product runs on one thread of numpy's own
 OpenBLAS, in the calling process and in the workers alike, and leaves the
@@ -89,9 +94,12 @@ __all__ = [
 MASK64 = (1 << 64) - 1
 
 # Cap on nx * ny for one sample (n = 4096 square).  A trial holds its uniform
-# grid (8 bytes per cell) while it thresholds it for every c, and the pair
-# profile adds about 20 bytes per X-pair, so a trial at the cap stays near
-# half a GiB; larger requests raise ResourceLimitError instead of an OOM.
+# grid (8 bytes per cell), its bool sample (1) and the sample's float32 rows
+# (4), and the pair profile adds the float32 product and its near-pair mask
+# (5 bytes per X-pair): about 18 bytes per cell of a square sample, so a
+# trial at the cap stays near 300 MiB.  A sweep with one worker allocates
+# them once per call, a pool worker once per task.  Larger requests raise
+# ResourceLimitError instead of an OOM.
 MAX_SAMPLE_CELLS = 1 << 24
 
 # Cap on cells x trials, the records of one sweep.  run_sweep builds every
@@ -134,17 +142,18 @@ def _uniform_scalar(seed: int, i: int, j: int) -> int:
     return mix64(mix64((seed ^ (i << 21)) & MASK64) ^ j)
 
 
-def _uniform_grid(seed: int, nx: int, ny: int) -> np.ndarray:
-    """The nx x ny grid of per-edge uniforms, mixed a block of about 2^14
-    cells (at least one row) at a time through one scratch block, so that
-    the block and its scratch stay in cache."""
+def _uniform_grid(seed: int, nx: int, ny: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The nx x ny grid of per-edge uniforms, written into ``out`` when one
+    is given, mixed a block of about 2^14 cells (at least one row) at a
+    time through one scratch block, so that the block and its scratch stay
+    in cache."""
     import numpy as np
 
     row_keys = np.full(nx, seed & MASK64, dtype=np.uint64)
     row_keys ^= np.arange(nx, dtype=np.uint64) << np.uint64(21)
     _mix64_np(row_keys, np.empty_like(row_keys))
     cols = np.arange(ny, dtype=np.uint64)
-    grid = np.empty((nx, ny), dtype=np.uint64)
+    grid = np.empty((nx, ny), dtype=np.uint64) if out is None else out
     step = max(1, (1 << 14) // max(1, ny))
     tmp = np.empty((min(step, nx), ny), dtype=np.uint64)
     for lo in range(0, nx, step):
@@ -162,15 +171,31 @@ def _threshold_u64(p: float) -> int:
     return int(p * (1 << 64))
 
 
-def _threshold(grid: np.ndarray, p: float) -> np.ndarray:
+def _threshold(grid: np.ndarray, p: float, out: np.ndarray | None = None) -> np.ndarray:
     """Adjacency matrix of the sample at edge probability p, from the
-    seed's uniform grid: an edge where its uniform falls below p * 2^64."""
+    seed's uniform grid: an edge where its uniform falls below p * 2^64.
+    It is written into ``out`` when one is given."""
     import numpy as np
 
     thr = _threshold_u64(p)
-    if thr >= 1 << 64:
-        return np.ones(grid.shape, dtype=bool)
-    return grid < np.uint64(thr)
+    if thr >= 1 << 64:  # every uniform is below 2^64
+        return np.greater_equal(grid, np.uint64(0), out=out)
+    return np.less(grid, np.uint64(thr), out=out)
+
+
+def _workspace(buffers: dict | None, key: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """An uninitialised array of ``shape``: a view of the prefix of the flat
+    array ``buffers[key]``, which is replaced by a larger one when it is too
+    small, or a new array when there are no buffers."""
+    import numpy as np
+
+    size = math.prod(shape)
+    if buffers is None:
+        return np.empty(shape, dtype=dtype)
+    flat = buffers.get(key)
+    if flat is None or flat.size < size:
+        flat = buffers[key] = np.empty(size, dtype=dtype)
+    return flat[:size].reshape(shape)
 
 
 def _check_sample_size(nx: int, ny: int) -> None:
@@ -248,16 +273,6 @@ def threshold_p(n: int, c: float, kind: str = "dhp") -> ThresholdParams:
 # -- per-sample statistics -----------------------------------------------------
 
 
-@functools.lru_cache(maxsize=4)
-def _not_above_diagonal(n: int) -> np.ndarray:
-    """Read-only n x n mask of the entries (a, b) with a >= b."""
-    import numpy as np
-
-    mask = np.tri(n, dtype=bool)
-    mask.setflags(write=False)
-    return mask
-
-
 @functools.cache
 def _blas_thread_api() -> tuple | None:
     """(getter, setter) of the thread count of the OpenBLAS that numpy's
@@ -325,14 +340,19 @@ def _one_blas_thread():
                 set_(_blas_saved)
 
 
-def _pair_profile(mat: np.ndarray, tri: np.ndarray) -> tuple[int, int, np.ndarray]:
-    """Counts of X-pairs with zero and with one common neighbour among the
-    rows of the bool adjacency matrix ``mat``, plus the pair-count matrix:
-    entry (a, b) with a < b is the number of common neighbours, every other
-    entry is -1.  ``tri`` is the ``_not_above_diagonal`` mask at the row
-    count, or the leading square of a larger one.  Uses one matrix product;
-    counts up to 2**24 stay exact in float32, so the result does not depend
-    on the BLAS.
+def _pair_profile(
+    mat: np.ndarray, buffers: dict | None = None
+) -> tuple[int, int, np.ndarray, np.ndarray, np.ndarray]:
+    """Near pairs of the rows of the bool adjacency matrix ``mat``:
+    (n0, n1, a, b, count), where a < b run over the pairs of rows with at
+    most two common neighbours in lexicographic order, ``count`` holds each
+    pair's number of common neighbours, and n0 and n1 are how many pairs
+    have none and exactly one.  One matrix product counts every pair, and
+    one pass over it lists the near pairs; counts up to 2**24 stay exact in
+    float32, so the result does not depend on the BLAS.  The float32 rows
+    and their product are written into ``buffers`` (see ``_workspace``),
+    the arrays that a sweep with one worker shares across its seeds until
+    it returns; pool workers pass none and allocate them per task.
 
     The product runs on one BLAS thread in whichever process runs it, and
     the caller's thread count is back afterwards (``_one_blas_thread``):
@@ -340,45 +360,63 @@ def _pair_profile(mat: np.ndarray, tri: np.ndarray) -> tuple[int, int, np.ndarra
     cores that parallel sweep workers need.  Cores come from ``jobs``."""
     import numpy as np
 
-    a_mat = mat.astype(np.float32)
+    m = len(mat)
+    rows = _workspace(buffers, "rows", mat.shape, np.float32)
+    np.copyto(rows, mat)
+    product = _workspace(buffers, "product", (m, m), np.float32)
     with _one_blas_thread():
-        common = a_mat @ a_mat.T
-    common[tri] = -1  # count each pair a < b once
-    n0 = int(np.count_nonzero(common == 0))
-    n1 = int(np.count_nonzero(common == 1))
-    return n0, n1, common
+        np.matmul(rows, rows.T, out=product)
+    near = np.flatnonzero(product <= 2)  # row-major, so lexicographic
+    a, b = np.divmod(near, m)
+    upper = a < b  # the product is symmetric; count each pair a < b once
+    a, b = a[upper], b[upper]
+    count = product.reshape(-1)[near[upper]].astype(np.int64)
+    n0 = int(np.count_nonzero(count == 0))
+    n1 = int(np.count_nonzero(count == 1))
+    return n0, n1, a, b, count
 
 
 def _scan_thin(
-    mat: np.ndarray, common: np.ndarray, xs: Sequence[int]
+    mat: np.ndarray, a: np.ndarray, b: np.ndarray, xs: Sequence[int]
 ) -> Obstacle | None:
-    """Size-3 minimal obstacle search over the pairs with two common
-    neighbours, given the adjacency matrix rows of the X-vertices ``xs``
-    (increasing) and their pair-count matrix.
+    """Size-3 minimal obstacle search over the thin pairs, the pairs of rows
+    a < b of the adjacency matrix ``mat`` with exactly two common
+    neighbours, given in lexicographic order; row v is the X-vertex
+    ``xs[v]`` (increasing).
 
     A minimal obstacle (S, T) with |S| = 3 forces |T| = 2 with both
     T-vertices adjacent to all of S, which makes every pair inside S have
     common neighbourhood exactly T.  So it suffices to extend each pair
     a < b with common neighbours {t1, t2} by a third X-vertex c > b
-    adjacent to both whose pairs with a and with b also count two common
-    neighbours.  The pairs are tested a block at a time in lexicographic
-    order, and the first hit in lexicographic triple order is returned.
+    adjacent to both whose pairs with a and with b are also thin.  Only
+    the pairs in a triangle of thin pairs are extended, a block at a time
+    in lexicographic order, and the first hit in lexicographic triple order
+    is returned.
     """
     import numpy as np
 
-    thin = common == 2  # above the diagonal only, so thin[b, c] means c > b
-    rows, cols = np.divmod(np.flatnonzero(thin), thin.shape[1])  # row-major, so lexicographic
-    # pairs per block of 64 Ki cells: a block holds rows of mat and of mat.T
+    if len(a) < 3:  # an obstacle's three pairs are all thin
+        return None
+    # the rows in some thin pair, and the thin matrix among them
+    ends, ix = np.unique(np.concatenate((a, b)), return_inverse=True)
+    ia, ib = ix[: len(a)], ix[len(a) :]
+    thin = np.zeros((len(ends), len(ends)), dtype=bool)
+    thin[ia, ib] = True  # above the diagonal only, so thin[ib, k] means ends[k] > b
+    # pairs per block of 64 Ki cells: a block holds rows of mat, mat.T and thin
     step = max(1, (1 << 16) // max(1, *mat.shape))
-    for lo in range(0, len(rows), step):
-        a, b = rows[lo : lo + step], cols[lo : lo + step]
-        t1, t2 = (np.flatnonzero(mat[a] & mat[b]) % mat.shape[1]).reshape(-1, 2).T
-        third = thin[a] & thin[b] & mat.T[t1] & mat.T[t2]
+    for lo in range(0, len(a), step):
+        third = thin[ia[lo : lo + step]] & thin[ib[lo : lo + step]]
+        hit = np.flatnonzero(third.any(axis=1))  # the pairs in a triangle of thin pairs
+        if not hit.size:
+            continue
+        pa, pb = a[lo + hit], b[lo + hit]
+        t1, t2 = (np.flatnonzero(mat[pa] & mat[pb]) % mat.shape[1]).reshape(-1, 2).T
+        third = third[hit] & (mat.T[t1] & mat.T[t2])[:, ends]
         found = np.flatnonzero(third.any(axis=1))
         if found.size:
             i = found[0]
             return Obstacle(
-                s=VertexSet.xs(int(xs[v]) for v in (a[i], b[i], third[i].argmax())),
+                s=VertexSet.xs(int(xs[v]) for v in (pa[i], pb[i], ends[third[i].argmax()])),
                 t=VertexSet.ys((int(t1[i]), int(t2[i]))),
             )
     return None
@@ -388,7 +426,7 @@ def count_bad_pairs(g: Bigraph) -> tuple[int, int]:
     """(n0, n1): the number of X-pairs with no common neighbour and with
     exactly one.  Either kind being positive already refutes the pair case
     of the double Hall property."""
-    n0, n1, _ = _pair_profile(_unpack_graph(g), _not_above_diagonal(g.nx))
+    n0, n1, _, _, _ = _pair_profile(_unpack_graph(g))
     return n0, n1
 
 
@@ -396,8 +434,9 @@ def scan_obstacles_size3(g: Bigraph) -> Obstacle | None:
     """First (lexicographic) X-triple S forming a minimal obstacle with its
     two-element super-neighbourhood, or None."""
     mat = _unpack_graph(g)
-    common = _pair_profile(mat, _not_above_diagonal(g.nx))[2]
-    return _scan_thin(mat, common, range(g.nx))
+    _, _, a, b, count = _pair_profile(mat)
+    thin = count == 2
+    return _scan_thin(mat, a[thin], b[thin], range(g.nx))
 
 
 def surrogate_dhp(g: Bigraph) -> bool:
@@ -409,10 +448,11 @@ def surrogate_dhp(g: Bigraph) -> bool:
     with |S| >= 4 whose triples are all clean, so it over-approximates.
     """
     mat = _unpack_graph(g)
-    n0, n1, common = _pair_profile(mat, _not_above_diagonal(g.nx))
+    n0, n1, a, b, count = _pair_profile(mat)
     if n0 or n1:
         return False
-    return _scan_thin(mat, common, range(g.nx)) is None
+    thin = count == 2
+    return _scan_thin(mat, a[thin], b[thin], range(g.nx)) is None
 
 
 def check_hamiltonian(
@@ -598,7 +638,7 @@ class TrialRecord:
         return out
 
 
-def _run_seed(task: tuple) -> list[TrialRecord]:
+def _run_seed(task: tuple, buffers: dict | None = None) -> list[TrialRecord]:
     """The records of one seed at every (c, p) in the task, in that order:
     (seed, n, ((c, p), ...), measures).
 
@@ -606,33 +646,42 @@ def _run_seed(task: tuple) -> list[TrialRecord]:
     increasing p, while a sorted set R of X-rows shrinks.  At each p the
     maximum degree is read off the full bool matrix, but only the rows in R
     are profiled; R then shrinks to the rows in some pair with at most two
-    common neighbours, and the thin-pair scan runs on that R x R block.
-    This is exact because raising p only adds edges: a pair with at most
-    two common neighbours at a larger p, and so the third vertex of a
+    common neighbours, and the thin-pair scan runs on the thin pairs among
+    them.  This is exact because raising p only adds edges: a pair with at
+    most two common neighbours at a larger p, and so the third vertex of a
     size-3 obstacle there, had at most two at every smaller p.  A
     ``Bigraph`` is packed only for the exact measures.
+
+    The grid, the bool sample, the float32 rows and their product are
+    written in place into the arrays of ``buffers`` (see ``_workspace``):
+    a sweep with one worker passes one dict for all its seeds, which reuse
+    the same arrays until the call returns and frees them, while a pool
+    worker passes none and allocates them per task.
     """
     import numpy as np
 
     seed, n, cps, measures = task
-    grid = _uniform_grid(seed, n, n)
-    tri = _not_above_diagonal(n)
+    grid = _uniform_grid(seed, n, n, _workspace(buffers, "grid", (n, n), np.uint64))
+    mat = _workspace(buffers, "mat", (n, n), np.bool_)
     rows = np.arange(n)  # R: increasing, so lexicographic order is kept
     records: list = [None] * len(cps)
     for k in sorted(range(len(cps)), key=lambda k: cps[k][1]):
         c, p = cps[k]
-        mat = _threshold(grid, p)
-        u8 = mat.view(np.uint8)  # its int32 sums take half the time of the bool matrix's
-        maxdeg = int(max(u8.sum(0, dtype=np.int32).max(), u8.sum(1, dtype=np.int32).max()))
-        sub = mat[rows]
-        n0, n1, common = _pair_profile(sub, tri[: len(rows), : len(rows)])
+        _threshold(grid, p, mat)
+        # uint16 sums of the uint8 view take about 0.7 of the time of int32
+        # ones; a degree is at most n <= 4096 (MAX_SAMPLE_CELLS), so none wraps
+        u8 = mat.view(np.uint8)
+        maxdeg = int(max(u8.sum(0, dtype=np.uint16).max(), u8.sum(1, dtype=np.uint16).max()))
+        sub = mat if len(rows) == n else mat[rows]
+        n0, n1, a, b, count = _pair_profile(sub, buffers)
         pair_ok = n0 == 0 and n1 == 0
-        near = (common >= 0) & (common <= 2)
-        keep = np.flatnonzero(near.any(axis=0) | near.any(axis=1))
-        rows = rows[keep]
+        near = np.zeros(len(rows), dtype=bool)  # quicker than np.union1d(a, b)
+        near[a] = near[b] = True
+        xs, rows = rows, rows[near]
         obstacle = surtag = exact = ham = ratio = None
         if "obstacle3" in measures:
-            obstacle = _scan_thin(sub[keep], common[np.ix_(keep, keep)], rows)
+            thin = count == 2
+            obstacle = _scan_thin(sub, a[thin], b[thin], xs)
             surtag = pair_ok and obstacle is None
         if "exact" in measures or "hamiltonian" in measures:
             g = Bigraph.from_dense(mat)
@@ -879,7 +928,10 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     Per-trial seeds are derived, never sequential, so trials are
     independent tasks; with jobs > 1 they are distributed over processes
     and reassembled in task order, making the report identical for any
-    worker count.  Each pair-count product runs on one BLAS thread in
+    worker count.  With one worker the tasks run in the calling process
+    and share one set of arrays, allocated once (grown when n grows) and
+    freed when the call returns; pool workers allocate theirs per task
+    (see ``_run_seed``).  Each pair-count product runs on one BLAS thread in
     whichever process runs it, and the caller's BLAS thread count is back
     afterwards (see ``_pair_profile``): cores come from ``jobs``.  The pool
     has min(jobs, tasks, usable cores) workers, since more could not run at
@@ -942,7 +994,8 @@ def run_sweep(config: SweepConfig) -> SweepReport:
                 _drop_pool()
                 raise
     else:
-        results = [_run_seed(t) for t in tasks]
+        buffers: dict = {}  # one set of arrays for every seed, freed on return
+        results = [_run_seed(t, buffers) for t in tasks]
     cells = []
     for g_ix, (n, _, cs) in enumerate(groups):
         rows = results[g_ix * config.trials : (g_ix + 1) * config.trials]

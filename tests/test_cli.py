@@ -477,6 +477,22 @@ class TestConstruct:
         g = load_bigraph(out)
         assert g.nx == 16
 
+    def test_power_builds_no_mirror(self, tmp_path, capsys, monkeypatch) -> None:
+        from dhp import builtin_biplane
+
+        reads = []
+        mirror = Bigraph.__dict__["adj_y"].func
+
+        def spy(g: Bigraph) -> tuple[int, ...]:
+            reads.append(g.nx)
+            return mirror(g)
+
+        path = write_graph(tmp_path, "b3.txt", builtin_biplane(3))
+        monkeypatch.setattr(Bigraph, "adj_y", property(spy))
+        code, _, err = run_cli(["construct", "power", path, "--k", "2"], capsys)
+        assert code == 0 and reads == []
+        assert json.loads(err.split("# growth: ", 1)[1])["regular_degree"] == 25
+
     def test_json_output_carries_config(self, capsys) -> None:
         code, out, _ = run_cli(
             ["construct", "pair-gadget", "--n", "2", "--format", "json"],

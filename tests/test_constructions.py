@@ -371,6 +371,28 @@ class TestProduct:
         assert rep["regular_degree"] is None
         assert rep["alpha"] is None
 
+    @pytest.mark.parametrize(
+        "g",
+        [
+            iterated_product(builtin_biplane(2), 2),
+            Bigraph.complete(4, 4),
+            Bigraph.complete(3, 3),
+            Bigraph.empty(3, 3),
+            Bigraph.empty(0, 0),
+            Bigraph.complete(3, 4),
+            pair_gadget(4),
+            # every X-degree is 2, but the Y-degrees are 3, 2 and 1
+            Bigraph.from_edges(3, 3, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 2)]),
+        ],
+        ids=repr,
+    )
+    def test_growth_report_counts_columns_without_the_mirror(self, g: Bigraph) -> None:
+        rep = growth_report(g)
+        assert "adj_y" not in g.__dict__
+        degs = g.degrees_x() + g.degrees_y()
+        regular = g.nx == g.ny and len(set(degs)) == 1
+        assert rep["regular_degree"] == (degs[0] if regular else None)
+
 
 class TestPadding:
     def test_no_op_at_current_size(self) -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import random
@@ -154,6 +155,31 @@ class TestPairScan:
                 elif common == 1:
                     n1 += 1
         assert count_bad_pairs(g) == (n0, n1)
+
+    def test_pair_profile_lists_near_pairs_in_order(self) -> None:
+        # one workspace for every matrix, so its arrays grow and are reused
+        # at smaller sizes; sparse rows with at most two neighbours are in
+        # near pairs with every other row, never with themselves
+        import numpy as np
+
+        rng = np.random.default_rng(36)
+        buffers: dict = {}
+        shapes = [(0, 0), (1, 5), (5, 0), (7, 3), (30, 12), (60, 60), (12, 30), (2, 2)]
+        sparse = 0
+        for (nx, ny), density in zip(shapes * 3, [0.05] * 8 + [0.3] * 8 + [0.7] * 8):
+            mat = rng.random((nx, ny)) < density
+            sparse += int(np.count_nonzero(mat.sum(axis=1) <= 2))
+            want = [
+                (a, b, int(np.count_nonzero(mat[a] & mat[b])))
+                for a in range(nx)
+                for b in range(a + 1, nx)
+                if np.count_nonzero(mat[a] & mat[b]) <= 2
+            ]
+            for ws in (None, buffers):
+                n0, n1, a, b, count = randlab._pair_profile(mat, ws)
+                assert list(zip(a.tolist(), b.tolist(), count.tolist())) == want
+                assert (n0, n1) == tuple(sum(k == i for *_, k in want) for i in (0, 1))
+        assert sparse > 50
 
 
 class TestObstacleScan:
@@ -545,9 +571,9 @@ class TestNestedKernel:
         sizes = []
         profile = randlab._pair_profile
 
-        def counting(mat, tri):
+        def counting(mat, buffers=None):
             sizes.append(len(mat))
-            return profile(mat, tri)
+            return profile(mat, buffers)
 
         monkeypatch.setattr(randlab, "_pair_profile", counting)
         return sizes
@@ -560,6 +586,7 @@ class TestNestedKernel:
         offsets = (-1000.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 1000.0)
         fixed = [(2.0, -2.0, 0.0, -2.0), (1000.0, -2.0, 1000.0), (0.0,), (-1000.0,)]
         tasks = shrunk = emptied = 0
+        buffers: dict = {}  # every other task writes into one growing workspace
         for n in (3, 4, 7, 30, 100, 300):
             for t in range(50):
                 if t < len(fixed):
@@ -575,7 +602,7 @@ class TestNestedKernel:
                 task = (rng.getrandbits(64), n, cps, measures)
                 want = oracles.sweep_seed_reference(task)
                 start = len(sizes)
-                assert randlab._run_seed(task) == want, task
+                assert randlab._run_seed(task, buffers if t % 2 else None) == want, task
                 first, *later = sizes[start:]
                 assert first == n and len(later) == len(cps) - 1
                 shrunk += any(m < n for m in later)
@@ -593,6 +620,59 @@ class TestNestedKernel:
         for t in range(trials):
             first, *later = sizes[3 * t : 3 * t + 3]
             assert first == n and all(m < n for m in later)
+
+
+class TestSweepWorkspace:
+    """A one-process sweep writes every seed's grid, sample, float32 rows
+    and product into one set of arrays, and frees them when it returns."""
+
+    def test_full_products_share_one_buffer(self, monkeypatch) -> None:
+        # the spy keeps every product alive, so a product allocated per
+        # seed could not take the address of an earlier one
+        import numpy as np
+
+        n, trials = 300, 25
+        products = []
+        matmul = np.matmul
+
+        def spy(x, y, out=None):
+            if len(x) == n:
+                products.append(out)
+            return matmul(x, y, out=out)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        run_sweep(SweepConfig((n,), (-2.0, 0.0, 2.0), trials, master_seed=3))
+        assert len(products) == trials
+        assert len({out.ctypes.data for out in products}) == 1
+
+    def test_changing_n_matches_separate_sweeps(self) -> None:
+        # the arrays grow at n = 300 and are reused at n = 12
+        cfg = SweepConfig((30, 300, 12), (-2.0, 0.0, 2.0), 4, master_seed=5)
+        got = [cell.records for cell in run_sweep(cfg).cells]
+        want = [
+            cell.records
+            for n in cfg.n_list
+            for cell in run_sweep(dataclasses.replace(cfg, n_list=(n,))).cells
+        ]
+        assert got == want
+
+    def test_workspace_unreachable_after_return(self, monkeypatch) -> None:
+        import gc
+        import weakref
+
+        arrays = []
+        run_seed = randlab._run_seed
+
+        def spy(task, buffers=None):
+            records = run_seed(task, buffers)
+            arrays.extend(weakref.ref(a) for a in buffers.values())
+            return records
+
+        monkeypatch.setattr(randlab, "_run_seed", spy)
+        run_sweep(SweepConfig((30, 300, 12), (-2.0, 0.0, 2.0), 3, master_seed=5))
+        gc.collect()
+        assert len(arrays) == 9 * 4
+        assert [ref() for ref in arrays] == [None] * len(arrays)
 
 
 class TestSampleSizeCap:
@@ -728,30 +808,30 @@ def _blas_threads() -> int | None:
     return None if get is None else get()
 
 
-def _spy_unpack(seen: list):
-    """An ``_unpack_graph`` whose matrices append to ``seen`` the BLAS thread
-    count each of their matrix products starts at."""
+def _spy_matmul(seen: list):
+    """A ``numpy.matmul`` that appends to ``seen`` the BLAS thread count
+    each of its calls starts at; the pair profile's product is one call."""
     import numpy as np
 
-    class Spy(np.ndarray):
-        def __matmul__(self, other):
-            seen.append(_blas_threads())
-            return np.asarray(self) @ np.asarray(other)
+    matmul = np.matmul
 
-    unpack = randlab._unpack_graph
-    return lambda g: unpack(g).view(Spy)
+    def spy(*args, **kwargs):
+        seen.append(_blas_threads())
+        return matmul(*args, **kwargs)
+
+    return spy
 
 
 def _threads_in_product() -> tuple[list, int | None]:
     """The BLAS thread counts that one ``count_bad_pairs`` call's products
     run at, and this process's count after the call."""
+    import numpy as np
+
     seen: list = []
-    unpack = randlab._unpack_graph
-    randlab._unpack_graph = _spy_unpack(seen)
-    try:
-        count_bad_pairs(sample_gnnp(60, 0.3, 1))
-    finally:
-        randlab._unpack_graph = unpack
+    g = sample_gnnp(60, 0.3, 1)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(np, "matmul", _spy_matmul(seen))
+        count_bad_pairs(g)
     return seen, _blas_threads()
 
 
@@ -796,10 +876,12 @@ class TestWorkerBlasThreads:
         import sys
         import threading
 
+        import numpy as np
+
         g = sample_gnnp(40, 0.3, 5)
         want = count_bad_pairs(g)
         seen: list = []
-        monkeypatch.setattr(randlab, "_unpack_graph", _spy_unpack(seen))
+        monkeypatch.setattr(np, "matmul", _spy_matmul(seen))
         got: list = []
 
         def work() -> None:
